@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky
 from scipy.special import gammaln
 
 from .errors import DomainError, NumericalError
-from .special import _validate_gig_region, log_bessel_k, log_gig_normalizer
+from .special import log_bessel_k, log_gig_normalizer, validate_gig_region
 
 __all__ = [
     "GigParams",
@@ -62,7 +62,7 @@ class GigParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        _validate_gig_region(self.nu, self.delta, self.gamma)
+        validate_gig_region(self.nu, self.delta, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class GhParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
-        _validate_gig_region(self.nu, self.delta, self.gamma)
+        validate_gig_region(self.nu, self.delta, self.gamma)
 
     @property
     def mixing(self) -> GigParams:
@@ -104,7 +104,7 @@ class MghParams:
         sigma = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        _validate_gig_region(self.nu, self.delta, self.gamma)
+        validate_gig_region(self.nu, self.delta, self.gamma)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise DomainError(f"sigma must be square, got shape {sigma.shape}")
         if mu.shape[0] != sigma.shape[0]:

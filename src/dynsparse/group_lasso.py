@@ -10,8 +10,14 @@ with one group per coefficient index j collecting its d+1 window values
 and Sigma the AR(1) window correlation.  A Cholesky change of variables
 beta_j = L theta_j turns every group norm into a plain Euclidean norm,
 after which block coordinate descent with the exact group update applies.
-The group magnitude solves a scalar fixed-point equation in the
-eigenbasis of the group Gram matrix; we bisect it to 1e-12.
+
+The solver works in Gram space: the window enters only through
+G_s = X_s'X_s, b_s = X_s'y_s and y_s'y_s, and the gradient through the
+p x width residual U[:, s] = b_s - G_s beta_s, kept current after every
+group step.  Each group is stored in the eigenbasis of its curvature
+L' diag(G_s[j, j]) L / sigma^2, where the group magnitude is the root of
+a scalar secular equation, solved by Newton's method (Qin, Scheinberg &
+Goldfarb 2013, Math. Prog. Comp. 5:143).
 """
 
 from __future__ import annotations
@@ -21,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cholesky, eigh
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .map_em import MapFit, RegressionData
-from .prior import ModelConfig, WindowCorrelation
+from .prior import ModelConfig, WindowCorrelation, mahal_sq_batch
 
 __all__ = [
     "WindowProblem",
@@ -34,7 +39,7 @@ __all__ = [
     "mahalanobis_penalty",
 ]
 
-_BISECT_TOL = 1e-12
+_NEWTON_MAX_ITER = 500  # a safety bound: bench windows take 4-9 Newton steps
 
 
 @dataclass
@@ -87,68 +92,65 @@ def mahalanobis_penalty(
 ) -> float:
     """gamma * sum_j sqrt(beta_j' Sigma^{-1} beta_j) for a p x width matrix."""
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    sol = np.linalg.solve(corr.matrix, beta.T)
-    return gamma * float(np.sum(np.sqrt(np.einsum("jw,wj->j", beta, sol))))
-
-
-def _group_designs(problem: WindowProblem) -> list[NDArray[np.float64]]:
-    """Stacked whitened design A_j (total-n x width) for every group j."""
-    w = problem.width
-    L = cholesky(problem.corr.matrix, lower=True)
-    ns = [y.shape[0] for y in problem.ys]
-    total = sum(ns)
-    designs = []
-    for j in range(problem.p):
-        raw = np.zeros((total, w))
-        row = 0
-        for s, X in enumerate(problem.Xs):
-            raw[row : row + ns[s], s] = X[:, j]
-            row += ns[s]
-        designs.append(raw @ L)
-    return designs
+    return gamma * float(np.sum(np.sqrt(mahal_sq_batch(beta, corr.alpha))))
 
 
 def _group_magnitude(
     lam: NDArray[np.float64], c: NDArray[np.float64], gamma: float
 ) -> float:
-    """Solve t = ||(c_i t / (lam_i t + gamma))_i|| by bisection.
+    """Root t > 0 of f(t) = sum_i c_i^2 / (lam_i t + gamma)^2 - 1 by Newton.
 
-    Valid when ||c|| > gamma; the left-hand side minus the right is
-    positive at 0+ and eventually negative, and the equation has a
-    unique positive root (strict concavity of the right-hand side).
+    Valid when ||c|| > gamma, lam >= 0 and max(lam) > 0.  f is convex and
+    decreasing, so Newton started left of the root rises monotonically to
+    it without overshoot; t0 = (||c|| - gamma) / max(lam) is such a start,
+    since f(t0) >= ||c||^2 / (max(lam) t0 + gamma)^2 - 1 = 0.
     """
-
-    def gap(t: float) -> float:
-        return math.sqrt(float(np.sum((c * t / (lam * t + gamma)) ** 2))) - t
-
-    hi = float(np.linalg.norm(c)) / max(float(lam[lam > 1e-14].min(initial=np.inf)), 1e-14)
-    if not math.isfinite(hi):
-        hi = 1.0
-    while gap(hi) > 0:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lam_l = lam.tolist()
+    c2 = [ci * ci for ci in c.tolist()]
+    t = (math.sqrt(math.fsum(c2)) - gamma) / max(lam_l)
+    f_prev = math.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        f = -1.0
+        df = 0.0
+        for li, qi in zip(lam_l, c2):
+            r = 1.0 / (li * t + gamma)
+            qr2 = qi * r * r
+            f += qr2
+            df += li * qr2 * r
+        if f <= 0.0:
+            return t
+        if f >= f_prev:  # stalled: at the root up to rounding, or f levels off above 0
+            if f < 1e-12:
+                return t
+            break
+        f_prev = f
+        step = f / (2.0 * df)
+        t += step
+        if step <= 1e-15 * t:
+            return t
+    raise NumericalError(
+        f"group magnitude: no root of the secular equation (f = {f:.3e} at t = {t:.3e})"
+    )
 
 
 def _kkt_residual(
-    grads: list[NDArray[np.float64]], thetas: NDArray[np.float64], gamma: float
+    Rt: NDArray[np.float64], U: NDArray[np.float64], phi: NDArray[np.float64], gamma: float
 ) -> float:
-    """Max over groups of the subgradient-condition violation."""
-    res = 0.0
-    for j, g in enumerate(grads):
-        th = thetas[j]
-        nrm = float(np.linalg.norm(th))
-        if nrm == 0.0:
-            res = max(res, float(np.linalg.norm(g)) - gamma)
-        else:
-            res = max(res, float(np.linalg.norm(g + gamma * th / nrm)))
-    return max(res, 0.0)
+    """Max over groups of the subgradient-condition violation.
+
+    Gradients and coefficients are taken in each group's eigenbasis, an
+    orthogonal change of coordinates, so the norms are those of theta.
+    """
+    grad = -np.einsum("jws,js->jw", Rt, U)
+    nrm = np.linalg.norm(phi, axis=1)
+    active = nrm > 0.0
+    unit = phi / np.where(active, nrm, 1.0)[:, None]
+    viol = np.where(
+        active,
+        np.linalg.norm(grad + gamma * unit, axis=1),
+        np.linalg.norm(grad, axis=1) - gamma,
+    )
+    return max(float(viol.max()), 0.0)
 
 
 def solve_window(
@@ -163,60 +165,57 @@ def solve_window(
     the objective value after each full sweep.  Stops when the KKT
     residual drops below ``tol``.
     """
-    p, w = problem.p, problem.width
-    Y = np.concatenate(problem.ys)
-    designs = _group_designs(problem)
+    p = problem.p
     s2 = problem.sigma2
     gamma = problem.gamma
+    G = np.stack([X.T @ X for X in problem.Xs], axis=2)  # p x p x width
+    b = np.stack([X.T @ y for X, y in zip(problem.Xs, problem.ys)], axis=1)
+    yy = sum(float(y @ y) for y in problem.ys)
+    L = np.linalg.cholesky(problem.corr.matrix)
 
-    # per-group eigendecompositions of A_j'A_j / sigma^2, reused every sweep
-    eigs = []
-    for A in designs:
-        lam, Q = eigh(A.T @ A / s2)
-        eigs.append((np.maximum(lam, 0.0), Q))
+    # group j lives in the eigenbasis Q_j of L' diag(G[j, j]) L / s2;
+    # R_j = L Q_j maps its coordinates phi_j to beta_j
+    diag = G[np.arange(p), np.arange(p)]  # p x width
+    lam, Q = np.linalg.eigh(np.einsum("sa,js,sb->jab", L, diag, L) / s2)
+    lam = np.maximum(lam, 0.0)
+    R = L @ Q
+    Rt = np.ascontiguousarray(np.swapaxes(R, 1, 2)) / s2
 
-    theta = np.zeros((p, w))
-    resid = Y.copy()
-    trace = [_objective(resid, theta, s2, gamma)]
+    phi = np.zeros((p, problem.width))
+    active = [False] * p
+    U = b.copy()  # Gram residual b_s - G_s beta_s, one column per step
+    trace = [0.5 * yy / s2]
+    kkt = _kkt_residual(Rt, U, phi, gamma)
     for _ in range(max_iter):
         for j in range(p):
-            A = designs[j]
-            lam, Q = eigs[j]
-            # partial residual excludes group j's current contribution
-            if np.any(theta[j]):
-                resid += A @ theta[j]
-            c_raw = A.T @ resid / s2
-            if np.linalg.norm(c_raw) <= gamma:
-                theta[j] = 0.0
-                continue
-            c = Q.T @ c_raw
-            t = _group_magnitude(lam, c, gamma)
-            theta[j] = Q @ (c * t / (lam * t + gamma))
-            resid -= A @ theta[j]
-        trace.append(_objective(resid, theta, s2, gamma))
-        grads = [-(A.T @ resid) / s2 for A in designs]
-        if _kkt_residual(grads, theta, gamma) < tol:
+            # minus the fit gradient at phi_j = 0 (group j's own fit added back)
+            c = Rt[j] @ U[j]
+            if active[j]:
+                c += lam[j] * phi[j]
+            if math.sqrt(float(c @ c)) <= gamma:
+                if not active[j]:
+                    continue
+                new = np.zeros(problem.width)
+                active[j] = False
+            else:
+                t = _group_magnitude(lam[j], c, gamma)
+                new = c * t / (lam[j] * t + gamma)
+                active[j] = True
+            U -= G[j] * (R[j] @ (new - phi[j]))  # G_s symmetric: G[j][k, s] = G_s[k, j]
+            phi[j] = new
+        beta = np.einsum("jsw,jw->js", R, phi)
+        # ||y_s - X_s beta_s||^2 = y_s'y_s - beta_s'(b_s + U[:, s])
+        fit = 0.5 * (yy - float(np.sum(beta * (b + U)))) / s2
+        trace.append(fit + gamma * float(np.sum(np.linalg.norm(phi, axis=1))))
+        kkt = _kkt_residual(Rt, U, phi, gamma)
+        if kkt < tol:
             break
     else:
-        grads = [-(A.T @ resid) / s2 for A in designs]
         raise ConvergenceError(
             f"group lasso window did not reach KKT residual {tol} in "
-            f"{max_iter} sweeps (residual {_kkt_residual(grads, theta, gamma):.3e})"
+            f"{max_iter} sweeps (residual {kkt:.3e})"
         )
-    L = cholesky(problem.corr.matrix, lower=True)
-    return theta @ L.T, np.asarray(trace)
-
-
-def _objective(
-    resid: NDArray[np.float64],
-    theta: NDArray[np.float64],
-    sigma2: float,
-    gamma: float,
-) -> float:
-    return float(
-        0.5 * np.dot(resid, resid) / sigma2
-        + gamma * np.sum(np.linalg.norm(theta, axis=1))
-    )
+    return beta, np.asarray(trace)
 
 
 def run_sliding_window(

@@ -13,7 +13,7 @@ first step (and a configured d = 0) use the i.i.d. GH marginal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,8 +21,8 @@ from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
 
 from .distributions import GhParams, GigParams, gh_log_pdf, gh_log_pdf_grad, gig_moment
-from .errors import ConvergenceError, DomainError, NumericalError
-from .prior import ModelConfig, conditional_gh
+from .errors import DomainError, NumericalError
+from .prior import ModelConfig, conditional_gh, mahal_sq_batch
 
 __all__ = ["RegressionData", "MapFit", "em_map_step", "run_online_map"]
 
@@ -112,9 +112,7 @@ def em_map_step(
     d_eff = window.shape[1]
     priors, locs, a2 = _prior_laws(window, config)
     # E-step GIG pieces that do not change across sweeps
-    s2 = np.array(
-        [config.delta**2 + (0.0 if d_eff == 0 else _window_msq(window[j], config)) for j in range(p)]
-    )
+    s2 = config.delta**2 + mahal_sq_batch(window, config.alpha)
     nu_e = (config.nu - d_eff / 2.0) - 0.5
     sig2 = config.sigma**2
     XtX = X.T @ X
@@ -155,12 +153,6 @@ def em_map_step(
         if rel < tol and grad_norm(beta) < 10.0 * tol:
             break
     return beta, np.asarray(trace)
-
-
-def _window_msq(w: NDArray[np.float64], config: ModelConfig) -> float:
-    from .prior import _mahal_sq_batch
-
-    return float(_mahal_sq_batch(w[None, :], config.alpha)[0])
 
 
 def run_online_map(

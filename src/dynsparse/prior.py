@@ -29,7 +29,7 @@ from .distributions import (
     mgh_sample,
 )
 from .errors import DomainError
-from .special import _validate_gig_region
+from .special import validate_gig_region
 
 __all__ = [
     "WindowCorrelation",
@@ -37,6 +37,7 @@ __all__ = [
     "build_sigma",
     "mahalanobis_norm",
     "mahalanobis_sq",
+    "mahal_sq_batch",
     "conditional_gh",
     "conditional_gig",
     "simulate_path",
@@ -78,7 +79,7 @@ def mahalanobis_sq(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (corr.dim,):
         raise DomainError(f"x has shape {x.shape}, expected ({corr.dim},)")
-    return float(_mahal_sq_batch(x[None, :], corr.alpha)[0])
+    return float(mahal_sq_batch(x[None, :], corr.alpha)[0])
 
 
 def mahalanobis_norm(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
@@ -86,7 +87,7 @@ def mahalanobis_norm(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
     return math.sqrt(mahalanobis_sq(x, corr))
 
 
-def _mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
+def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
     """Row-wise squared Mahalanobis norms under the AR(1) correlation.
 
     Sigma^{-1} = T / (1 - alpha^2) with T tridiagonal: diagonal
@@ -121,7 +122,7 @@ class ModelConfig:
     rho: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _validate_gig_region(self.nu, self.delta, self.gamma)
+        validate_gig_region(self.nu, self.delta, self.gamma)
         if not (0.0 <= self.alpha <= _ALPHA_MAX):
             raise DomainError(f"alpha must lie in [0, {_ALPHA_MAX}], got {self.alpha}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -159,7 +160,7 @@ def conditional_gh(config: ModelConfig, window: NDArray[np.float64]) -> GhParams
     d = window.shape[0]
     if d == 0:
         return GhParams(0.0, config.nu, config.delta, config.gamma)
-    s2 = config.delta**2 + _mahal_sq_batch(window[None, :], config.alpha)[0]
+    s2 = config.delta**2 + mahal_sq_batch(window[None, :], config.alpha)[0]
     a = math.sqrt(1.0 - config.alpha**2)
     nu = config.nu - d / 2.0
     dl = a * math.sqrt(s2)
@@ -185,7 +186,7 @@ def conditional_gig(config: ModelConfig, window: NDArray[np.float64]) -> GigPara
     d = window.shape[0]
     if d == 0:
         return GigParams(config.nu, config.delta, config.gamma)
-    s2 = config.delta**2 + _mahal_sq_batch(window[None, :], config.alpha)[0]
+    s2 = config.delta**2 + mahal_sq_batch(window[None, :], config.alpha)[0]
     nu = config.nu - d / 2.0
     dl = math.sqrt(s2)
     try:
@@ -231,7 +232,7 @@ def simulate_path(
             beta[j, :d0] = mgh_sample(init, rng)
         for t in range(d0, T):
             window = beta[:, t - d : t]
-            s2 = config.delta**2 + _mahal_sq_batch(window, config.alpha)
+            s2 = config.delta**2 + mahal_sq_batch(window, config.alpha)
             tau = gig_rvs(config.nu - d / 2.0, np.sqrt(s2), config.gamma, rng)
             beta[:, t] = config.alpha * beta[:, t - 1] + sa * np.sqrt(
                 np.atleast_1d(tau)
@@ -253,7 +254,7 @@ def simulate_path(
         if dt == 0:
             s2 = np.full(p, config.delta**2)
         else:
-            s2 = config.delta**2 + _mahal_sq_batch(beta[:, t - dt : t], config.alpha)
+            s2 = config.delta**2 + mahal_sq_batch(beta[:, t - dt : t], config.alpha)
         # same convention as the sequential sampler: scale-mixture step with
         # mean alpha * beta_{t-1} and variance (1 - alpha^2) tau
         tau = gig_rvs(config.nu - dt / 2.0, np.sqrt(s2), config.gamma, rng)

@@ -31,7 +31,7 @@ from scipy.special import logsumexp
 from .distributions import gig_rvs
 from .errors import DegeneracyError, DomainError, NumericalError
 from .map_em import RegressionData
-from .prior import ModelConfig, _mahal_sq_batch
+from .prior import ModelConfig, mahal_sq_batch
 
 __all__ = [
     "Particle",
@@ -117,7 +117,7 @@ def _sample_tau(
                 gm_arr[idx] = config.gamma
             continue
         block = hist[idx, :, hist.shape[2] - d :].reshape(-1, d)
-        msq = _mahal_sq_batch(block, config.alpha).reshape(-1, p)
+        msq = mahal_sq_batch(block, config.alpha).reshape(-1, p)
         nu_arr[idx] = config.nu - d / 2.0
         dl_arr[idx] = np.sqrt(sa2 * (config.delta**2 + msq))
         gm_arr[idx] = config.gamma / np.sqrt(sa2)
@@ -300,7 +300,9 @@ def smc_run(
         beta = _propose_beta(y, X, tau, prev_beta, mean_scale, s2, alpha, rng)
 
         total = log_norm_w + lw
-        if np.all(np.isinf(total) & (total < 0)) or np.all(np.isnan(total)):
+        if np.any(np.isnan(total)):
+            raise NumericalError(f"NaN particle log-weight at t={t + 1}")
+        if np.all(total == -np.inf):
             raise DegeneracyError(f"all particle weights collapsed at t={t + 1}")
         log_Z += float(logsumexp(total))
         log_norm_w = total - logsumexp(total)

@@ -20,7 +20,12 @@ from scipy.special import gammaln, kve
 
 from .errors import DomainError, NumericalError
 
-__all__ = ["log_bessel_k", "log_gig_normalizer", "integrate_positive_halfline"]
+__all__ = [
+    "log_bessel_k",
+    "log_gig_normalizer",
+    "validate_gig_region",
+    "integrate_positive_halfline",
+]
 
 
 def log_bessel_k(order: float, arg: float) -> float:
@@ -52,7 +57,7 @@ def log_gig_normalizer(nu: float, delta: float, gamma: float) -> float:
     (0, inf); this returns log C.  The boundaries delta = 0 (gamma limit)
     and gamma = 0 (inverse-gamma limit) are explicit branches.
     """
-    _validate_gig_region(nu, delta, gamma)
+    validate_gig_region(nu, delta, gamma)
     if delta == 0.0:
         # gamma(shape=nu, rate=gamma^2/2)
         return nu * math.log(gamma * gamma / 2.0) - gammaln(nu)
@@ -66,7 +71,8 @@ def log_gig_normalizer(nu: float, delta: float, gamma: float) -> float:
     )
 
 
-def _validate_gig_region(nu: float, delta: float, gamma: float) -> None:
+def validate_gig_region(nu: float, delta: float, gamma: float) -> None:
+    """Raise DomainError unless (nu, delta, gamma) lies in the GIG region."""
     if not (math.isfinite(nu) and math.isfinite(delta) and math.isfinite(gamma)):
         raise DomainError(f"non-finite GIG parameters ({nu}, {delta}, {gamma})")
     if delta < 0.0 or gamma < 0.0:

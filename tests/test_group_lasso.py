@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsparse import (
     ConvergenceError,
@@ -17,6 +19,7 @@ from dynsparse import (
     run_sliding_window,
     solve_window,
 )
+from dynsparse.group_lasso import _group_magnitude
 
 
 def stacked_whitened(problem):
@@ -73,6 +76,93 @@ def random_problem(seed, p=3, d=2, n=5, gamma=1.0, alpha=0.5):
     Xs = [rng.standard_normal((n, p)) for _ in range(w)]
     ys = [rng.standard_normal(n) * 2.0 for _ in range(w)]
     return WindowProblem(ys=ys, Xs=Xs, gamma=gamma, sigma2=1.0, corr=WindowCorrelation(w, alpha))
+
+
+def assert_kkt(problem, beta, tol):
+    """Whitened KKT conditions recomputed from the stacked designs."""
+    Y, designs = stacked_whitened(problem)
+    L = np.linalg.cholesky(problem.corr.matrix)
+    theta = beta @ np.linalg.inv(L).T
+    resid = Y - sum(A @ theta[j] for j, A in enumerate(designs))
+    for j, A in enumerate(designs):
+        g = -(A.T @ resid) / problem.sigma2
+        nrm = np.linalg.norm(theta[j])
+        if nrm == 0.0:
+            assert np.linalg.norm(g) <= problem.gamma + tol
+        else:
+            assert np.linalg.norm(g + problem.gamma * theta[j] / nrm) < tol
+
+
+# ---------------------------------------------------------------------------
+# group magnitude root solve
+# ---------------------------------------------------------------------------
+
+
+def secular(lam, c, gamma, t):
+    """f(t) = sum_i c_i^2 / (lam_i t + gamma)^2 - 1 and its derivative."""
+    r = 1.0 / (lam * t + gamma)
+    return float(np.sum((c * r) ** 2)) - 1.0, float(-2.0 * np.sum(lam * c**2 * r**3))
+
+
+def bisect_magnitude(lam, c, gamma):
+    """Root of the secular equation by bisection down to adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while secular(lam, c, gamma, hi)[0] > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if secular(lam, c, gamma, mid)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@st.composite
+def secular_problems(draw):
+    w = draw(st.integers(1, 8))
+    gamma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    # curvatures over twelve decades, some exactly zero, at least one positive
+    curvature = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+    lam = np.array([draw(curvature) for _ in range(w)])
+    if not np.any(lam > 0.0):
+        lam[draw(st.integers(0, w - 1))] = 10.0 ** draw(st.floats(-6.0, 6.0))
+    # ||c|| from gamma (1 + 1e-9) to ~1e6 gamma; directions in the zero-curvature
+    # subspace carry less than gamma, else no root exists
+    cnorm = gamma * (1.0 + 10.0 ** draw(st.floats(-9.0, 6.0)))
+    signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(w)])
+    weights = np.array([draw(st.floats(0.01, 1.0)) for _ in range(w)]) * signs
+    zero = lam == 0.0
+    c = np.zeros(w)
+    z_norm = 0.0
+    if zero.any():
+        z_norm = gamma * draw(st.floats(0.0, 0.9))
+        c[zero] = z_norm * weights[zero] / np.linalg.norm(weights[zero])
+    pos = ~zero
+    c[pos] = math.sqrt(cnorm**2 - z_norm**2) * weights[pos] / np.linalg.norm(weights[pos])
+    return lam, c, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(secular_problems())
+def test_group_magnitude_solves_secular_equation(problem):
+    lam, c, gamma = problem
+    t = _group_magnitude(lam, c, gamma)
+    f, _ = secular(lam, c, gamma, t)
+    assert t > 0.0
+    assert abs(f) <= 1e-12
+    t_ref = bisect_magnitude(lam, c, gamma)
+    _, df = secular(lam, c, gamma, t_ref)
+    # the root moves by df^-1 per unit of rounding in f
+    assert abs(t - t_ref) <= 1e-13 * t_ref + 1e-13 / abs(df)
+
+
+def test_group_magnitude_without_root_raises():
+    # the curvature-free direction alone carries a norm above gamma, so
+    # f(t) levels off at 2^2 - 1 > 0 and has no root
+    with pytest.raises(NumericalError, match="no root"):
+        _group_magnitude(np.array([0.0, 1.0]), np.array([2.0, 0.1]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +222,23 @@ def test_kkt_residual_via_direct_subgradient(seed):
             assert np.linalg.norm(g) <= problem.gamma + 1e-8
         else:
             assert np.linalg.norm(g + problem.gamma * theta[j] / nrm) < 1e-8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_steps_with_different_row_counts(seed):
+    # n may vary with t; windows mix steps with 1, 3 and 7 rows
+    rng = np.random.default_rng(100 + seed)
+    ns = rng.permutation([1, 3, 7])
+    Xs = [rng.standard_normal((n, 3)) for n in ns]
+    ys = [rng.standard_normal(n) * 2.0 for n in ns]
+    problem = WindowProblem(
+        ys=ys, Xs=Xs, gamma=0.8, sigma2=1.0, corr=WindowCorrelation(3, 0.5)
+    )
+    beta, trace = solve_window(problem, tol=1e-10)
+    _, obj_oracle = fista_oracle(problem)
+    assert objective(problem, beta) == pytest.approx(obj_oracle, abs=1e-5)
+    assert trace[-1] == pytest.approx(objective(problem, beta), rel=1e-12)
+    assert_kkt(problem, beta, 1e-8)
 
 
 def test_objective_trace_nonincreasing():

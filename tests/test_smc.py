@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import dynsparse.smc
 from dynsparse import (
     DegeneracyError,
     DomainError,
     GhParams,
     ModelConfig,
+    NumericalError,
     Particle,
     PosteriorChain,
     RegressionData,
@@ -243,6 +245,24 @@ def test_weight_collapse_raises_degeneracy():
     data = RegressionData([np.array([1e200])], [np.eye(1)])
     with pytest.raises(DegeneracyError, match="t=1"):
         smc_run(data, config, 16, np.random.default_rng(2))
+
+
+def test_partial_nan_log_weights_raise_numerical_error(monkeypatch):
+    # half the particles get a NaN log-weight at t=3; logsumexp would
+    # otherwise carry the NaN into log Z
+    calls = []
+
+    def half_nan(*args):
+        lw = _log_weights(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            lw[: lw.shape[0] // 2] = np.nan
+        return lw
+
+    monkeypatch.setattr(dynsparse.smc, "_log_weights", half_nan)
+    with pytest.raises(NumericalError, match="t=3") as info:
+        smc_run(_tiny_data(T=5), cfg(d=1), 16, np.random.default_rng(4))
+    assert not isinstance(info.value, DegeneracyError)
 
 
 def test_ess_mode_matches_evidence_scale():
