@@ -34,12 +34,10 @@ from .prior import (
     simulate_path,
 )
 from .smc import (
-    Particle,
     PosteriorChain,
     PosteriorSummary,
     pimh_run,
     posterior_summary,
-    propose_step,
     smc_run,
 )
 from .special import integrate_positive_halfline, log_bessel_k, log_gig_normalizer

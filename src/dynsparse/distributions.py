@@ -12,6 +12,11 @@ are explicit limit branches, never epsilon perturbations.
 Sampling of the GIG uses the ratio-of-uniforms-free rejection scheme of
 Devroye (2014), whose acceptance rate is uniformly bounded over the whole
 parameter range; the boundaries use plain gamma / inverse-gamma draws.
+The scheme has two kernels: ``_devroye_gig`` works on arrays with masked
+rejection rounds, and ``_devroye_gig_one`` is its setup-light scalar twin.
+``gig_rvs`` picks by size alone: a broadcast batch of exactly one element
+takes the scalar kernel, any other batch the array kernel.  Both give the
+same value for one element and take the same uniforms from the generator.
 """
 
 from __future__ import annotations
@@ -184,6 +189,16 @@ def gig_moment(params: GigParams, power: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _psi(x, alpha, lam):
+    """Log of the Devroye (2014) target in the log-scale variable, up to a constant."""
+    return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
+
+
+def _dpsi(x, alpha, lam):
+    """Derivative of :func:`_psi` in x."""
+    return -alpha * np.sinh(x) - lam * np.expm1(x)
+
+
 def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     """Draws from pdf prop. to z^(lam-1) exp(-omega (z + 1/z)/2), elementwise.
 
@@ -202,20 +217,14 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     lam = np.abs(lam)
     alpha = np.sqrt(omega**2 + lam**2) - lam
 
-    def psi(x):
-        return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
-
-    def dpsi(x):
-        return -alpha * np.sinh(x) - lam * np.expm1(x)
-
     one = np.ones_like(lam)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # right cut point t
-        x0 = -psi(one)
+        x0 = -_psi(one, alpha, lam)
         t = np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), one)
         t = np.where(x0 < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), t)
         # left cut point s
-        x1 = -psi(-one)
+        x1 = -_psi(-one, alpha, lam)
         s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)), one)
         cand = np.minimum(
             1.0 / lam,
@@ -223,10 +232,10 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
         )
         s = np.where(x1 < 0.5, cand, s)
 
-    eta = -psi(t)
-    zeta = -dpsi(t)
-    theta = -psi(-s)
-    xi = dpsi(-s)
+    eta = -_psi(t, alpha, lam)
+    zeta = -_dpsi(t, alpha, lam)
+    theta = -_psi(-s, alpha, lam)
+    xi = _dpsi(-s, alpha, lam)
     p = 1.0 / xi
     r = 1.0 / zeta
     td = t - r * eta
@@ -254,7 +263,7 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
             np.where(u < qi + ri, td[idx] + ri * (-logV), -sd[idx] + pi * logV),
         )
         ai, li = alpha[idx], lam[idx]
-        psix = -ai * (np.cosh(x) - 1.0) - li * (np.expm1(x) - x)
+        psix = _psi(x, ai, li)
         logchi = np.where(
             x > td[idx],
             -eta[idx] - zeta[idx] * (x - t[idx]),
@@ -274,18 +283,109 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     return z.reshape(shape)
 
 
+def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> np.float64:
+    """One draw of :func:`_devroye_gig`, without its array bookkeeping.
+
+    Same operations in the same order on ``np.float64``: numpy's scalar
+    ufuncs give the array loops' bits (``math.cosh`` does not), and
+    ``x * x`` stands in for ``x ** 2``, which the array loop computes as a
+    product but scalar power rounds differently.  Each round takes U, V, W
+    as the array kernel does at n = 1, so value and generator state match.
+    """
+    lam = np.float64(lam)
+    omega = np.float64(omega)
+    if not (omega > 0.0 and math.isfinite(omega) and math.isfinite(lam)):
+        raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
+
+    swap = lam < 0.0
+    lam = abs(lam)
+    alpha = np.sqrt(omega * omega + lam * lam) - lam
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # right cut point t
+        x0 = -_psi(1.0, alpha, lam)
+        t = np.sqrt(2.0 / (alpha + lam)) if x0 > 2.0 else 1.0
+        if x0 < 0.5:
+            t = np.log(4.0 / (alpha + 2.0 * lam))
+        # left cut point s
+        x1 = -_psi(-1.0, alpha, lam)
+        s = np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)) if x1 > 2.0 else 1.0
+        if x1 < 0.5:
+            s = np.minimum(
+                1.0 / lam,
+                np.log1p(1.0 / alpha + np.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)),
+            )
+
+    eta = -_psi(t, alpha, lam)
+    zeta = -_dpsi(t, alpha, lam)
+    theta = -_psi(-s, alpha, lam)
+    xi = _dpsi(-s, alpha, lam)
+    p = 1.0 / xi
+    r = 1.0 / zeta
+    td = t - r * eta
+    sd = s - p * theta
+    q = td + sd
+
+    for _ in range(1000):
+        U = rng.random()
+        V = rng.random()
+        W = rng.random()
+        u = U * (q + p + r)
+        logV = np.log(V) if V > 0.0 else -np.inf
+        if u < q:
+            x = -sd + q * V
+        elif u < q + r:
+            x = td + r * (-logV)
+        else:
+            x = -sd + p * logV
+        psix = _psi(x, alpha, lam)
+        if x > td:
+            logchi = -eta - zeta * (x - t)
+        elif x < -sd:
+            logchi = -theta + xi * (x + s)
+        else:
+            logchi = 0.0
+        logW = np.log(W) if W > 0.0 else -np.inf
+        if logW + logchi <= psix:
+            break
+    else:
+        raise NumericalError("GIG rejection sampler exceeded its round budget")
+
+    ratio = lam / omega
+    z = np.exp(x) * (ratio + np.sqrt(1.0 + ratio * ratio))
+    return 1.0 / z if swap else z
+
+
+def _gig_one(nu, delta, gamma, rng: np.random.Generator) -> np.float64:
+    """One GIG draw, routed and validated as :func:`gig_rvs` does a batch."""
+    if gamma == 0.0:
+        if nu >= 0.0:
+            raise DomainError("gamma = 0 requires nu < 0")
+        return (delta * delta / 2.0) / rng.gamma(-nu, 1.0)
+    if delta == 0.0:
+        if nu <= 0.0:
+            raise DomainError("delta = 0 requires nu > 0")
+        return rng.gamma(nu, 2.0 / (gamma * gamma))
+    return (delta / gamma) * _devroye_gig_one(nu, delta * gamma, rng)
+
+
 def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np.float64]:
     """Vectorized GIG draws with elementwise parameters.
 
     Boundary parameters (delta = 0 or gamma = 0) are routed to exact
-    gamma / inverse-gamma samplers elementwise.
+    gamma / inverse-gamma samplers elementwise.  A batch of one element
+    takes the scalar kernel, which draws the same value as the array
+    kernel would.
     """
     nu = np.asarray(nu, dtype=float)
     delta = np.asarray(delta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    shape = np.broadcast_shapes(nu.shape, delta.shape, gamma.shape)
+    shape = np.broadcast(nu, delta, gamma).shape
     if size is not None:
         shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)))
+    if math.prod(shape) == 1:
+        z = _gig_one(nu.flat[0], delta.flat[0], gamma.flat[0], rng)
+        return float(z) if shape == () else np.full(shape, z)
     nu = np.broadcast_to(nu, shape)
     delta = np.broadcast_to(delta, shape)
     gamma = np.broadcast_to(gamma, shape)
@@ -306,8 +406,6 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
         out[interior] = (delta[interior] / gamma[interior]) * _devroye_gig(
             nu[interior], delta[interior] * gamma[interior], rng
         )
-    if out.shape == ():
-        return float(out)
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Union
@@ -48,7 +49,10 @@ def load_data(path: Union[str, Path]) -> RegressionData:
             raise ParseError(
                 f"{path}: line 1: header must be 't,y,x1,...,xp', got {','.join(header)}"
             )
-        rows: list[tuple[int, float, list[float]]] = []
+        # rows are sorted by t, so each step's rows form one contiguous run
+        t_values: list[int] = []
+        ys: list[list[float]] = []
+        Xs: list[list[list[float]]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -62,24 +66,26 @@ def load_data(path: Union[str, Path]) -> RegressionData:
                 xs = [float(c) for c in row[2:]]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+            if not (math.isfinite(y) and all(map(math.isfinite, xs))):
+                col = next(h for h, c in zip(header[1:], [y, *xs]) if not math.isfinite(c))
+                raise ParseError(f"{path}: line {lineno}: non-finite {col} cell")
             if t < 1:
                 raise ParseError(f"{path}: line {lineno}: t must be >= 1, got {t}")
-            if rows and t < rows[-1][0]:
+            if t_values and t < t_values[-1]:
                 raise ParseError(
                     f"{path}: line {lineno}: rows must be sorted by t"
                 )
-            rows.append((t, y, xs))
-    if not rows:
+            if not t_values or t != t_values[-1]:
+                t_values.append(t)
+                ys.append([])
+                Xs.append([])
+            ys[-1].append(y)
+            Xs[-1].append(xs)
+    if not t_values:
         raise ParseError(f"{path}: no data rows")
-    ys, Xs = [], []
-    t_values = sorted({r[0] for r in rows})
     if t_values != list(range(1, len(t_values) + 1)):
         raise ParseError(f"{path}: time indices must cover 1..T without gaps")
-    for t in t_values:
-        block = [r for r in rows if r[0] == t]
-        ys.append(np.array([r[1] for r in block]))
-        Xs.append(np.array([r[2] for r in block]))
-    return RegressionData(ys, Xs)
+    return RegressionData([np.array(y) for y in ys], [np.array(X) for X in Xs])
 
 
 def _hash_bytes(data: bytes) -> str:

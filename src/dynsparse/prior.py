@@ -97,9 +97,9 @@ def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
     d = x.shape[-1]
     if d == 1:
         return x[..., 0] ** 2
-    total = np.sum(x * x, axis=-1)
-    inner = np.sum(x[..., 1:-1] ** 2, axis=-1)
-    cross = np.sum(x[..., :-1] * x[..., 1:], axis=-1)
+    total = (x * x).sum(axis=-1)
+    inner = (x[..., 1:-1] ** 2).sum(axis=-1)
+    cross = (x[..., :-1] * x[..., 1:]).sum(axis=-1)
     return (total + alpha**2 * inner - 2.0 * alpha * cross) / (1.0 - alpha**2)
 
 
@@ -215,52 +215,46 @@ def simulate_path(
         raise DomainError(f"T must be >= 1, got {T}")
     p = config.p
     beta = np.empty((p, T))
-    a2 = 1.0 - config.alpha**2
-    sa = math.sqrt(a2)
+    alpha = config.alpha
+    sa = math.sqrt(1.0 - alpha**2)
 
     if config.fixed_d:
         d = int(config.d)
         if d == 0:
             tau = gig_rvs(config.nu, config.delta, config.gamma, rng, size=(p, T))
             return np.sqrt(tau) * rng.standard_normal((p, T))
-        d0 = min(d, T)
+        start = min(d, T)
         init = MghParams(
-            np.zeros(d0), config.nu, config.delta, config.gamma,
-            build_sigma(d0, config.alpha).matrix,
+            np.zeros(start), config.nu, config.delta, config.gamma,
+            build_sigma(start, alpha).matrix,
         )
         for j in range(p):
-            beta[j, :d0] = mgh_sample(init, rng)
-        for t in range(d0, T):
-            window = beta[:, t - d : t]
-            s2 = config.delta**2 + mahal_sq_batch(window, config.alpha)
-            tau = gig_rvs(config.nu - d / 2.0, np.sqrt(s2), config.gamma, rng)
-            beta[:, t] = config.alpha * beta[:, t - 1] + sa * np.sqrt(
-                np.atleast_1d(tau)
-            ) * rng.standard_normal(p)
-        return beta
+            beta[j, :start] = mgh_sample(init, rng)
+        lengths = [d] * T
+    else:
+        if d_path is None:
+            d_path = simulate_d_chain(config.rho, 0, T, rng)
+        d_path = np.asarray(d_path, dtype=int)
+        if d_path.shape != (T,):
+            raise DomainError(f"d_path has shape {d_path.shape}, expected ({T},)")
+        for j in range(p):
+            beta[j, 0] = gh_sample(GhParams(0.0, config.nu, config.delta, config.gamma), rng)
+        start = 1
+        lengths = d_path.tolist()
 
-    # time-varying window length
-    if d_path is None:
-        d_path = simulate_d_chain(config.rho, 0, T, rng)
-    d_path = np.asarray(d_path, dtype=int)
-    if d_path.shape != (T,):
-        raise DomainError(f"d_path has shape {d_path.shape}, expected ({T},)")
-    for j in range(p):
-        beta[j, 0] = gh_sample(GhParams(0.0, config.nu, config.delta, config.gamma), rng)
-    for t in range(1, T):
-        dt = int(d_path[t])
+    # scale-mixture step with mean alpha * beta_{t-1} and variance
+    # (1 - alpha^2) tau, the convention of the sequential sampler
+    delta2 = config.delta**2
+    for t in range(start, T):
+        dt = lengths[t]
         if dt > t:
             raise DomainError(f"d_path[{t}]={dt} exceeds the available history {t}")
         if dt == 0:
-            s2 = np.full(p, config.delta**2)
+            s2 = np.full(p, delta2)
         else:
-            s2 = config.delta**2 + mahal_sq_batch(beta[:, t - dt : t], config.alpha)
-        # same convention as the sequential sampler: scale-mixture step with
-        # mean alpha * beta_{t-1} and variance (1 - alpha^2) tau
+            s2 = delta2 + mahal_sq_batch(beta[:, t - dt : t], alpha)
         tau = gig_rvs(config.nu - dt / 2.0, np.sqrt(s2), config.gamma, rng)
-        beta[:, t] = config.alpha * beta[:, t - 1] + sa * np.sqrt(
-            np.atleast_1d(tau)
-        ) * rng.standard_normal(p)
+        beta[:, t] = alpha * beta[:, t - 1] + sa * np.sqrt(tau) * rng.standard_normal(p)
     return beta
 
 

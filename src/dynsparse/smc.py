@@ -34,27 +34,14 @@ from .map_em import RegressionData
 from .prior import ModelConfig, mahal_sq_batch
 
 __all__ = [
-    "Particle",
     "PosteriorChain",
     "PosteriorSummary",
-    "propose_step",
     "smc_run",
     "pimh_run",
     "posterior_summary",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass
-class Particle:
-    """One particle at one generation."""
-
-    beta_t: NDArray[np.float64]
-    tau_t: NDArray[np.float64]
-    d_t: int
-    ancestor: int
-    log_weight: float
 
 
 @dataclass
@@ -198,61 +185,6 @@ def _next_d(
     return rng.binomial(ds + 1, config.rho).astype(np.int64)
 
 
-def propose_step(
-    prev: Optional[Particle],
-    y_t: NDArray[np.float64],
-    X_t: NDArray[np.float64],
-    config: ModelConfig,
-    rng: np.random.Generator,
-    history: Optional[NDArray[np.float64]] = None,
-    t: int = 2,
-) -> tuple[Particle, float]:
-    """Single-particle propagation (the unit of Algorithm 1's inner loop).
-
-    ``history`` holds the lineage's past beta values (p x m, most recent
-    last, m >= the window length that will be drawn); ``prev`` is None at
-    t = 1.  Returns the new particle and its log-weight.
-    """
-    y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
-    X_t = np.atleast_2d(np.asarray(X_t, dtype=float))
-    p = X_t.shape[1]
-    s2 = config.sigma**2
-    if prev is None:
-        d_t = 0
-        prev_beta = np.zeros((1, p))
-        hist = np.zeros((1, p, 0))
-        ancestor = -1
-    else:
-        d_arr = _next_d(np.array([prev.d_t], dtype=np.int64), t, config, rng)
-        d_t = int(d_arr[0])
-        if history is None:
-            history = prev.beta_t[:, None]
-        if history.shape[1] < d_t:
-            raise DomainError(
-                f"history depth {history.shape[1]} < sampled window length {d_t}"
-            )
-        prev_beta = prev.beta_t[None, :]
-        hist = history[None, :, :]
-        ancestor = prev.ancestor
-    scaled_at_zero = prev is not None and not config.fixed_d
-    mean_scale = np.array([1.0 if (d_t > 0 or scaled_at_zero) else 0.0])
-    tau = _sample_tau(
-        hist, np.array([d_t], dtype=np.int64), config, rng, scaled_at_zero
-    )
-    lw = _log_weights(y_t, X_t, tau, prev_beta, mean_scale, s2, config.alpha)
-    beta = _propose_beta(
-        y_t, X_t, tau, prev_beta, mean_scale, s2, config.alpha, rng
-    )
-    particle = Particle(
-        beta_t=beta[0],
-        tau_t=tau[0],
-        d_t=d_t,
-        ancestor=ancestor,
-        log_weight=float(lw[0]),
-    )
-    return particle, float(lw[0])
-
-
 def smc_run(
     data: RegressionData,
     config: ModelConfig,
@@ -304,8 +236,9 @@ def smc_run(
             raise NumericalError(f"NaN particle log-weight at t={t + 1}")
         if np.all(total == -np.inf):
             raise DegeneracyError(f"all particle weights collapsed at t={t + 1}")
-        log_Z += float(logsumexp(total))
-        log_norm_w = total - logsumexp(total)
+        log_step = logsumexp(total)
+        log_Z += float(log_step)
+        log_norm_w = total - log_step
 
         states[t] = beta
         d_hist[t] = ds

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dynsparse import ParseError, load_data, synthetic_regression
+from dynsparse import ParseError, RegressionData, load_data, synthetic_regression
 from dynsparse.cli import run_command
 
 
@@ -53,6 +53,9 @@ def test_load_data_varying_n(tmp_path):
         ("t,y,x1\n2,0.5,1\n1,0.2,1\n", "sorted"),
         ("y,t,x1\n1,0.5,1\n", "header"),
         ("", "empty"),
+        ("t,y,x1\n1,0.5,1\n2,nan,1.0\n", "line 3: non-finite y"),
+        ("t,y,x1,x2\n1,0.5,1,inf\n", "line 2: non-finite x2"),
+        ("t,y,x1\n1,0.5,1\n1,0.2,-inf\n", "line 3: non-finite x1"),
     ],
 )
 def test_load_data_parse_errors(tmp_path, body, match):
@@ -60,6 +63,32 @@ def test_load_data_parse_errors(tmp_path, body, match):
     path.write_text(body)
     with pytest.raises(ParseError, match=match):
         load_data(path)
+
+
+def test_non_finite_cell_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,y,x1\n1,0.5,1\n2,nan,1.0\n")
+    code = run_command([
+        "fit-smc", "nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.5",
+        "d=1", "sigma=0.5", "n_particles=10", "n_iters=2", "seed=1",
+        f"data_path={path}", f"out_dir={tmp_path / 'out'}",
+    ])
+    assert code == 2
+    assert "line 3: non-finite y" in capsys.readouterr().err
+
+
+def test_load_data_round_trip_varying_rows(tmp_path):
+    # 1-3 rows per step over 500 steps: each step's block comes back intact
+    rng = np.random.default_rng(4)
+    blocks = [rng.standard_normal((n, 3)) for n in rng.integers(1, 4, size=500)]
+    data = RegressionData([b[:, 0] for b in blocks], [b[:, 1:] for b in blocks])
+    path = tmp_path / "data.csv"
+    write_data(path, data)
+    loaded = load_data(path)
+    assert loaded.T == 500 and loaded.p == 2
+    for t in range(500):
+        assert np.array_equal(loaded.ys[t], data.ys[t])
+        assert np.array_equal(loaded.Xs[t], data.Xs[t])
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +236,10 @@ def test_unknown_key_and_bad_type_are_config_errors(tmp_path):
 
 
 def test_model_error_exit_one_with_record(tmp_path, capsys):
-    # NaN observation triggers a numerical failure inside the fit
+    # a finite observation whose square overflows fails inside the fit
+    # (a NaN cell would be a parse error, exit 2)
     dpath = tmp_path / "data.csv"
-    dpath.write_text("t,y,x1\n1,0.5,1\n2,nan,1\n3,0.1,1\n")
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,1e300,1\n3,0.1,1\n")
     out = tmp_path / "out"
     code = run_command([
         "fit-map", "nu=1.0", "delta=0.0", "gamma=1.0", "alpha=0.0", "d=0",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dynsparse import (
@@ -18,7 +20,7 @@ from dynsparse import (
     mgh_log_pdf,
     mgh_sample,
 )
-from dynsparse.distributions import gh_log_pdf_grad, gig_rvs
+from dynsparse.distributions import _devroye_gig, _devroye_gig_one, gh_log_pdf_grad, gig_rvs
 from helpers import gh_cdf_grid, gh_pdf_by_mixture, gig_unnormalized, ks_statistic
 
 GIG_GRID = [
@@ -157,6 +159,88 @@ def test_gig_rvs_heterogeneous_parameters():
     ).mean(axis=0)
     means = [gig_moment(GigParams(n, d, g), 1) for n, d, g in zip(nus, deltas, gammas)]
     assert np.allclose(draws, means, rtol=0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.floats(-15.0, 15.0),
+    omega=st.one_of(st.floats(1e-6, 1e3), st.floats(-6.0, 3.0).map(lambda e: 10.0**e)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lam=0.0, omega=1e-6, seed=0)
+@example(lam=0.0, omega=1.0, seed=1)
+@example(lam=-15.0, omega=1e3, seed=2)
+def test_devroye_scalar_kernel_matches_array_kernel(lam, omega, seed):
+    # the scalar kernel returns the array kernel's n = 1 draw and leaves the
+    # generator in the same state, over successive draws (lam < 0 swaps)
+    rng_arr = np.random.default_rng(seed)
+    rng_one = np.random.default_rng(seed)
+    for _ in range(4):
+        z_arr = _devroye_gig(np.array([lam]), omega, rng_arr)[0]
+        z_one = _devroye_gig_one(lam, omega, rng_one)
+        assert z_one == z_arr
+        assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+
+
+def test_devroye_scalar_kernel_matches_array_kernel_on_a_sweep():
+    # dense random sweep: a last-bit difference in the setup (say scalar
+    # x ** 2 for x * x, ~1e-3 of inputs) changes the draw
+    pars = np.random.default_rng(21)
+    lams = pars.uniform(-15.0, 15.0, 10_000)
+    omegas = 10.0 ** pars.uniform(-6.0, 3.0, 10_000)
+    rng_arr = np.random.default_rng(22)
+    rng_one = np.random.default_rng(22)
+    for lam, omega in zip(lams, omegas):
+        assert _devroye_gig_one(lam, omega, rng_one) == _devroye_gig(
+            np.array([lam]), omega, rng_arr
+        )[0], (lam, omega)
+    assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+
+
+def test_gig_rvs_size_one_interior_uses_scaled_kernel_draw():
+    rng_one = np.random.default_rng(6)
+    rng_arr = np.random.default_rng(6)
+    z = gig_rvs(-0.7, 1.5, 0.4, rng_one, size=(1,))
+    assert z[0] == (1.5 / 0.4) * _devroye_gig(np.array([-0.7]), 1.5 * 0.4, rng_arr)[0]
+    assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+
+
+def test_gig_rvs_size_one_shapes():
+    rng = np.random.default_rng(0)
+    assert isinstance(gig_rvs(0.5, 1.0, 1.0, rng), float)
+    assert gig_rvs(0.5, np.array([1.0]), 1.0, rng).shape == (1,)
+    assert gig_rvs(0.5, 1.0, 1.0, rng, size=(1, 1)).shape == (1, 1)
+    assert gig_rvs(np.array([[0.5]]), 1.0, 1.0, rng).shape == (1, 1)
+    assert gig_rvs(0.5, 1.0, 1.0, rng, size=0).shape == (0,)
+
+
+@pytest.mark.parametrize("nu,delta,gamma", [(1.5, 0.0, 2.0), (-2.0, 1.5, 0.0)])
+def test_gig_rvs_size_one_boundary_routes(nu, delta, gamma):
+    # a gamma / inverse-gamma draw is one generator call per element, so
+    # k size-1 draws equal one batch of k
+    rng_one = np.random.default_rng(5)
+    rng_batch = np.random.default_rng(5)
+    singles = [gig_rvs(nu, delta, gamma, rng_one) for _ in range(6)]
+    batch = gig_rvs(nu, delta, gamma, rng_batch, size=6)
+    assert all(isinstance(z, float) for z in singles)
+    assert np.array_equal(singles, batch)
+    assert rng_one.bit_generator.state == rng_batch.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "nu,delta,gamma,match",
+    [
+        (-1.0, 0.0, 1.0, "delta = 0 requires nu > 0"),
+        (0.5, 1.0, 0.0, "gamma = 0 requires nu < 0"),
+        (0.5, -1.0, 1.0, "finite lam and omega > 0"),
+        (np.nan, 1.0, 1.0, "finite lam and omega > 0"),
+    ],
+)
+def test_gig_rvs_size_one_errors_match_batch(nu, delta, gamma, match):
+    rng = np.random.default_rng(0)
+    for size in (None, (1,), 3):
+        with pytest.raises(DomainError, match=match):
+            gig_rvs(nu, delta, gamma, rng, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,12 @@ from dynsparse import (
     GhParams,
     ModelConfig,
     NumericalError,
-    Particle,
     PosteriorChain,
     RegressionData,
     conditional_gh,
     gh_log_pdf,
     pimh_run,
     posterior_summary,
-    propose_step,
     smc_run,
 )
 from dynsparse.smc import _log_weights, _propose_beta, _systematic_resample
@@ -106,24 +104,6 @@ def test_proposal_reverts_to_prior_transition_without_data():
     )
     assert beta.mean() == pytest.approx(0.4 * 3.0, abs=0.03)
     assert beta.var() == pytest.approx(1.7, rel=0.05)
-
-
-def test_propose_step_first_generation():
-    rng = np.random.default_rng(0)
-    config = cfg()
-    particle, lw = propose_step(None, np.array([1.0]), np.eye(1), config, rng)
-    assert particle.d_t == 0
-    assert particle.tau_t.shape == (1,)
-    assert np.isfinite(lw) and particle.log_weight == lw
-
-
-def test_propose_step_insufficient_history():
-    rng = np.random.default_rng(0)
-    config = cfg(d=None, rho=1.0)  # forces d_t = d_{t-1} + 1
-    prev = Particle(np.array([1.0]), np.array([1.0]), 3, 0, 0.0)
-    with pytest.raises(DomainError, match="history"):
-        propose_step(prev, np.array([1.0]), np.eye(1), config, rng,
-                     history=np.ones((1, 2)))
 
 
 # ---------------------------------------------------------------------------
