@@ -22,6 +22,7 @@ same value for one element and take the same uniforms from the generator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "gig_rvs",
     "gig_moment",
     "gh_log_pdf",
+    "gh_log_norm",
     "gh_log_pdf_grad",
     "gh_sample",
     "mgh_log_pdf",
@@ -51,6 +53,10 @@ __all__ = [
 # nu > 0: the general normalizer (gamma/delta)^nu / K_nu(delta*gamma) is an
 # indeterminate form there.
 _DELTA_LIMIT = 1e-12
+
+# The largest omega whose square is finite: above it the Devroye kernels'
+# omega * omega overflows and no rejection round can accept.
+_OMEGA_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -199,6 +205,13 @@ def _dpsi(x, alpha, lam):
     return -alpha * np.sinh(x) - lam * np.expm1(x)
 
 
+def _omega_overflow(omega: float) -> DomainError:
+    return DomainError(
+        f"Devroye GIG sampler needs omega <= {_OMEGA_MAX!r} (omega * omega overflows), "
+        f"got omega={omega!r}"
+    )
+
+
 def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     """Draws from pdf prop. to z^(lam-1) exp(-omega (z + 1/z)/2), elementwise.
 
@@ -212,6 +225,8 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     omega = np.broadcast_to(omega, shape).ravel()
     if np.any(omega <= 0.0) or not np.all(np.isfinite(omega)) or not np.all(np.isfinite(lam)):
         raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
+    if np.any(omega > _OMEGA_MAX):
+        raise _omega_overflow(float(np.max(omega)))
 
     swap = lam < 0.0
     lam = np.abs(lam)
@@ -296,6 +311,8 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> np.float64:
     omega = np.float64(omega)
     if not (omega > 0.0 and math.isfinite(omega) and math.isfinite(lam)):
         raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
+    if omega > _OMEGA_MAX:
+        raise _omega_overflow(float(omega))
 
     swap = lam < 0.0
     lam = abs(lam)
@@ -438,6 +455,15 @@ def _log_mixing_norm(nu: float, delta: float, gamma: float) -> tuple[float, floa
     )
 
 
+def _mgh_log_norm(
+    nu: float, delta: float, gamma: float, p: int, logdet_sigma: float
+) -> tuple[float, float]:
+    """The x-free part of the log mGH density (gamma > 0) and its delta squared."""
+    head, d2 = _log_mixing_norm(nu, delta, gamma)
+    head -= 0.5 * p * math.log(2.0 * math.pi) + 0.5 * logdet_sigma
+    return head, d2
+
+
 def _mgh_log_pdf_core(
     nu: float, delta: float, gamma: float, m2: float, p: int, logdet_sigma: float
 ) -> float:
@@ -453,8 +479,7 @@ def _mgh_log_pdf_core(
             - 2.0 * nu * math.log(delta)
             + (nu - p / 2.0) * math.log(q2)
         )
-    head, d2 = _log_mixing_norm(nu, delta, gamma)
-    head -= 0.5 * p * math.log(2.0 * math.pi) + 0.5 * logdet_sigma
+    head, d2 = _mgh_log_norm(nu, delta, gamma, p, logdet_sigma)
     order = nu - p / 2.0
     q = math.sqrt(d2 + m2)
     if q == 0.0:
@@ -471,6 +496,17 @@ def gh_log_pdf(params: GhParams, x: float) -> float:
         raise DomainError(f"x must be finite, got {x}")
     r = x - params.mu
     return _mgh_log_pdf_core(params.nu, params.delta, params.gamma, r * r, 1, 0.0)
+
+
+def gh_log_norm(params: GhParams) -> tuple[float, float]:
+    """The x-free part of :func:`gh_log_pdf` and the delta squared its q uses.
+
+    For gamma > 0 and q = sqrt(d2 + (x - mu)^2) > 0, ``gh_log_pdf`` is
+    ``head + (nu - 1/2) * (log q - log gamma) + log K_{nu-1/2}(gamma q)``
+    with ``(head, d2) = gh_log_norm(params)``; d2 is 0 in the small-delta
+    limit.  Callers that evaluate one law many times compute this once.
+    """
+    return _mgh_log_norm(params.nu, params.delta, params.gamma, 1, 0.0)
 
 
 def gh_log_pdf_grad(params: GhParams, x: float) -> float:

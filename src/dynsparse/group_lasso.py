@@ -272,4 +272,5 @@ def run_sliding_window(
         em_iters=iters,
         objective_trace=traces,
         eps_sparse=eps_sparse,
+        converged=np.ones(T, dtype=bool),  # solve_window raises unless it converges
     )

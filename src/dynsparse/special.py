@@ -5,13 +5,14 @@ primitive is ``log K_a(z)``, the log of the modified Bessel function of
 the second kind.  ``scipy.special.kve`` covers the bulk of the domain in
 double precision; the extreme corner (tiny argument together with a large
 order, where ``K_a(z)`` overflows a double) falls back to arbitrary
-precision via mpmath.
+precision via mpmath.  ``log_bessel_k_grid`` evaluates many (order,
+arg) pairs with one ``kve`` call and gives the scalar function's bits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "log_bessel_k",
+    "log_bessel_k_grid",
     "log_gig_normalizer",
     "validate_gig_region",
     "integrate_positive_halfline",
@@ -48,6 +50,29 @@ def log_bessel_k(order: float, arg: float) -> float:
     # K_v(z) itself overflows a double (small z, large v); mpmath is exact
     with mpmath.workdps(30):
         return float(mpmath.log(mpmath.besselk(v, mpmath.mpf(arg))))
+
+
+def log_bessel_k_grid(orders: Sequence[float], args: Sequence[float]) -> list[list[float]]:
+    """:func:`log_bessel_k` on the grid ``orders x args``, as rows of floats.
+
+    Row i holds log K_{orders[i]}(args[j]) for every j.  One array ``kve``
+    call covers the grid, and it gives the values scalar calls give.  The
+    log stays in ``math`` on Python floats, since ``np.log`` differs from
+    ``math.log`` in the last bit on some inputs.  A row holding a ``kve``
+    that is not finite and positive goes through the scalar function, in
+    element order: that is where a bad input raises its ``DomainError`` and
+    where an overflowing ``K`` falls back to mpmath.
+    """
+    args = [float(z) for z in args]
+    scaled = kve(np.abs(np.asarray(orders, dtype=float))[:, None], args).tolist()
+    rows = []
+    for order, row in zip(orders, scaled):
+        # a NaN or inf in the row makes its sum non-finite
+        if 0.0 < min(row) and sum(row) < math.inf:
+            rows.append([math.log(s) - z for s, z in zip(row, args)])
+        else:
+            rows.append([log_bessel_k(order, z) for z in args])
+    return rows
 
 
 def log_gig_normalizer(nu: float, delta: float, gamma: float) -> float:

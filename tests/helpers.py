@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve
 
-from dynsparse import gh_log_pdf, gig_log_pdf
+from dynsparse import GigParams, NumericalError, conditional_gh, gh_log_pdf, gig_log_pdf
+from dynsparse.distributions import gh_log_pdf_grad, gig_moment
+from dynsparse.prior import mahal_sq_batch
 
 
 def gig_unnormalized(nu, delta, gamma):
@@ -61,3 +64,56 @@ def ks_statistic(samples, cdf_values):
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     return max(np.max(np.abs(ecdf_hi - cdf_values)), np.max(np.abs(ecdf_lo - cdf_values)))
+
+
+def reference_em_map_step(y, X, window, config, tol=1e-8, max_iter=100):
+    """The per-coefficient EM step that ``em_map_step`` batches, kept as an oracle.
+
+    One ``gig_moment`` per coefficient in the E-step, one ``gh_log_pdf`` and
+    ``gh_log_pdf_grad`` per coefficient in the objective and the gradient
+    check, and ``cho_factor``/``cho_solve`` in the M-step.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    window = np.asarray(window, dtype=float)
+    p = X.shape[1]
+    d_eff = window.shape[1]
+    priors = [conditional_gh(config, window[j]) for j in range(p)]
+    locs = np.array([g.mu for g in priors])
+    a2 = 1.0 if d_eff == 0 else 1.0 - config.alpha**2
+    s2 = config.delta**2 + mahal_sq_batch(window, config.alpha)
+    nu_e = (config.nu - d_eff / 2.0) - 0.5
+    sig2 = config.sigma**2
+    XtX = X.T @ X
+    Xty = X.T @ y
+
+    def objective(beta):
+        resid = y - X @ beta
+        ll = -0.5 * float(resid @ resid) / sig2
+        return ll + sum(gh_log_pdf(priors[j], beta[j]) for j in range(p))
+
+    def grad_norm(beta):
+        g = (Xty - XtX @ beta) / sig2
+        g = g + np.array([gh_log_pdf_grad(priors[j], beta[j]) for j in range(p)])
+        return float(np.max(np.abs(g)))
+
+    beta = locs.copy()
+    trace = [objective(beta)]
+    for _ in range(max_iter):
+        resid2 = (beta - locs) ** 2 / a2
+        w = np.empty(p)
+        for j in range(p):
+            dl = max(math.sqrt(s2[j] + resid2[j]), 1e-12)
+            w[j] = gig_moment(GigParams(nu_e, dl, config.gamma), -1)
+        A = XtX / sig2 + np.diag(w / a2)
+        b = Xty / sig2 + (config.alpha / a2) * w * window[:, -1] if d_eff else Xty / sig2
+        try:
+            c, low = cho_factor(A)
+            beta = cho_solve((c, low), b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular M-step system") from exc
+        trace.append(objective(beta))
+        rel = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-1]))
+        if rel < tol and grad_norm(beta) < 10.0 * tol:
+            break
+    return beta, np.asarray(trace)

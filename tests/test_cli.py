@@ -250,6 +250,24 @@ def test_model_error_exit_one_with_record(tmp_path, capsys):
     assert "t=2" in record["message"]
 
 
+def test_overflowing_observation_is_a_numerical_error(tmp_path, capsys):
+    # y = 1e300 makes the EM objective -inf at t=2: a numerical failure of
+    # the fit, not a domain error of the Bessel function it would reach
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,1e300,1\n3,0.1,1\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = run_command([
+            "fit-map", "nu=1.0", "delta=0.0", "gamma=1.0", "alpha=0.0", "d=0",
+            "sigma=0.5", "max_iter=100", f"data_path={dpath}", f"out_dir={out}",
+        ])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error_type"] == "NumericalError"
+    assert record["message"].startswith("at time step t=2: EM objective is not finite")
+    assert "error: at time step t=2: EM objective is not finite" in capsys.readouterr().err
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(

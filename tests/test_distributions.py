@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,26 @@ def test_devroye_scalar_kernel_matches_array_kernel_on_a_sweep():
             np.array([lam]), omega, rng_arr
         )[0], (lam, omega)
     assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_gig_rvs_fails_fast_when_omega_squared_overflows(size):
+    # omega = delta * gamma = 1e160: omega * omega overflows, so no rejection
+    # round could accept; the sampler says so before taking any uniforms
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=r"omega \* omega overflows.*omega=1e\+160"):
+        gig_rvs(0.5, 1e100, 1e60, rng, size=size)
+    assert rng.bit_generator.state == state
+
+
+def test_devroye_kernels_draw_at_the_largest_omega():
+    # the largest omega whose square is finite still draws, in both kernels
+    omega = math.sqrt(sys.float_info.max)
+    assert np.isfinite(omega * omega)
+    z_one = _devroye_gig_one(0.5, omega, np.random.default_rng(3))
+    z_arr = _devroye_gig(np.array([0.5]), omega, np.random.default_rng(3))[0]
+    assert z_one == z_arr and np.isfinite(z_one)
 
 
 def test_gig_rvs_size_one_interior_uses_scaled_kernel_draw():

@@ -1,10 +1,12 @@
 """Import hygiene of the package modules, checked from their syntax trees.
 
 No module imports a private (``_``-prefixed) name from a sibling module,
-and no module other than ``__init__`` imports a name it never uses.
+and no module other than ``__init__`` imports a name it never uses.  The
+module attributes the benchmark's span tracer wraps stay bound.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,25 @@ def test_checks_flag_offending_source():
     )
     assert private_sibling_imports(tree) == ["_helper"]
     assert unused_imports(tree) == ["_helper", "cho_factor", "os"]
+
+
+def tracer_bindings():
+    """``BINDINGS`` of ``bench/tracing.py``, read from its syntax tree."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    for node in parse(path).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "BINDINGS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no BINDINGS list in {path}")
+
+
+def test_tracer_bindings_resolve():
+    bindings = tracer_bindings()
+    assert len(bindings) > 10
+    missing = [
+        (module, attr)
+        for module, attr in bindings
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import kve
 
-from dynsparse import DomainError, ModelConfig, conditional_gh, gh_log_pdf
+from dynsparse import DomainError, ModelConfig, NumericalError, conditional_gh, gh_log_pdf
 from dynsparse.map_em import MapFit, RegressionData, em_map_step, run_online_map
+from helpers import reference_em_map_step
 
 
 def laplace_cfg(gamma=1.0, sigma=1.0):
@@ -182,3 +185,138 @@ def test_error_reports_failing_time_step():
     config = laplace_cfg()
     with pytest.raises(Exception, match="t=1"):
         run_online_map(data, config)
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the per-coefficient reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def assert_step_matches_reference(y, X, window, config, tol=1e-8, max_iter=100):
+    beta, trace = em_map_step(y, X, window, config, tol=tol, max_iter=max_iter)
+    ref_beta, ref_trace = reference_em_map_step(y, X, window, config, tol=tol, max_iter=max_iter)
+    assert np.array_equal(beta, ref_beta), (beta, ref_beta)
+    assert np.array_equal(trace, ref_trace), (trace, ref_trace)
+    return beta
+
+
+def assert_online_matches_reference(config, ys, Xs, **kw):
+    """Every step of an online run, each on the reference's own history."""
+    beta_hat = np.zeros((Xs[0].shape[1], len(ys)))
+    for t in range(len(ys)):
+        window = beta_hat[:, t - min(config.d, t) : t]
+        beta_hat[:, t] = assert_step_matches_reference(ys[t], Xs[t], window, config, **kw)
+    fit = run_online_map(RegressionData(ys, Xs), config, **kw)
+    assert np.array_equal(fit.beta_hat, beta_hat)
+
+
+def sparse_series(T, p, rows, seed):
+    rng = np.random.default_rng(seed)
+    coefs = np.zeros((p, T))
+    coefs[0, T // 4 :] = 2.0
+    coefs[1, : T // 2] = -1.5
+    ys, Xs = [], []
+    for t in range(T):
+        X = rng.standard_normal((rows, p))
+        ys.append(X @ coefs[:, t] + 0.5 * rng.standard_normal(rows))
+        Xs.append(X)
+    return ys, Xs
+
+
+def test_batched_step_matches_reference_on_the_benchmark_model():
+    config = ModelConfig(nu=3.0, delta=0.1, gamma=0.5, alpha=0.5, sigma=0.5, p=4, d=4)
+    ys, Xs = sparse_series(T=40, p=4, rows=3, seed=11)
+    assert_online_matches_reference(config, ys, Xs)
+
+
+def test_batched_step_matches_reference_in_the_small_delta_limit():
+    # delta = 0 with d = 0: every conditional sits on the delta' < _DELTA_LIMIT
+    # branch, and the prior-mean start puts every q at 0
+    config = ModelConfig(nu=1.0, delta=0.0, gamma=1.0, alpha=0.0, sigma=0.5, p=3, d=0)
+    ys, Xs = sparse_series(T=15, p=3, rows=2, seed=12)
+    assert_online_matches_reference(config, ys, Xs, tol=1e-10, max_iter=300)
+
+
+def test_batched_step_matches_reference_for_the_student_prior():
+    config = ModelConfig(nu=-1.0, delta=0.5, gamma=0.0, alpha=0.5, sigma=0.5, p=3, d=2)
+    ys, Xs = sparse_series(T=15, p=3, rows=2, seed=13)
+    assert_online_matches_reference(config, ys, Xs)
+
+
+@pytest.mark.parametrize("rows_zero", [[0, 1, 2], [1]])
+def test_batched_step_matches_reference_when_q_is_zero(rows_zero):
+    # delta = 0 and zero window rows: delta' = 0, so q = |beta - mu| is 0 at
+    # the start; the other rows (if any) stay on the batched route
+    config = ModelConfig(nu=2.0, delta=0.0, gamma=1.0, alpha=0.5, sigma=0.5, p=3, d=2)
+    rng = np.random.default_rng(14)
+    window = rng.normal(size=(3, 2))
+    window[rows_zero] = 0.0
+    assert conditional_gh(config, window[rows_zero[0]]).delta == 0.0
+    for _ in range(5):
+        X = rng.standard_normal((2, 3))
+        assert_step_matches_reference(X @ [1.0, 0.0, -1.0], X, window, config, tol=1e-10)
+
+
+def test_batched_step_matches_reference_on_the_mpmath_fallback():
+    # d = 300 puts the conditional's order near -150; with a small window the
+    # Bessel argument is small and K overflows a double, so kve gives inf
+    config = ModelConfig(nu=1.0, delta=0.1, gamma=1.0, alpha=0.3, sigma=0.5, p=2, d=300)
+    rng = np.random.default_rng(15)
+    window = 0.01 * rng.normal(size=(2, 300))
+    prior = conditional_gh(config, window[0])
+    assert not np.isfinite(kve(abs(prior.nu - 0.5), prior.gamma * prior.delta))
+    X = rng.standard_normal((3, 2))
+    assert_step_matches_reference(X @ [0.5, 0.0], X, window, config)
+
+
+# ---------------------------------------------------------------------------
+# failures and the max-iteration policy
+# ---------------------------------------------------------------------------
+
+
+def test_overflowing_observation_is_a_numerical_error():
+    # y^2 overflows: the objective's log-likelihood is -inf at the start
+    config = laplace_cfg(sigma=0.5)
+    data = RegressionData([np.array([0.5]), np.array([1e300])], [np.eye(1)] * 2)
+    with pytest.raises(NumericalError, match=r"t=2: EM objective is not finite"):
+        with np.errstate(over="ignore"):
+            run_online_map(data, config)
+
+
+def test_non_finite_estep_delta_is_a_numerical_error():
+    # mu = 2.61e153 and the data pull beta to ~3.5e152: (beta - mu)^2 stays
+    # finite in the objective but overflows once divided by 1 - alpha^2
+    config = ModelConfig(nu=3.0, delta=0.5, gamma=100.0, alpha=0.9, sigma=0.03, p=1, d=2)
+    window = np.array([[-2.9e153, 2.9e153]])
+    with pytest.raises(NumericalError, match="E-step delta is not finite"):
+        with np.errstate(over="ignore"):
+            em_map_step(np.array([1e17]), np.array([[0.16]]), window, config)
+
+
+def test_student_prior_overflow_is_a_numerical_error():
+    # gamma = 0 takes the scalar route: the data pull beta to ~-1e156, where
+    # the fit is finite but (beta - mu)^2 overflows and the log prior is -inf
+    config = ModelConfig(nu=-1.0, delta=0.002, gamma=0.0, alpha=0.0, sigma=0.3, p=1, d=0)
+    with pytest.raises(NumericalError, match=r"EM objective is not finite \(-inf\)"):
+        with np.errstate(over="ignore"):
+            em_map_step(np.array([-6e152]), np.array([[5e-4]]), np.zeros((1, 0)), config)
+
+
+def test_converged_flag_and_one_max_iter_warning():
+    data, _ = _synthetic_instance(T=30, seed=3)
+    config = ModelConfig(nu=2.0, delta=0.1, gamma=1.0, alpha=0.5, sigma=0.5, p=1, d=2)
+    free = run_online_map(data, config, tol=1e-10, max_iter=500)
+    max_iter = int(np.median(free.em_iters))
+    stuck = np.flatnonzero(free.em_iters >= max_iter)
+    with pytest.warns(RuntimeWarning) as record:
+        fit = run_online_map(data, config, tol=1e-10, max_iter=max_iter)
+    assert len(record) == 1
+    message = str(record[0].message)
+    assert f"{stuck.size} of 30 EM steps stopped at max_iter={max_iter}" in message
+    assert f"first at t={stuck[0] + 1}" in message
+    assert fit.converged.dtype == np.bool_
+    assert np.array_equal(fit.converged, fit.em_iters < max_iter)
+    assert 0 < fit.converged.sum() < 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_online_map(data, config, tol=1e-10, max_iter=500).converged.all()

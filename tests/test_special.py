@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dynsparse import (
@@ -10,6 +12,7 @@ from dynsparse import (
     log_bessel_k,
     log_gig_normalizer,
 )
+from dynsparse.special import log_bessel_k_grid
 from helpers import gig_unnormalized
 
 
@@ -23,6 +26,51 @@ def test_order_symmetry():
     for a in [0.0, 0.3, 0.5, 1.7, 10.0, 49.5]:
         for z in [1e-8, 1e-3, 0.1, 1.0, 10.0, 1e4]:
             assert abs(log_bessel_k(a, z) - log_bessel_k(-a, z)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    orders=st.lists(st.floats(-160.0, 160.0), min_size=1, max_size=4),
+    args=st.lists(st.floats(-12.0, 4.0).map(lambda e: 10.0**e), min_size=1, max_size=5),
+)
+@example(orders=[0.5, -0.5, 3.0], args=[1e-8, 1.0, 1e4])
+@example(orders=[150.0, 0.0], args=[0.05, 2.0])  # K_150(0.05) overflows: mpmath
+def test_log_bessel_k_grid_matches_scalar_calls(orders, args):
+    rows = log_bessel_k_grid(orders, args)
+    assert len(rows) == len(orders)
+    for order, row in zip(orders, rows):
+        assert row == [log_bessel_k(order, z) for z in args]
+        assert all(type(v) is float for v in row)
+
+
+def test_log_bessel_k_grid_matches_scalar_calls_on_a_sweep():
+    # dense grid: np.log in place of math.log changes ~18 of these 50 000
+    # values in the last bit, which the hypothesis examples rarely reach
+    rng = np.random.default_rng(31)
+    orders = rng.uniform(-20.0, 20.0, 250).tolist()
+    args = (10.0 ** rng.uniform(-3.0, 3.0, 200)).tolist()
+    rows = log_bessel_k_grid(orders, args)
+    assert rows == [[log_bessel_k(order, z) for z in args] for order in orders]
+
+
+@pytest.mark.parametrize(
+    "orders,args",
+    [
+        ([0.5], [1.0, -1.0, math.inf]),
+        ([0.5, 1.5], [2.0, math.inf, 0.0]),
+        ([math.nan, 0.5], [1.0]),
+        ([150.0, 0.5], [0.05, 0.0]),
+    ],
+)
+def test_log_bessel_k_grid_raises_the_first_scalar_error(orders, args):
+    # the error the scalar calls would raise first, in row-major order
+    with pytest.raises(DomainError) as grid_exc:
+        log_bessel_k_grid(orders, args)
+    with pytest.raises(DomainError) as scalar_exc:
+        for order in orders:
+            for z in args:
+                log_bessel_k(order, z)
+    assert str(grid_exc.value) == str(scalar_exc.value)
 
 
 def test_against_quadrature_of_integral_representation():
