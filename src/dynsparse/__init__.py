@@ -26,7 +26,6 @@ from .prior import (
     ModelConfig,
     WindowCorrelation,
     autocorrelation,
-    build_sigma,
     conditional_gh,
     conditional_gig,
     mahalanobis_norm,

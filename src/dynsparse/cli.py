@@ -27,7 +27,7 @@ from .errors import DomainError, DynsparseError
 from .group_lasso import run_sliding_window
 from .io import ParseError, load_data, verify_dir, write_manifest, write_table
 from .map_em import run_online_map
-from .prior import ModelConfig, autocorrelation, simulate_path
+from .prior import ModelConfig, autocorrelation, simulate_d_chain, simulate_path
 from .smc import pimh_run, posterior_summary
 
 __all__ = ["main", "run_command"]
@@ -155,8 +155,6 @@ def _cmd_simulate(cfg: dict, run_id: str) -> list[Path]:
         beta = simulate_path(model, T, rng)
         d_path = None
     else:
-        from .prior import simulate_d_chain
-
         d_path = simulate_d_chain(model.rho, 0, T, rng)
         beta = simulate_path(model, T, rng, d_path=d_path)
     rows = [
@@ -309,6 +307,7 @@ def run_command(argv: list[str]) -> int:
         cfg = _typed(_resolve(args))
         run_id = _run_id(args.command, {k: str(v) for k, v in sorted(cfg.items())})
         handler = _COMMANDS[args.command]
+        _clear_run_records(cfg.get("out_dir"))
         # required-key validation happens inside the handler before work starts
         files = handler(cfg, run_id)
     except (ConfigError, ParseError) as exc:
@@ -322,6 +321,13 @@ def run_command(argv: list[str]) -> int:
     for f in files:
         print(f.as_posix())
     return 0
+
+
+def _clear_run_records(out_dir: Optional[str]) -> None:
+    """Drop a previous run's manifest and error record before a rerun."""
+    if out_dir:
+        for name in ("manifest.json", "error.json"):
+            Path(out_dir, name).unlink(missing_ok=True)
 
 
 def _write_error_record(out_dir: Optional[str], command: str, exc: Exception) -> None:

@@ -378,10 +378,14 @@ def _gig_one(nu, delta, gamma, rng: np.random.Generator) -> np.float64:
     if gamma == 0.0:
         if nu >= 0.0:
             raise DomainError("gamma = 0 requires nu < 0")
+        if not delta > 0.0:
+            raise DomainError("gamma = 0 requires delta > 0")
         return (delta * delta / 2.0) / rng.gamma(-nu, 1.0)
     if delta == 0.0:
         if nu <= 0.0:
             raise DomainError("delta = 0 requires nu > 0")
+        if not gamma > 0.0:
+            raise DomainError("delta = 0 requires gamma > 0")
         return rng.gamma(nu, 2.0 / (gamma * gamma))
     return (delta / gamma) * _devroye_gig_one(nu, delta * gamma, rng)
 
@@ -414,10 +418,14 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     if np.any(g0):
         if np.any(nu[g0] >= 0.0):
             raise DomainError("gamma = 0 requires nu < 0")
+        if not np.all(delta[g0] > 0.0):
+            raise DomainError("gamma = 0 requires delta > 0")
         out[g0] = (delta[g0] ** 2 / 2.0) / rng.gamma(-nu[g0], 1.0)
     if np.any(d0):
         if np.any(nu[d0] <= 0.0):
             raise DomainError("delta = 0 requires nu > 0")
+        if not np.all(gamma[d0] > 0.0):
+            raise DomainError("delta = 0 requires gamma > 0")
         out[d0] = rng.gamma(nu[d0], 2.0 / gamma[d0] ** 2)
     if np.any(interior):
         out[interior] = (delta[interior] / gamma[interior]) * _devroye_gig(

@@ -5,7 +5,9 @@ observation, rows sorted by the positive integer time index t, so a
 time-varying number of observations per step is representable.  Output
 files all start with a ``# run <hash>`` comment tying them to the
 manifest, which records the resolved configuration, the seed, package
-versions, and a sha256 per output file.
+versions, and a sha256 per output file.  Tables and the manifest are
+written to a temporary sibling and renamed into place, so a reader never
+sees a partial file.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Union
@@ -92,13 +95,19 @@ def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def write_table(
     path: Path, run_id: str, header: list[str], rows: list[list[str]]
 ) -> None:
     """Write a CSV with the run-hash comment line first."""
     lines = [f"# run {run_id}", ",".join(header)]
     lines.extend(",".join(cells) for cells in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_manifest(out_dir: Path, run_id: str, config: dict, outputs: list[Path]) -> Path:
@@ -121,7 +130,7 @@ def write_manifest(out_dir: Path, run_id: str, config: dict, outputs: list[Path]
         },
     }
     path = out_dir / _MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -34,7 +34,6 @@ from .special import validate_gig_region
 __all__ = [
     "WindowCorrelation",
     "ModelConfig",
-    "build_sigma",
     "mahalanobis_norm",
     "mahalanobis_sq",
     "mahal_sq_batch",
@@ -67,11 +66,6 @@ class WindowCorrelation:
     def matrix(self) -> NDArray[np.float64]:
         idx = np.arange(self.dim)
         return self.alpha ** np.abs(idx[:, None] - idx[None, :])
-
-
-def build_sigma(dim: int, alpha: float) -> WindowCorrelation:
-    """Window correlation with entries alpha^|i-j|; rejects alpha = 1."""
-    return WindowCorrelation(int(dim), float(alpha))
 
 
 def mahalanobis_sq(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
@@ -226,7 +220,7 @@ def simulate_path(
         start = min(d, T)
         init = MghParams(
             np.zeros(start), config.nu, config.delta, config.gamma,
-            build_sigma(start, alpha).matrix,
+            WindowCorrelation(start, alpha).matrix,
         )
         for j in range(p):
             beta[j, :start] = mgh_sample(init, rng)

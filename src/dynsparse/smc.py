@@ -6,7 +6,9 @@ carries the sparsity-window length d_t (fixed, or a binomial chain), the
 latent scales tau_t drawn from the conditional GIG law, and beta_t drawn
 from the locally optimal Gaussian proposal; the incremental weight is the
 analytic marginal N(y_t; alpha X_t beta_{t-1}, X_t D_tau X_t' + sigma^2 I)
-and therefore does not depend on the sampled beta_t.  Systematic
+and therefore does not depend on the sampled beta_t.  One Cholesky
+factor per step, of the p x p posterior precision, gives both the draw
+and the weight; no n x n covariance is formed.  Systematic
 resampling runs every step by default.  The evidence estimate
 Z-hat = prod_t mean(w_t) is unbiased, which makes the outer independent
 MH chain (accept with probability min(1, Z*/Z)) exact for the posterior
@@ -111,35 +113,21 @@ def _sample_tau(
     return gig_rvs(nu_arr, dl_arr, gm_arr, rng)
 
 
-def _log_weights(
-    y: NDArray[np.float64],
-    X: NDArray[np.float64],
-    tau: NDArray[np.float64],
-    prev_beta: NDArray[np.float64],
-    mean_scale: NDArray[np.float64],
-    sigma2: float,
-    alpha: float,
+def _tri_solve(
+    chol: NDArray[np.float64], rhs: NDArray[np.float64], transpose: bool
 ) -> NDArray[np.float64]:
-    """log N(y; alpha X beta_{t-1}, X D_tau X' + sigma^2 I) per particle.
-
-    ``mean_scale`` is 0 or 1 per particle: particles with an empty
-    window (d = 0 under a fixed-d model, or t = 1) revert to the prior
-    mean zero.
-    """
-    n = y.shape[0]
-    resid = y[None, :] - alpha * mean_scale[:, None] * (prev_beta @ X.T)
-    cov = np.einsum("nj,ij,mj->inm", X, tau, X)
-    cov[:, np.arange(n), np.arange(n)] += sigma2
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"weight covariance not positive definite: {exc}") from exc
-    sol = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return -0.5 * (n * _LOG_2PI + logdet + np.einsum("in,in->i", resid, sol))
+    """Solve L x = rhs (or L' x = rhs) for (N, p, p) factors, row by row."""
+    p = chol.shape[1]
+    out = np.empty_like(rhs)
+    for i in range(p - 1, -1, -1) if transpose else range(p):
+        done = slice(i + 1, p) if transpose else slice(0, i)
+        row = chol[:, done, i] if transpose else chol[:, i, done]
+        known = np.einsum("nk,nkc->nc", row, out[:, done])
+        out[:, i] = (rhs[:, i] - known) / chol[:, i, i, None]
+    return out
 
 
-def _propose_beta(
+def _weight_and_propose(
     y: NDArray[np.float64],
     X: NDArray[np.float64],
     tau: NDArray[np.float64],
@@ -148,23 +136,36 @@ def _propose_beta(
     sigma2: float,
     alpha: float,
     rng: np.random.Generator,
-) -> NDArray[np.float64]:
-    """Draw beta_t from N(mu_t, Sigma_t), the locally optimal proposal."""
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Incremental log-weight and beta_t draw from one Cholesky factor.
+
+    With m = alpha * mean_scale * beta_{t-1} (``mean_scale`` is 0 where a
+    particle reverts to the prior mean zero), r = y - X m and
+    P = D_tau^{-1} + X'X / sigma^2 = L L': beta_t = m + b + L'^{-1} z with
+    b = P^{-1} X'r / sigma^2, and log N(r; 0, X D_tau X' + sigma^2 I) has
+    log det n log sigma^2 + sum log tau + log det P and quadratic form
+    ||r - X b||^2 / sigma^2 + b' D_tau^{-1} b, two nonnegative terms (the
+    difference r'r / sigma^2 - b'P b turns an overflowing r into NaN).
+    """
     N, p = tau.shape
-    prec = np.einsum("nj,nk->jk", X, X)[None, :, :] / sigma2
-    prec = np.repeat(prec, N, axis=0)
+    n = y.shape[0]
+    m = (alpha * mean_scale)[:, None] * prev_beta
+    r = y[None, :] - m @ X.T
+    prec = np.repeat((X.T @ X / sigma2)[None, :, :], N, axis=0)
     prec[:, np.arange(p), np.arange(p)] += 1.0 / tau
-    rhs = alpha * mean_scale[:, None] * prev_beta / tau + (X.T @ y)[None, :] / sigma2
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(prec).max()
-        raise NumericalError(
-            f"proposal precision ill-conditioned (max condition {cond:.3e}): {exc}"
-        ) from exc
-    mu = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0]
+        raise NumericalError(f"posterior precision not positive definite: {exc}") from exc
+    u = _tri_solve(chol, (r @ X / sigma2)[:, :, None], transpose=False)[:, :, 0]
     z = rng.standard_normal((N, p))
-    return mu + np.linalg.solve(np.transpose(chol, (0, 2, 1)), z[:, :, None])[:, :, 0]
+    bw = _tri_solve(chol, np.stack([u, z], axis=2), transpose=True)
+    b = bw[:, :, 0]
+    e = r - b @ X.T
+    quad = (e * e).sum(axis=1) / sigma2 + (b * b / tau).sum(axis=1)
+    logdet = n * np.log(sigma2) + np.log(tau).sum(axis=1)
+    logdet += 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (n * _LOG_2PI + logdet + quad), m + b + bw[:, :, 1]
 
 
 def _systematic_resample(
@@ -216,20 +217,17 @@ def smc_run(
 
     for t in range(T):
         y, X = data.ys[t], data.Xs[t]
-        scaled_at_zero = t > 0 and not config.fixed_d
-        if t > 0:
-            ds = _next_d(ds, t + 1, config, rng)
         # t = 1 and the fixed d = 0 model step from the prior mean 0; the
         # binomial chain steps from alpha * beta_{t-1} even at d_t = 0
-        if t == 0:
-            mean_scale = np.zeros(N)
-        elif scaled_at_zero:
-            mean_scale = np.ones(N)
-        else:
-            mean_scale = (ds > 0).astype(float)
-        tau = _sample_tau(hist, ds, config, rng, scaled_at_zero)
-        lw = _log_weights(y, X, tau, prev_beta, mean_scale, s2, alpha)
-        beta = _propose_beta(y, X, tau, prev_beta, mean_scale, s2, alpha, rng)
+        scaled_at_zero = t > 0 and not config.fixed_d
+        try:
+            if t > 0:
+                ds = _next_d(ds, t + 1, config, rng)
+            mean_scale = ((ds > 0) | scaled_at_zero).astype(float)
+            tau = _sample_tau(hist, ds, config, rng, scaled_at_zero)
+            lw, beta = _weight_and_propose(y, X, tau, prev_beta, mean_scale, s2, alpha, rng)
+        except (NumericalError, DomainError) as exc:
+            raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
 
         total = log_norm_w + lw
         if np.any(np.isnan(total)):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dynsparse import ParseError, RegressionData, load_data, synthetic_regression
 from dynsparse.cli import run_command
@@ -89,6 +91,32 @@ def test_load_data_round_trip_varying_rows(tmp_path):
     for t in range(500):
         assert np.array_equal(loaded.ys[t], data.ys[t])
         assert np.array_equal(loaded.Xs[t], data.Xs[t])
+
+
+_CELL = st.floats(-1e300, 1e300) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+)
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(p=st.integers(1, 3), data=st.data())
+def test_load_data_round_trip_property(tmp_path, p, data):
+    # 1-4 rows per step written with repr: every bit comes back, the sign
+    # of zero and subnormals included
+    row = st.lists(_CELL, min_size=p + 1, max_size=p + 1)
+    steps = data.draw(st.lists(st.lists(row, min_size=1, max_size=4), min_size=1, max_size=6))
+    blocks = [np.array(rows) for rows in steps]
+    written = RegressionData([b[:, 0] for b in blocks], [b[:, 1:] for b in blocks])
+    path = tmp_path / "data.csv"
+    write_data(path, written)
+    loaded = load_data(path)
+    assert loaded.T == len(blocks) and loaded.p == p
+    for t, b in enumerate(blocks):
+        got = np.column_stack([loaded.ys[t], loaded.Xs[t]])
+        assert got.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +294,39 @@ def test_overflowing_observation_is_a_numerical_error(tmp_path, capsys):
     assert record["error_type"] == "NumericalError"
     assert record["message"].startswith("at time step t=2: EM objective is not finite")
     assert "error: at time step t=2: EM objective is not finite" in capsys.readouterr().err
+
+
+def _fit_map_into(out, dpath, y2):
+    dpath.write_text(f"t,y,x1\n1,0.5,1\n2,{y2!r},1\n3,0.1,1\n")
+    with np.errstate(over="ignore"):
+        return run_command([
+            "fit-map", "nu=1.0", "delta=0.0", "gamma=1.0", "alpha=0.0", "d=0",
+            "sigma=0.5", "max_iter=100", f"data_path={dpath}", f"out_dir={out}",
+        ])
+
+
+def test_rerun_after_failure_drops_the_error_record(tmp_path, capsys):
+    out, dpath = tmp_path / "out", tmp_path / "data.csv"
+    assert _fit_map_into(out, dpath, 1e300) == 1
+    assert (out / "error.json").exists() and not (out / "manifest.json").exists()
+    assert _fit_map_into(out, dpath, 0.2) == 0
+    assert not (out / "error.json").exists()
+    assert run_command(["verify", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.csv", "estimates.csv", "manifest.json",
+    ]
+
+
+def test_failed_rerun_drops_the_stale_manifest(tmp_path, capsys):
+    out, dpath = tmp_path / "out", tmp_path / "data.csv"
+    assert _fit_map_into(out, dpath, 0.2) == 0
+    assert run_command(["verify", str(out)]) == 0
+    assert _fit_map_into(out, dpath, 1e300) == 1
+    assert not (out / "manifest.json").exists()
+    assert "t=2" in json.loads((out / "error.json").read_text())["message"]
+    capsys.readouterr()
+    assert run_command(["verify", str(out)]) == 1
+    assert "missing manifest.json" in capsys.readouterr().err
 
 
 def test_config_file_with_cli_override(tmp_path):

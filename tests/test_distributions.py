@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -21,6 +22,7 @@ from dynsparse import (
     mgh_log_pdf,
     mgh_sample,
 )
+from dynsparse.special import validate_gig_region
 from dynsparse.distributions import _devroye_gig, _devroye_gig_one, gh_log_pdf_grad, gig_rvs
 from helpers import gh_cdf_grid, gh_pdf_by_mixture, gig_unnormalized, ks_statistic
 
@@ -262,6 +264,61 @@ def test_gig_rvs_size_one_errors_match_batch(nu, delta, gamma, match):
     for size in (None, (1,), 3):
         with pytest.raises(DomainError, match=match):
             gig_rvs(nu, delta, gamma, rng, size=size)
+
+
+# region edges: zero, small, unit and negative delta/gamma, nu on both
+# sides.  Small stops at 1e-4, so omega = delta * gamma >= 1e-8: at
+# omega = 1e-12 the Devroye kernel runs out of rounds for nu near 1e-4,
+# and below omega ~ 1e-154 for every nu (ROADMAP item 4).
+_EDGE = st.sampled_from([0.0, 1e-4, 1.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    nu=st.sampled_from([-3.0, -0.5, 0.0, 0.5, 3.0]) | st.floats(-5.0, 5.0),
+    delta=_EDGE,
+    gamma=_EDGE,
+    size=st.sampled_from([None, 3]),
+)
+def test_gig_rvs_rejects_the_invalid_region_edges(nu, delta, gamma, size):
+    rng = np.random.default_rng(0)
+    try:
+        validate_gig_region(nu, delta, gamma)
+    except DomainError:
+        if delta >= 0.0 or gamma >= 0.0:  # both negative: see ROADMAP item 4
+            with pytest.raises(DomainError):
+                gig_rvs(nu, delta, gamma, rng, size=size)
+        return
+    # no NaN; inf is allowed, since for |nu| near 0 the law itself
+    # puts most of its mass beyond the double range
+    with np.errstate(over="ignore", divide="ignore"):
+        z = np.asarray(gig_rvs(nu, delta, gamma, rng, size=size))
+    assert np.all(z >= 0.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    nu=st.floats(0.5, 5.0),
+    delta=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    gamma=st.floats(0.5, 2.0),
+)
+def test_gig_rvs_small_delta_tends_to_gamma(nu, delta, gamma):
+    # GIG(nu > 0, delta -> 0, gamma) -> Gamma(nu, rate gamma^2 / 2)
+    z = gig_rvs(nu, delta, gamma, np.random.default_rng(1), size=4000)
+    assert scipy.stats.kstest(z, scipy.stats.gamma(nu, scale=2.0 / gamma**2).cdf).pvalue > 1e-3
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    nu=st.floats(-5.0, -0.5),
+    delta=st.floats(0.5, 2.0),
+    gamma=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_gig_rvs_small_gamma_tends_to_inverse_gamma(nu, delta, gamma):
+    # GIG(nu < 0, delta, gamma -> 0) -> InvGamma(-nu, scale delta^2 / 2)
+    z = gig_rvs(nu, delta, gamma, np.random.default_rng(2), size=4000)
+    law = scipy.stats.invgamma(-nu, scale=delta**2 / 2.0)
+    assert scipy.stats.kstest(z, law.cdf).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------

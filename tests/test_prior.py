@@ -9,8 +9,8 @@ from dynsparse import (
     GhParams,
     MghParams,
     ModelConfig,
+    WindowCorrelation,
     autocorrelation,
-    build_sigma,
     conditional_gh,
     conditional_gig,
     gh_log_pdf,
@@ -35,27 +35,27 @@ def cfg(**kw):
 
 
 def test_build_sigma_entries():
-    m = build_sigma(3, 0.5).matrix
+    m = WindowCorrelation(3, 0.5).matrix
     assert np.allclose(m, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
-    assert np.allclose(build_sigma(1, 0.9).matrix, [[1.0]])
-    assert np.allclose(build_sigma(4, 0.0).matrix, np.eye(4))
+    assert np.allclose(WindowCorrelation(1, 0.9).matrix, [[1.0]])
+    assert np.allclose(WindowCorrelation(4, 0.0).matrix, np.eye(4))
 
 
 def test_build_sigma_rejects_alpha_one():
     with pytest.raises(DomainError):
-        build_sigma(3, 1.0)
+        WindowCorrelation(3, 1.0)
 
 
 def test_mahalanobis_trivial():
-    corr = build_sigma(3, 0.5)
+    corr = WindowCorrelation(3, 0.5)
     assert mahalanobis_norm(np.zeros(3), corr) == 0.0
-    corr0 = build_sigma(4, 0.0)
+    corr0 = WindowCorrelation(4, 0.0)
     x = np.array([1.0, -2.0, 0.5, 3.0])
     assert mahalanobis_norm(x, corr0) == pytest.approx(np.linalg.norm(x))
 
 
 def test_mahalanobis_2x2_hand_inversion():
-    corr = build_sigma(2, 0.5)
+    corr = WindowCorrelation(2, 0.5)
     assert mahalanobis_norm(np.array([1.0, 1.0]), corr) == pytest.approx(
         math.sqrt(4.0 / 3.0)
     )
@@ -65,7 +65,7 @@ def test_mahalanobis_2x2_hand_inversion():
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.95])
 def test_mahalanobis_matches_dense_solve(dim, alpha):
     rng = np.random.default_rng(dim * 17 + int(alpha * 100))
-    corr = build_sigma(dim, alpha)
+    corr = WindowCorrelation(dim, alpha)
     x = rng.normal(size=dim)
     dense = math.sqrt(x @ np.linalg.solve(corr.matrix, x))
     assert mahalanobis_norm(x, corr) == pytest.approx(dense, abs=1e-10, rel=1e-10)
@@ -73,7 +73,7 @@ def test_mahalanobis_matches_dense_solve(dim, alpha):
 
 def test_mahalanobis_dimension_mismatch():
     with pytest.raises(DomainError):
-        mahalanobis_norm(np.zeros(3), build_sigma(2, 0.5))
+        mahalanobis_norm(np.zeros(3), WindowCorrelation(2, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_conditional_gig_alpha_zero():
     g = conditional_gig(c, w)
     assert g.nu == c.nu - 1.0
     assert g.delta == pytest.approx(
-        math.sqrt(c.delta**2 + mahalanobis_norm(w, build_sigma(2, 0.0)) ** 2)
+        math.sqrt(c.delta**2 + mahalanobis_norm(w, WindowCorrelation(2, 0.0)) ** 2)
     )
     assert g.gamma == c.gamma
 
@@ -143,7 +143,7 @@ def test_keystone_joint_marginal_ratio(alpha):
     c = cfg(alpha=alpha, nu=0.7, delta=0.6, gamma=1.1, d=1)
     marg = GhParams(0.0, c.nu, c.delta, c.gamma)
     joint = MghParams(
-        np.zeros(2), c.nu, c.delta, c.gamma, build_sigma(2, alpha).matrix
+        np.zeros(2), c.nu, c.delta, c.gamma, WindowCorrelation(2, alpha).matrix
     )
     for w in [-1.5, -0.2, 0.4, 2.0]:
         cond = conditional_gh(c, np.array([w]))
@@ -229,7 +229,7 @@ def test_simulate_path_pairwise_mgh_property():
     rng = np.random.default_rng(24)
     b = simulate_path(c, 60_000, rng)[0]
     pairs = np.stack([b[:-1], b[1:]], axis=1)[:: 7][:8000]
-    joint = MghParams(np.zeros(2), c.nu, c.delta, c.gamma, build_sigma(2, c.alpha).matrix)
+    joint = MghParams(np.zeros(2), c.nu, c.delta, c.gamma, WindowCorrelation(2, c.alpha).matrix)
     ll = np.array([mgh_log_pdf(joint, pr) for pr in pairs])
     # E[log f(X)] under f via quadrature
     grid = np.linspace(-9, 9, 241)

@@ -1,8 +1,10 @@
 """Particle filter and independent MH: weight identities, unbiasedness,
 resampling, lineage structure, and chain summaries."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,7 +24,7 @@ from dynsparse import (
     posterior_summary,
     smc_run,
 )
-from dynsparse.smc import _log_weights, _propose_beta, _systematic_resample
+from dynsparse.smc import _systematic_resample, _weight_and_propose
 
 from helpers import gh_pdf_by_mixture, normal_pdf
 
@@ -60,7 +62,9 @@ def test_weight_scalar_formula():
     y, X = np.array([1.3]), np.array([[1.0]])
     tau = np.array([[0.8]])
     prev = np.array([[2.0]])
-    lw = _log_weights(y, X, tau, prev, np.ones(1), 0.49, 0.5)
+    lw, _ = _weight_and_propose(
+        y, X, tau, prev, np.ones(1), 0.49, 0.5, np.random.default_rng(0)
+    )
     expected = math.log(normal_pdf(1.3, 0.5 * 2.0, 0.8 + 0.49))
     assert lw[0] == pytest.approx(expected, abs=1e-12)
 
@@ -75,7 +79,7 @@ def test_weight_matches_quadrature_marginal(seed):
     tau = rng.uniform(0.3, 2.0, (1, 2))
     prev = rng.standard_normal((1, 2))
     alpha, s2 = 0.6, 0.5
-    lw = _log_weights(y, X, tau, prev, np.ones(1), s2, alpha)
+    lw, _ = _weight_and_propose(y, X, tau, prev, np.ones(1), s2, alpha, rng)
 
     mean = alpha * prev[0]
 
@@ -99,11 +103,65 @@ def test_proposal_reverts_to_prior_transition_without_data():
     rng = np.random.default_rng(7)
     tau = np.full((20_000, 1), 1.7)
     prev = np.full((20_000, 1), 3.0)
-    beta = _propose_beta(
+    _, beta = _weight_and_propose(
         np.array([0.0]), np.array([[0.0]]), tau, prev, np.ones(20_000), 1.0, 0.4, rng
     )
     assert beta.mean() == pytest.approx(0.4 * 3.0, abs=0.03)
     assert beta.var() == pytest.approx(1.7, rel=0.05)
+
+
+def dense_log_weight_oracle(y, X, tau, mean, s2):
+    """log N(y; X mean, X D_tau X' + s2 I) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        Xm = mpmath.matrix(X.tolist())
+        r = mpmath.matrix(y.tolist()) - Xm * mpmath.matrix(mean.tolist())
+        cov = Xm * mpmath.diag(tau.tolist()) * Xm.T + s2 * mpmath.eye(len(y))
+        quad_form = (r.T * mpmath.lu_solve(cov, r))[0]
+        log_det = mpmath.log(mpmath.det(cov))
+        return float(-(len(y) * mpmath.log(2 * mpmath.pi) + log_det + quad_form) / 2)
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (4, 4), (6, 4)])
+def test_weight_matches_high_precision_dense_oracle(n, p):
+    # every corner of tau in {e^-16, 1, e^16}^p plus random scales in
+    # between: X D_tau X' + sigma^2 I is ill-conditioned there, the p x p
+    # posterior precision is not while X'X has full rank (n >= p)
+    rng = np.random.default_rng(2024 + n)
+    s2, alpha = 0.49, 0.7
+    X = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    corners = np.array(list(itertools.product([-16.0, 0.0, 16.0], repeat=p)))
+    tau = np.exp(np.vstack([corners, rng.uniform(-16.0, 16.0, (40, p))]))
+    N = tau.shape[0]
+    prev = rng.standard_normal((N, p))
+    scale = (np.arange(N) % 3 > 0).astype(float)
+    lw, _ = _weight_and_propose(y, X, tau, prev, scale, s2, alpha, rng)
+    exact = [
+        dense_log_weight_oracle(y, X, tau[i], alpha * scale[i] * prev[i], s2)
+        for i in range(N)
+    ]
+    np.testing.assert_allclose(lw, exact, rtol=0.0, atol=1e-13)
+
+
+def test_proposal_matches_dense_posterior():
+    # beta = mu + L'^{-1} z with mu and L from the dense posterior precision
+    # and z the same standard normals
+    rng = np.random.default_rng(5)
+    N, p, n, s2, alpha = 50, 3, 2, 0.3, 0.8
+    X = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    tau = np.exp(rng.uniform(-3.0, 3.0, (N, p)))
+    prev = rng.standard_normal((N, p))
+    scale = (np.arange(N) % 2).astype(float)
+    _, beta = _weight_and_propose(
+        y, X, tau, prev, scale, s2, alpha, np.random.default_rng(9)
+    )
+    z = np.random.default_rng(9).standard_normal((N, p))
+    for i in range(N):
+        prec = np.diag(1.0 / tau[i]) + X.T @ X / s2
+        mu = np.linalg.solve(prec, alpha * scale[i] * prev[i] / tau[i] + X.T @ y / s2)
+        expected = mu + np.linalg.solve(np.linalg.cholesky(prec).T, z[i])
+        np.testing.assert_allclose(beta[i], expected, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +291,57 @@ def test_partial_nan_log_weights_raise_numerical_error(monkeypatch):
     calls = []
 
     def half_nan(*args):
-        lw = _log_weights(*args)
+        lw, beta = _weight_and_propose(*args)
         calls.append(None)
         if len(calls) == 3:
             lw[: lw.shape[0] // 2] = np.nan
-        return lw
+        return lw, beta
 
-    monkeypatch.setattr(dynsparse.smc, "_log_weights", half_nan)
+    monkeypatch.setattr(dynsparse.smc, "_weight_and_propose", half_nan)
     with pytest.raises(NumericalError, match="t=3") as info:
         smc_run(_tiny_data(T=5), cfg(d=1), 16, np.random.default_rng(4))
     assert not isinstance(info.value, DegeneracyError)
+
+
+@pytest.mark.parametrize(
+    "target,error",
+    [
+        ("_sample_tau", DomainError),
+        ("_sample_tau", NumericalError),
+        ("_weight_and_propose", NumericalError),
+        ("_weight_and_propose", DegeneracyError),
+    ],
+)
+def test_step_failure_names_time_step(monkeypatch, target, error):
+    real = getattr(dynsparse.smc, target)
+    calls = []
+
+    def fail_at_third_step(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error("boom")
+        return real(*args)
+
+    monkeypatch.setattr(dynsparse.smc, target, fail_at_third_step)
+    with pytest.raises(error, match=r"^at time step t=3: boom$") as info:
+        smc_run(_tiny_data(T=5), cfg(d=None, rho=0.8), 16, np.random.default_rng(4))
+    assert type(info.value) is error
+
+
+def test_cholesky_failure_names_time_step(monkeypatch):
+    # scales of -1 (no GIG draw gives them) make X'X / sigma^2 - I indefinite
+    real = dynsparse.smc._sample_tau
+    calls = []
+
+    def negative_at_third_step(*args):
+        calls.append(None)
+        tau = real(*args)
+        return -np.ones_like(tau) if len(calls) == 3 else tau
+
+    monkeypatch.setattr(dynsparse.smc, "_sample_tau", negative_at_third_step)
+    data = RegressionData([np.array([0.5])] * 4, [np.array([[1.0, 1.0]])] * 4)
+    with pytest.raises(NumericalError, match="t=3: posterior precision not positive"):
+        smc_run(data, cfg(p=2, d=1), 16, np.random.default_rng(6))
 
 
 def test_ess_mode_matches_evidence_scale():
