@@ -186,46 +186,38 @@ def _cmd_acf(cfg: dict, run_id: str) -> list[Path]:
     return [path]
 
 
-def _cmd_fit_map(cfg: dict, run_id: str) -> list[Path]:
-    _require(cfg, ("data_path", "out_dir", "max_iter"), "fit-map")
+def _fit_point(
+    cfg: dict, run_id: str, command: str, fitter, eps_sparse, diag_header: list[str]
+) -> list[Path]:
+    """Run a point-estimate fitter and write its estimates and objective traces."""
+    _require(cfg, ("data_path", "out_dir", "max_iter"), command)
     model = _model_config(cfg)
     data = load_data(cfg["data_path"])
     out = _out_dir(cfg)
-    fit = run_online_map(
+    fit = fitter(
         data, model, tol=cfg["tol"], max_iter=cfg["max_iter"],
-        eps_sparse=cfg.get("eps_sparse"),
+        eps_sparse=cfg.get("eps_sparse", eps_sparse),
     )
     est = out / "estimates.csv"
     write_table(est, run_id, _ESTIMATE_HEADER, _estimate_rows(fit.beta_hat, fit.support))
     diag = out / "diagnostics.csv"
     rows = [
-        [str(t + 1), str(i), _fmt(v)]
-        for t, trace in enumerate(fit.objective_trace)
+        [str(k + 1), str(i), _fmt(v)]
+        for k, trace in enumerate(fit.objective_trace)
         for i, v in enumerate(trace)
     ]
-    write_table(diag, run_id, ["t", "iter", "objective"], rows)
+    write_table(diag, run_id, diag_header, rows)
     return [est, diag]
+
+
+def _cmd_fit_map(cfg: dict, run_id: str) -> list[Path]:
+    return _fit_point(cfg, run_id, "fit-map", run_online_map, None, ["t", "iter", "objective"])
 
 
 def _cmd_fit_glasso(cfg: dict, run_id: str) -> list[Path]:
-    _require(cfg, ("data_path", "out_dir", "max_iter"), "fit-glasso")
-    model = _model_config(cfg)
-    data = load_data(cfg["data_path"])
-    out = _out_dir(cfg)
-    fit = run_sliding_window(
-        data, model, tol=cfg["tol"], max_iter=cfg["max_iter"],
-        eps_sparse=cfg.get("eps_sparse", 0.0),
+    return _fit_point(
+        cfg, run_id, "fit-glasso", run_sliding_window, 0.0, ["window", "sweep", "objective"]
     )
-    est = out / "estimates.csv"
-    write_table(est, run_id, _ESTIMATE_HEADER, _estimate_rows(fit.beta_hat, fit.support))
-    diag = out / "diagnostics.csv"
-    rows = [
-        [str(w + 1), str(i), _fmt(v)]
-        for w, trace in enumerate(fit.objective_trace)
-        for i, v in enumerate(trace)
-    ]
-    write_table(diag, run_id, ["window", "sweep", "objective"], rows)
-    return [est, diag]
 
 
 def _cmd_fit_smc(cfg: dict, run_id: str) -> list[Path]:

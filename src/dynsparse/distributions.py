@@ -387,6 +387,8 @@ def _gig_one(nu, delta, gamma, rng: np.random.Generator) -> np.float64:
         if not gamma > 0.0:
             raise DomainError("delta = 0 requires gamma > 0")
         return rng.gamma(nu, 2.0 / (gamma * gamma))
+    if delta < 0.0 and gamma < 0.0:
+        raise DomainError("delta and gamma must be nonnegative")
     return (delta / gamma) * _devroye_gig_one(nu, delta * gamma, rng)
 
 
@@ -428,6 +430,8 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
             raise DomainError("delta = 0 requires gamma > 0")
         out[d0] = rng.gamma(nu[d0], 2.0 / gamma[d0] ** 2)
     if np.any(interior):
+        if np.any((delta < 0.0) & (gamma < 0.0)):
+            raise DomainError("delta and gamma must be nonnegative")
         out[interior] = (delta[interior] / gamma[interior]) * _devroye_gig(
             nu[interior], delta[interior] * gamma[interior], rng
         )

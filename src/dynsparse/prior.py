@@ -35,7 +35,6 @@ __all__ = [
     "WindowCorrelation",
     "ModelConfig",
     "mahalanobis_norm",
-    "mahalanobis_sq",
     "mahal_sq_batch",
     "conditional_gh",
     "conditional_gig",
@@ -68,17 +67,12 @@ class WindowCorrelation:
         return self.alpha ** np.abs(idx[:, None] - idx[None, :])
 
 
-def mahalanobis_sq(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
-    """x' Sigma^{-1} x through the tridiagonal inverse, O(dim)."""
+def mahalanobis_norm(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
+    """sqrt(x' Sigma^{-1} x), the Mahalanobis norm of a window, in O(dim)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (corr.dim,):
         raise DomainError(f"x has shape {x.shape}, expected ({corr.dim},)")
-    return float(mahal_sq_batch(x[None, :], corr.alpha)[0])
-
-
-def mahalanobis_norm(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
-    """sqrt(x' Sigma^{-1} x), the Mahalanobis norm of a window."""
-    return math.sqrt(mahalanobis_sq(x, corr))
+    return math.sqrt(mahal_sq_batch(x[None, :], corr.alpha)[0])
 
 
 def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:

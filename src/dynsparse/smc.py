@@ -18,6 +18,11 @@ Particle histories are kept as per-generation states plus ancestor
 indices; the window of past beta values needed by the GIG conditional is
 read from a rolling lineage buffer that is re-gathered at every
 resampling step, so windows never mix values across particle lineages.
+The tau step serves every window length of a step at once: each
+particle's buffer reads as zero outside its own window, one AR(1) norm
+call over the whole buffer gives all window norms, and one GIG expression
+applies the scaling 1 - alpha^2 exactly where the proposal mean is
+alpha * beta_{t-1}.
 """
 
 from __future__ import annotations
@@ -78,39 +83,28 @@ def _sample_tau(
     ds: NDArray[np.int64],
     config: ModelConfig,
     rng: np.random.Generator,
-    scaled_at_zero: bool,
+    scaled: NDArray[np.bool_],
 ) -> NDArray[np.float64]:
     """Latent scales for every (particle, coefficient) pair.
 
-    ``hist`` is the lineage buffer (N, p, L) with the most recent value
-    last; ``ds[i]`` window lengths (all <= L).  The scaled conditional
-    pairs with a Gaussian step of mean alpha * beta_{t-1} and variance
-    tau; ``scaled_at_zero`` keeps that convention at d = 0 (the binomial
-    chain's transition), whereas t = 1 and the fixed d = 0 model use the
-    unscaled marginal GIG paired with a mean-zero step.
+    ``hist`` is the lineage buffer (N, p, L), most recent value last, and
+    ``ds[i] <= L`` the window lengths.  ``scaled[i]`` pairs the law with a
+    step of mean alpha * beta_{t-1} and variance (1 - alpha^2) tau; where
+    it is False (d = 0 at t = 1 or in the fixed d = 0 model) the marginal
+    GIG pairs with a mean-zero step.
     """
-    N, p, _ = hist.shape
-    sa2 = 1.0 - config.alpha**2
-    nu_arr = np.empty((N, p))
-    dl_arr = np.empty((N, p))
-    gm_arr = np.empty((N, p))
-    for d in np.unique(ds):
-        idx = ds == d
-        if d == 0:
-            nu_arr[idx] = config.nu
-            if scaled_at_zero:
-                dl_arr[idx] = np.sqrt(sa2) * config.delta
-                gm_arr[idx] = config.gamma / np.sqrt(sa2)
-            else:
-                dl_arr[idx] = config.delta
-                gm_arr[idx] = config.gamma
-            continue
-        block = hist[idx, :, hist.shape[2] - d :].reshape(-1, d)
-        msq = mahal_sq_batch(block, config.alpha).reshape(-1, p)
-        nu_arr[idx] = config.nu - d / 2.0
-        dl_arr[idx] = np.sqrt(sa2 * (config.delta**2 + msq))
-        gm_arr[idx] = config.gamma / np.sqrt(sa2)
-    return gig_rvs(nu_arr, dl_arr, gm_arr, rng)
+    L = hist.shape[2]
+    a2 = config.alpha**2
+    idx = np.arange(L)
+    pos = idx - (L - ds)[:, None, None]  # index within each particle's window
+    # outside the window the buffer reads as zero; for 1 <= d < L the
+    # window's first value then sits in the interior sum of the full
+    # buffer, which adds alpha^2 x_first^2 / (1 - alpha^2) to the norm
+    msq = mahal_sq_batch(np.where(pos >= 0, hist, 0.0), config.alpha)
+    msq -= a2 * np.where((pos == 0) & (idx > 0), hist, 0.0).sum(axis=2) ** 2 / (1.0 - a2)
+    s = np.where(scaled, 1.0 - a2, 1.0)[:, None]
+    nu = config.nu - ds[:, None] / 2.0
+    return gig_rvs(nu, np.sqrt(s * (config.delta**2 + msq)), config.gamma / np.sqrt(s), rng)
 
 
 def _tri_solve(
@@ -162,7 +156,8 @@ def _weight_and_propose(
     bw = _tri_solve(chol, np.stack([u, z], axis=2), transpose=True)
     b = bw[:, :, 0]
     e = r - b @ X.T
-    quad = (e * e).sum(axis=1) / sigma2 + (b * b / tau).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing r gives quad = inf, log w = -inf
+        quad = (e * e).sum(axis=1) / sigma2 + (b * b / tau).sum(axis=1)
     logdet = n * np.log(sigma2) + np.log(tau).sum(axis=1)
     logdet += 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (n * _LOG_2PI + logdet + quad), m + b + bw[:, :, 1]
@@ -217,15 +212,14 @@ def smc_run(
 
     for t in range(T):
         y, X = data.ys[t], data.Xs[t]
-        # t = 1 and the fixed d = 0 model step from the prior mean 0; the
-        # binomial chain steps from alpha * beta_{t-1} even at d_t = 0
-        scaled_at_zero = t > 0 and not config.fixed_d
         try:
             if t > 0:
                 ds = _next_d(ds, t + 1, config, rng)
-            mean_scale = ((ds > 0) | scaled_at_zero).astype(float)
-            tau = _sample_tau(hist, ds, config, rng, scaled_at_zero)
-            lw, beta = _weight_and_propose(y, X, tau, prev_beta, mean_scale, s2, alpha, rng)
+            # t = 1 and the fixed d = 0 model step from the prior mean 0; the
+            # binomial chain steps from alpha * beta_{t-1} even at d_t = 0
+            scaled = (ds > 0) | (t > 0 and not config.fixed_d)
+            tau = _sample_tau(hist, ds, config, rng, scaled)
+            lw, beta = _weight_and_propose(y, X, tau, prev_beta, scaled, s2, alpha, rng)
         except (NumericalError, DomainError) as exc:
             raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
 

@@ -256,6 +256,7 @@ def test_gig_rvs_size_one_boundary_routes(nu, delta, gamma):
         (-1.0, 0.0, 1.0, "delta = 0 requires nu > 0"),
         (0.5, 1.0, 0.0, "gamma = 0 requires nu < 0"),
         (0.5, -1.0, 1.0, "finite lam and omega > 0"),
+        (-3.0, -1.0, -1.0, "delta and gamma must be nonnegative"),
         (np.nan, 1.0, 1.0, "finite lam and omega > 0"),
     ],
 )
@@ -269,7 +270,7 @@ def test_gig_rvs_size_one_errors_match_batch(nu, delta, gamma, match):
 # region edges: zero, small, unit and negative delta/gamma, nu on both
 # sides.  Small stops at 1e-4, so omega = delta * gamma >= 1e-8: at
 # omega = 1e-12 the Devroye kernel runs out of rounds for nu near 1e-4,
-# and below omega ~ 1e-154 for every nu (ROADMAP item 4).
+# and below omega ~ 1e-154 for every nu.
 _EDGE = st.sampled_from([0.0, 1e-4, 1.0, -1.0])
 
 
@@ -285,9 +286,8 @@ def test_gig_rvs_rejects_the_invalid_region_edges(nu, delta, gamma, size):
     try:
         validate_gig_region(nu, delta, gamma)
     except DomainError:
-        if delta >= 0.0 or gamma >= 0.0:  # both negative: see ROADMAP item 4
-            with pytest.raises(DomainError):
-                gig_rvs(nu, delta, gamma, rng, size=size)
+        with pytest.raises(DomainError):
+            gig_rvs(nu, delta, gamma, rng, size=size)
         return
     # no NaN; inf is allowed, since for |nu| near 0 the law itself
     # puts most of its mass beyond the double range

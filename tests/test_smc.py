@@ -3,6 +3,7 @@ resampling, lineage structure, and chain summaries."""
 
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,12 +20,13 @@ from dynsparse import (
     PosteriorChain,
     RegressionData,
     conditional_gh,
+    conditional_gig,
     gh_log_pdf,
     pimh_run,
     posterior_summary,
     smc_run,
 )
-from dynsparse.smc import _systematic_resample, _weight_and_propose
+from dynsparse.smc import _sample_tau, _systematic_resample, _weight_and_propose
 
 from helpers import gh_pdf_by_mixture, normal_pdf
 
@@ -165,6 +167,69 @@ def test_proposal_matches_dense_posterior():
 
 
 # ---------------------------------------------------------------------------
+# tau step
+# ---------------------------------------------------------------------------
+
+
+def _record_tau_step(monkeypatch):
+    """Wrap the tau step's two bindings; returns their recorded inputs."""
+    msq_inputs, gig_inputs = [], []
+    real_msq, real_gig = dynsparse.smc.mahal_sq_batch, dynsparse.smc.gig_rvs
+
+    def msq(x, alpha):
+        msq_inputs.append(np.array(x))
+        return real_msq(x, alpha)
+
+    def gig(nu, delta, gamma, rng):
+        gig_inputs.append(np.broadcast_arrays(nu, delta, gamma))
+        return real_gig(nu, delta, gamma, rng)
+
+    monkeypatch.setattr(dynsparse.smc, "mahal_sq_batch", msq)
+    monkeypatch.setattr(dynsparse.smc, "gig_rvs", gig)
+    return msq_inputs, gig_inputs
+
+
+@pytest.mark.parametrize("scaled_at_zero", [False, True])
+@pytest.mark.parametrize("L", [0, 1, 2, 7])
+def test_tau_step_matches_conditional_gig_per_window(monkeypatch, L, scaled_at_zero):
+    # one masked window-norm call gives every particle the conditional GIG
+    # of its own last d values, scaled by 1 - alpha^2 where the mean is
+    config = cfg(d=None, rho=0.8, delta=0.3, gamma=1.2, alpha=0.7)
+    msq_inputs, gig_inputs = _record_tau_step(monkeypatch)
+    rng = np.random.default_rng(L)
+    N, p = 40, 3
+    hist = rng.standard_normal((N, p, L)) * rng.uniform(0.1, 3.0, (N, p, 1))
+    ds = rng.integers(0, L + 1, N)
+    ds[:2] = [0, L]
+    scaled = (ds > 0) | scaled_at_zero
+    tau = _sample_tau(hist, ds, config, rng, scaled)
+
+    assert tau.shape == (N, p) and np.all(tau > 0)
+    assert len(msq_inputs) == 1 and msq_inputs[0].shape == (N, p, L)
+    (nu, dl, gm), = gig_inputs
+    s = 1.0 - config.alpha**2
+    for i, j in itertools.product(range(N), range(p)):
+        law = conditional_gig(config, hist[i, j, L - ds[i] :])
+        scale = math.sqrt(s) if scaled[i] else 1.0
+        np.testing.assert_allclose(
+            [nu[i, j], dl[i, j], gm[i, j]],
+            [law.nu, law.delta * scale, law.gamma / scale],
+            rtol=1e-13, atol=0.0,
+        )
+
+
+def test_tau_step_one_window_norm_call_per_step(monkeypatch):
+    msq_inputs, gig_inputs = _record_tau_step(monkeypatch)
+    T = 8
+    smc_run(_tiny_data(T=T), cfg(d=None, rho=0.9), 64, np.random.default_rng(3))
+    assert len(msq_inputs) == len(gig_inputs) == T
+    assert msq_inputs[0].shape == (64, 1, 0)  # empty buffer at t = 1
+    # t = 1 draws from the unscaled marginal GIG
+    np.testing.assert_array_equal(gig_inputs[0][1], 0.5)
+    np.testing.assert_array_equal(gig_inputs[0][2], 1.0)
+
+
+# ---------------------------------------------------------------------------
 # resampling
 # ---------------------------------------------------------------------------
 
@@ -281,8 +346,10 @@ def test_smc_reproducible_and_requires_particles():
 def test_weight_collapse_raises_degeneracy():
     config = cfg()
     data = RegressionData([np.array([1e200])], [np.eye(1)])
-    with pytest.raises(DegeneracyError, match="t=1"):
-        smc_run(data, config, 16, np.random.default_rng(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegeneracyError, match="t=1"):
+            smc_run(data, config, 16, np.random.default_rng(2))
 
 
 def test_partial_nan_log_weights_raise_numerical_error(monkeypatch):
