@@ -39,7 +39,7 @@ from .smc import (
     posterior_summary,
     smc_run,
 )
-from .special import integrate_positive_halfline, log_bessel_k, log_gig_normalizer
+from .special import log_bessel_k, log_gig_normalizer
 from .synthetic import CHANGE_POINTS, piecewise_signal, synthetic_regression
 
 __version__ = "0.1.0"

@@ -185,7 +185,8 @@ def em_map_step(
         # also returns (r, q^2, q) of the prior terms for the gradient check,
         # or None where the terms took the scalar route
         resid = y - X @ beta
-        ll = -0.5 * float(resid @ resid) / sig2
+        with np.errstate(over="ignore"):  # an overflowing resid gives ll = -inf
+            ll = -0.5 * float(resid @ resid) / sig2
         if not ll > -math.inf:
             raise NumericalError(f"EM objective is not finite (log-likelihood {ll})")
         parts = None

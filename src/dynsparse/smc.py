@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import logsumexp
 
 from .distributions import gig_rvs
 from .errors import DegeneracyError, DomainError, NumericalError
@@ -228,7 +227,10 @@ def smc_run(
             raise NumericalError(f"NaN particle log-weight at t={t + 1}")
         if np.all(total == -np.inf):
             raise DegeneracyError(f"all particle weights collapsed at t={t + 1}")
-        log_step = logsumexp(total)
+        top = total.max()
+        if top == np.inf:
+            raise NumericalError(f"infinite particle log-weight at t={t + 1}")
+        log_step = top + np.log(np.exp(total - top).sum())
         log_Z += float(log_step)
         log_norm_w = total - log_step
 

@@ -1,32 +1,30 @@
-"""Log-scale special functions and the half-line quadrature oracle.
+"""Log-scale special functions.
 
 Every density in the package is computed in log space; the central
 primitive is ``log K_a(z)``, the log of the modified Bessel function of
 the second kind.  ``scipy.special.kve`` covers the bulk of the domain in
 double precision; the extreme corner (tiny argument together with a large
 order, where ``K_a(z)`` overflows a double) falls back to arbitrary
-precision via mpmath.  ``log_bessel_k_grid`` evaluates many (order,
-arg) pairs with one ``kve`` call and gives the scalar function's bits.
+precision via mpmath, which is imported on that branch only.
+``log_bessel_k_grid`` evaluates many (order, arg) pairs with one ``kve``
+call and gives the scalar function's bits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
-import mpmath
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, kve
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "log_bessel_k",
     "log_bessel_k_grid",
     "log_gig_normalizer",
     "validate_gig_region",
-    "integrate_positive_halfline",
 ]
 
 
@@ -48,6 +46,8 @@ def log_bessel_k(order: float, arg: float) -> float:
     if np.isfinite(scaled) and scaled > 0.0:
         return math.log(scaled) - arg
     # K_v(z) itself overflows a double (small z, large v); mpmath is exact
+    import mpmath
+
     with mpmath.workdps(30):
         return float(mpmath.log(mpmath.besselk(v, mpmath.mpf(arg))))
 
@@ -108,37 +108,3 @@ def validate_gig_region(nu: float, delta: float, gamma: float) -> None:
         raise DomainError(f"delta = 0 requires nu > 0, got nu={nu}")
     if gamma == 0.0 and nu >= 0.0:
         raise DomainError(f"gamma = 0 requires nu < 0, got nu={nu}")
-
-
-def integrate_positive_halfline(
-    f: Callable[[float], float], rel_tol: float = 1e-10
-) -> float:
-    """Adaptive quadrature of f over (0, inf) to relative error rel_tol.
-
-    Used as the independent oracle behind normalization and moment tests.
-    Raises NumericalError when the error estimate cannot be brought under
-    the target even after splitting the domain.
-    """
-    attempts: list[tuple[float, float]] = []
-
-    def _try(points: tuple[float, ...]) -> tuple[float, float]:
-        total = 0.0
-        err = 0.0
-        edges = (0.0,) + points + (np.inf,)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            v, e = quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=500)
-            total += v
-            err += e
-        return total, err
-
-    for points in ((), (1.0,), (1e-6, 1e-3, 1.0, 1e3), (1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e4)):
-        try:
-            val, err = _try(points)
-        except Exception:  # quad can raise on hopeless integrands
-            continue
-        if math.isfinite(val) and err <= 10.0 * rel_tol * max(abs(val), 1e-300):
-            return val
-        attempts.append((val, err))
-    raise NumericalError(
-        f"half-line quadrature did not converge to rel_tol={rel_tol}; attempts={attempts}"
-    )

@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the code paths it checks:
 densities are integrated numerically through scipy.integrate, never through
-the package's own normalizers or samplers.
+the package's own normalizers or samplers.  The package itself never
+imports scipy.integrate, so these oracles live here rather than in
+``dynsparse.special``.
 """
 
 import math
@@ -25,6 +27,38 @@ def gig_unnormalized(nu, delta, gamma):
         return x ** (nu - 1.0) * math.exp(-0.5 * (delta**2 / x + gamma**2 * x))
 
     return f
+
+
+def integrate_positive_halfline(f, rel_tol=1e-10):
+    """Adaptive quadrature of f over (0, inf) to relative error rel_tol.
+
+    The independent oracle behind normalization and moment tests.  Raises
+    NumericalError when the error estimate cannot be brought under the
+    target even after splitting the domain.
+    """
+    attempts = []
+
+    def _try(points):
+        total = 0.0
+        err = 0.0
+        edges = (0.0,) + points + (np.inf,)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            v, e = quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=500)
+            total += v
+            err += e
+        return total, err
+
+    for points in ((), (1.0,), (1e-6, 1e-3, 1.0, 1e3), (1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e4)):
+        try:
+            val, err = _try(points)
+        except Exception:  # quad can raise on hopeless integrands
+            continue
+        if math.isfinite(val) and err <= 10.0 * rel_tol * max(abs(val), 1e-300):
+            return val
+        attempts.append((val, err))
+    raise NumericalError(
+        f"half-line quadrature did not converge to rel_tol={rel_tol}; attempts={attempts}"
+    )
 
 
 def normal_pdf(x, mean, var):

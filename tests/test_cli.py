@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,23 @@ def test_model_error_exit_one_with_record(tmp_path, capsys):
         "fit-map", "nu=1.0", "delta=0.0", "gamma=1.0", "alpha=0.0", "d=0",
         "sigma=0.5", "max_iter=100", f"data_path={dpath}", f"out_dir={out}",
     ])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert "t=2" in record["message"]
+
+
+def test_model_error_exit_one_without_numpy_warning(tmp_path, capsys):
+    # the overflowing observation of the test above raises its
+    # NumericalError before numpy can warn about the overflow
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,1e300,1\n3,0.1,1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command([
+            "fit-map", "nu=1.0", "delta=0.0", "gamma=1.0", "alpha=0.0", "d=0",
+            "sigma=0.5", "max_iter=100", f"data_path={dpath}", f"out_dir={out}",
+        ])
     assert code == 1
     record = json.loads((out / "error.json").read_text())
     assert "t=2" in record["message"]

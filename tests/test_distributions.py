@@ -18,13 +18,18 @@ from dynsparse import (
     gig_log_pdf,
     gig_moment,
     gig_sample,
-    integrate_positive_halfline,
     mgh_log_pdf,
     mgh_sample,
 )
 from dynsparse.special import validate_gig_region
 from dynsparse.distributions import _devroye_gig, _devroye_gig_one, gh_log_pdf_grad, gig_rvs
-from helpers import gh_cdf_grid, gh_pdf_by_mixture, gig_unnormalized, ks_statistic
+from helpers import (
+    gh_cdf_grid,
+    gh_pdf_by_mixture,
+    gig_unnormalized,
+    integrate_positive_halfline,
+    ks_statistic,
+)
 
 GIG_GRID = [
     GigParams(-0.5, 1.0, 1.0),

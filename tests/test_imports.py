@@ -1,12 +1,18 @@
-"""Import hygiene of the package modules, checked from their syntax trees.
+"""Import hygiene of the package modules.
 
 No module imports a private (``_``-prefixed) name from a sibling module,
-and no module other than ``__init__`` imports a name it never uses.  The
-module attributes the benchmark's span tracer wraps stay bound.
+and no module other than ``__init__`` imports a name it never uses; both
+are checked from the syntax trees.  The module attributes the benchmark's
+span tracer wraps stay bound.  The CLI imports and runs every subcommand
+without loading scipy.integrate, scipy.optimize or mpmath.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,3 +112,52 @@ def test_tracer_bindings_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+# The test oracles integrate through scipy.integrate, which pulls in
+# scipy.optimize; mpmath serves only the log K overflow corner, which the
+# commands below never reach.  Importing them would cost every command
+# start-up time and memory.
+HEAVY_MODULES = ("scipy.integrate", "scipy.optimize", "mpmath")
+
+STARTUP_SCRIPT = """
+import json, sys
+from dynsparse.cli import run_command
+
+heavy = sys.argv[1:]
+model = ["nu=1.0", "delta=0.5", "gamma=1.0", "alpha=0.5", "sigma=0.7"]
+with open("data.csv", "w") as f:
+    f.write("t,y,x1\\n" + "".join(f"{t},{0.1 * t - 0.3},1\\n" for t in range(1, 9)))
+commands = {
+    "simulate": ["simulate", *model, "d=2", "T=40", "seed=1", "out_dir=sim"],
+    "simulate-rho": ["simulate", *model, "rho=0.8", "T=40", "seed=1", "out_dir=simr"],
+    "acf": ["acf", *model, "d=2", "T=60", "seed=1", "max_lag=5", "out_dir=acf"],
+    "fit-map": ["fit-map", *model, "d=2", "max_iter=50", "data_path=data.csv", "out_dir=map"],
+    "fit-glasso": [
+        "fit-glasso", "nu=2.0", "delta=0.0", "gamma=1.0", "alpha=0.5", "sigma=0.5",
+        "d=2", "max_iter=1000", "data_path=data.csv", "out_dir=gl",
+    ],
+    "fit-smc": [
+        "fit-smc", *model, "rho=0.8", "n_particles=8", "n_iters=3", "seed=1",
+        "data_path=data.csv", "out_dir=smc",
+    ],
+}
+report = {"import": [m for m in heavy if m in sys.modules]}
+for name, argv in commands.items():
+    code = run_command(argv)
+    report[name] = [m for m in heavy if m in sys.modules] if code == 0 else f"exit {code}"
+print(json.dumps(report))
+"""
+
+
+def test_cli_commands_load_no_integrate_optimize_or_mpmath(tmp_path):
+    src = Path(dynsparse.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, *HEAVY_MODULES],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    stages = ["import", "simulate", "simulate-rho", "acf", "fit-map", "fit-glasso", "fit-smc"]
+    assert report == {stage: [] for stage in stages}

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 import dynsparse.smc
 from dynsparse import (
@@ -353,8 +354,8 @@ def test_weight_collapse_raises_degeneracy():
 
 
 def test_partial_nan_log_weights_raise_numerical_error(monkeypatch):
-    # half the particles get a NaN log-weight at t=3; logsumexp would
-    # otherwise carry the NaN into log Z
+    # half the particles get a NaN log-weight at t=3; the log-sum-exp
+    # would otherwise carry the NaN into log Z
     calls = []
 
     def half_nan(*args):
@@ -368,6 +369,42 @@ def test_partial_nan_log_weights_raise_numerical_error(monkeypatch):
     with pytest.raises(NumericalError, match="t=3") as info:
         smc_run(_tiny_data(T=5), cfg(d=1), 16, np.random.default_rng(4))
     assert not isinstance(info.value, DegeneracyError)
+
+
+def test_infinite_log_weight_raises_numerical_error(monkeypatch):
+    # one +inf log-weight at t=3 would turn every normalized weight into NaN
+    calls = []
+
+    def one_inf(*args):
+        lw, beta = _weight_and_propose(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            lw[1] = np.inf
+        return lw, beta
+
+    monkeypatch.setattr(dynsparse.smc, "_weight_and_propose", one_inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=r"^infinite particle log-weight at t=3$"):
+            smc_run(_tiny_data(T=5), cfg(d=1), 16, np.random.default_rng(4))
+
+
+def test_log_sum_exp_matches_scipy(monkeypatch):
+    # the evidence increment log sum exp(total) is the max-shifted sum:
+    # log Z of a pass agrees with scipy's logsumexp of the same weights
+    increments = []
+
+    def record(*args):
+        lw, beta = _weight_and_propose(*args)
+        increments.append(lw)
+        return lw, beta
+
+    monkeypatch.setattr(dynsparse.smc, "_weight_and_propose", record)
+    N = 64
+    _, _, log_z = smc_run(_tiny_data(T=6), cfg(d=1), N, np.random.default_rng(5))
+    # resampling runs every step, so each step starts from weights 1/N
+    expected = sum(float(logsumexp(lw)) - np.log(N) for lw in increments)
+    assert log_z == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dynsparse import (
-    DomainError,
-    integrate_positive_halfline,
-    log_bessel_k,
-    log_gig_normalizer,
-)
+from dynsparse import DomainError, log_bessel_k, log_gig_normalizer
 from dynsparse.special import log_bessel_k_grid
-from helpers import gig_unnormalized
+from helpers import gig_unnormalized, integrate_positive_halfline
 
 
 def test_half_integer_closed_form():
