@@ -12,8 +12,9 @@ are explicit limit branches, never epsilon perturbations.
 Sampling of the GIG uses the ratio-of-uniforms-free rejection scheme of
 Devroye (2014), whose acceptance rate is uniformly bounded over the whole
 parameter range; the boundaries use plain gamma / inverse-gamma draws.
-The scheme has two kernels: ``_devroye_gig`` works on arrays with masked
-rejection rounds, and ``_devroye_gig_one`` is its setup-light scalar twin.
+The scheme has two kernels: ``_devroye_gig`` works on arrays, each
+rejection round on the elements still pending (the first on the full
+arrays), and ``_devroye_gig_one`` is its setup-light scalar twin.
 ``gig_rvs`` picks by size alone: a broadcast batch of exactly one element
 takes the scalar kernel, any other batch the array kernel.  Both give the
 same value for one element and take the same uniforms from the generator.
@@ -57,6 +58,11 @@ _DELTA_LIMIT = 1e-12
 # The largest omega whose square is finite: above it the Devroye kernels'
 # omega * omega overflows and no rejection round can accept.
 _OMEGA_MAX = math.sqrt(sys.float_info.max)
+
+# -psi(+-1) = alpha (cosh 1 - 1) + lam * _EXPM1_POS or _EXPM1_NEG: the array
+# kernel's cut-point tests take these scalars, rounded as _psi rounds them
+_COSH1 = np.cosh(1.0)
+_EXPM1_POS, _EXPM1_NEG = np.expm1(1.0) - 1.0, np.expm1(-1.0) + 1.0
 
 
 @dataclass(frozen=True)
@@ -216,83 +222,74 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     """Draws from pdf prop. to z^(lam-1) exp(-omega (z + 1/z)/2), elementwise.
 
     lam may be any real, omega must be > 0.  Rejection constant is uniformly
-    bounded, so the masked loop terminates in a handful of rounds.
+    bounded, so the loop terminates in a handful of rounds.  Each round takes
+    U, V, W for the elements still pending from one ``rng.random((3, n))``
+    call; the first round runs on the full arrays, and each later one on the
+    per-element constants compacted to the rejected elements.
     """
-    lam = np.asarray(lam, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    shape = np.broadcast_shapes(lam.shape, omega.shape)
-    lam = np.broadcast_to(lam, shape).ravel()
-    omega = np.broadcast_to(omega, shape).ravel()
-    if np.any(omega <= 0.0) or not np.all(np.isfinite(omega)) or not np.all(np.isfinite(lam)):
+    lam, omega = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(omega, dtype=float))
+    shape = lam.shape
+    lam, omega = lam.ravel(), omega.ravel()
+    top = omega.max(initial=0.0)
+    if not (omega.min(initial=1.0) > 0.0 and math.isfinite(top) and np.isfinite(lam).all()):
         raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
-    if np.any(omega > _OMEGA_MAX):
-        raise _omega_overflow(float(np.max(omega)))
+    if top > _OMEGA_MAX:
+        raise _omega_overflow(float(top))
 
     swap = lam < 0.0
     lam = np.abs(lam)
     alpha = np.sqrt(omega**2 + lam**2) - lam
 
-    one = np.ones_like(lam)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # right cut point t
-        x0 = -_psi(one, alpha, lam)
-        t = np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), one)
+        x0 = alpha * (_COSH1 - 1.0) + lam * _EXPM1_POS
+        t = np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), 1.0)
         t = np.where(x0 < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), t)
         # left cut point s
-        x1 = -_psi(-one, alpha, lam)
-        s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)), one)
+        x1 = alpha * (_COSH1 - 1.0) + lam * _EXPM1_NEG
+        s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * _COSH1 + lam)), 1.0)
         cand = np.minimum(
             1.0 / lam,
             np.log1p(1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha)),
         )
         s = np.where(x1 < 0.5, cand, s)
 
-    eta = -_psi(t, alpha, lam)
-    zeta = -_dpsi(t, alpha, lam)
-    theta = -_psi(-s, alpha, lam)
-    xi = _dpsi(-s, alpha, lam)
+    # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
+    cuts = np.stack([t, -s])
+    (eta, theta), (dt, xi) = -_psi(cuts, alpha, lam), _dpsi(cuts, alpha, lam)
+    zeta = -dt
     p = 1.0 / xi
     r = 1.0 / zeta
     td = t - r * eta
     sd = s - p * theta
     q = td + sd
 
-    out = np.empty_like(lam)
-    active = np.ones(lam.shape, dtype=bool)
-    for _ in range(1000):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        n = idx.size
-        U = rng.random(n)
-        V = rng.random(n)
-        W = rng.random(n)
-        qi, pi, ri = q[idx], p[idx], r[idx]
-        tot = qi + pi + ri
-        u = U * tot
-        with np.errstate(divide="ignore"):
-            logV = np.log(V)
-        x = np.where(
-            u < qi,
-            -sd[idx] + qi * V,
-            np.where(u < qi + ri, td[idx] + ri * (-logV), -sd[idx] + pi * logV),
-        )
-        ai, li = alpha[idx], lam[idx]
-        psix = _psi(x, ai, li)
-        logchi = np.where(
-            x > td[idx],
-            -eta[idx] - zeta[idx] * (x - t[idx]),
-            np.where(x < -sd[idx], -theta[idx] + xi[idx] * (x + s[idx]), 0.0),
-        )
-        with np.errstate(divide="ignore"):
-            accept = np.log(W) + logchi <= psix
-        acc = idx[accept]
-        out[acc] = x[accept]
-        active[acc] = False
-    else:
-        raise NumericalError("GIG rejection sampler exceeded its round budget")
-
     mode = lam / omega + np.sqrt(1.0 + (lam / omega) ** 2)
+    out = np.empty_like(lam)
+    pending = np.arange(lam.size)
+    # the sums and negations each round needs, formed once
+    consts = np.stack(
+        [q + p + r, q + r, q, p, r, td, -sd, t, -eta, zeta, s, -theta, xi, alpha, lam]
+    )
+    with np.errstate(divide="ignore"):
+        for _ in range(1000):
+            if pending.size == 0:
+                break
+            tot, qr, q, p, r, td, msd, t, meta, zeta, s, mtheta, xi, alpha, lam = consts
+            U, V, W = uvw = rng.random((3, pending.size))
+            u = U * tot
+            logV, logW = np.log(uvw[1:])
+            x = np.where(u < q, msd + q * V, np.where(u < qr, td - r * logV, msd + p * logV))
+            logchi = np.where(
+                x > td, meta - zeta * (x - t), np.where(x < msd, mtheta + xi * (x + s), 0.0)
+            )
+            accept = logW + logchi <= _psi(x, alpha, lam)
+            out[pending[accept]] = x[accept]
+            reject = ~accept
+            pending, consts = pending[reject], consts[:, reject]
+        else:
+            raise NumericalError("GIG rejection sampler exceeded its round budget")
+
     z = np.exp(out) * mode
     z = np.where(swap, 1.0 / z, z)
     return z.reshape(shape)
@@ -409,29 +406,31 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     if math.prod(shape) == 1:
         z = _gig_one(nu.flat[0], delta.flat[0], gamma.flat[0], rng)
         return float(z) if shape == () else np.full(shape, z)
-    nu = np.broadcast_to(nu, shape)
-    delta = np.broadcast_to(delta, shape)
-    gamma = np.broadcast_to(gamma, shape)
+    nu, delta, gamma = (
+        x if x.shape == shape else np.broadcast_to(x, shape) for x in (nu, delta, gamma)
+    )
 
     out = np.empty(shape, dtype=float)
     g0 = gamma == 0.0
     d0 = (delta == 0.0) & ~g0
     interior = ~g0 & ~d0
-    if np.any(g0):
+    if g0.any():
         if np.any(nu[g0] >= 0.0):
             raise DomainError("gamma = 0 requires nu < 0")
         if not np.all(delta[g0] > 0.0):
             raise DomainError("gamma = 0 requires delta > 0")
         out[g0] = (delta[g0] ** 2 / 2.0) / rng.gamma(-nu[g0], 1.0)
-    if np.any(d0):
+    if d0.any():
         if np.any(nu[d0] <= 0.0):
             raise DomainError("delta = 0 requires nu > 0")
         if not np.all(gamma[d0] > 0.0):
             raise DomainError("delta = 0 requires gamma > 0")
         out[d0] = rng.gamma(nu[d0], 2.0 / gamma[d0] ** 2)
-    if np.any(interior):
-        if np.any((delta < 0.0) & (gamma < 0.0)):
+    if interior.any():
+        if ((delta < 0.0) & (gamma < 0.0)).any():
             raise DomainError("delta and gamma must be nonnegative")
+        if interior.all():
+            return (delta / gamma) * _devroye_gig(nu, delta * gamma, rng)
         out[interior] = (delta[interior] / gamma[interior]) * _devroye_gig(
             nu[interior], delta[interior] * gamma[interior], rng
         )

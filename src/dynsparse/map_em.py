@@ -88,7 +88,8 @@ class RegressionData:
 class MapFit:
     """Per-time MAP estimates plus solver diagnostics.
 
-    ``converged[t]`` is False where step t ran all ``max_iter`` sweeps.
+    ``converged[t]`` is False where step t ran all ``max_iter`` sweeps
+    without meeting its stopping rule.
     """
 
     beta_hat: NDArray[np.float64]  # p x T
@@ -100,11 +101,11 @@ class MapFit:
 
 
 def _prior_laws(
-    window: NDArray[np.float64], config: ModelConfig
+    window: NDArray[np.float64], msq: NDArray[np.float64], config: ModelConfig
 ) -> tuple[list[GhParams], NDArray[np.float64], float]:
     """Conditional GH prior per coefficient, its locations, and the variance factor."""
     p, d_eff = window.shape
-    priors = [conditional_gh(config, window[j]) for j in range(p)]
+    priors = [conditional_gh(config, window[j], msq[j]) for j in range(p)]
     locs = np.array([g.mu for g in priors])
     a2 = 1.0 if d_eff == 0 else 1.0 - config.alpha**2
     return priors, locs, a2
@@ -128,11 +129,12 @@ def em_map_step(
     config: ModelConfig,
     tol: float = 1e-8,
     max_iter: int = 100,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], bool]:
     """One online MAP step: maximize log prior(beta_t | window) + log lik(y_t | beta_t).
 
     ``window`` is the p x d matrix of previous estimates (possibly 0 columns).
-    Returns the maximizer and the objective trace, which is nondecreasing.
+    Returns the maximizer, the objective trace, which is nondecreasing, and
+    whether the stopping rule was met (False when ``max_iter`` sweeps ran out).
 
     Convergence requires both a relative objective change below ``tol`` and a
     gradient norm below ``10 * tol`` (so converged solutions are verifiable
@@ -147,9 +149,10 @@ def em_map_step(
         )
     p = X.shape[1]
     d_eff = window.shape[1]
-    priors, locs, a2 = _prior_laws(window, config)
+    msq = mahal_sq_batch(window, config.alpha)
+    priors, locs, a2 = _prior_laws(window, msq, config)
     # E-step GIG pieces that do not change across sweeps
-    s2 = (config.delta**2 + mahal_sq_batch(window, config.alpha)).tolist()
+    s2 = (config.delta**2 + msq).tolist()
     nu_e = (config.nu - d_eff / 2.0) - 0.5
     sig2 = config.sigma**2
     XtX = X.T @ X
@@ -253,8 +256,8 @@ def em_map_step(
         trace.append(value)
         rel = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-1]))
         if rel < tol and grad_norm(beta, parts) < 10.0 * tol:
-            break
-    return beta, np.asarray(trace)
+            return beta, np.asarray(trace), True
+    return beta, np.asarray(trace), False
 
 
 def run_online_map(
@@ -276,12 +279,13 @@ def run_online_map(
     T, p = data.T, data.p
     beta_hat = np.zeros((p, T))
     iters = np.zeros(T, dtype=np.int64)
+    converged = np.zeros(T, dtype=bool)
     traces: list[NDArray[np.float64]] = []
     for t in range(T):
         d_eff = min(config.d, t)
         window = beta_hat[:, t - d_eff : t]
         try:
-            beta, trace = em_map_step(
+            beta, trace, converged[t] = em_map_step(
                 data.ys[t], data.Xs[t], window, config, tol=tol, max_iter=max_iter
             )
         except (NumericalError, DomainError) as exc:
@@ -291,7 +295,6 @@ def run_online_map(
         beta_hat[:, t] = beta
         iters[t] = len(trace) - 1
         traces.append(trace)
-    converged = iters < max_iter
     if not converged.all():
         first = int(np.argmin(converged)) + 1
         warnings.warn(

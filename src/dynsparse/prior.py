@@ -75,13 +75,18 @@ def mahalanobis_norm(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
     return math.sqrt(mahal_sq_batch(x[None, :], corr.alpha)[0])
 
 
-def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
-    """Row-wise squared Mahalanobis norms under the AR(1) correlation.
+def mahal_sq_batch(
+    x: NDArray[np.float64], alpha: float, axis: int = -1
+) -> NDArray[np.float64]:
+    """Squared Mahalanobis norms under the AR(1) correlation, windows along ``axis``.
 
     Sigma^{-1} = T / (1 - alpha^2) with T tridiagonal: diagonal
     (1, 1+a^2, ..., 1+a^2, 1), off-diagonal -a.
     """
     x = np.asarray(x, dtype=float)
+    if axis != -1:
+        # a view; numpy reduces a leading window axis slab by slab
+        x = np.moveaxis(x, axis, -1)
     d = x.shape[-1]
     if d == 1:
         return x[..., 0] ** 2
@@ -139,16 +144,21 @@ class ModelConfig:
         return self.d is not None
 
 
-def conditional_gh(config: ModelConfig, window: NDArray[np.float64]) -> GhParams:
+def conditional_gh(
+    config: ModelConfig, window: NDArray[np.float64], msq: Optional[float] = None
+) -> GhParams:
     """One-step predictive GH law of beta_t given the window of past values.
 
     An empty window means the i.i.d. GH(0, nu, delta, gamma) marginal.
+    ``msq`` is the window's squared Mahalanobis norm, where the caller has it.
     """
     window = np.asarray(window, dtype=float).ravel()
     d = window.shape[0]
     if d == 0:
         return GhParams(0.0, config.nu, config.delta, config.gamma)
-    s2 = config.delta**2 + mahal_sq_batch(window[None, :], config.alpha)[0]
+    if msq is None:
+        msq = mahal_sq_batch(window[None, :], config.alpha)[0]
+    s2 = config.delta**2 + msq
     a = math.sqrt(1.0 - config.alpha**2)
     nu = config.nu - d / 2.0
     dl = a * math.sqrt(s2)

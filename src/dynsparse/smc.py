@@ -22,7 +22,8 @@ The tau step serves every window length of a step at once: each
 particle's buffer reads as zero outside its own window, one AR(1) norm
 call over the whole buffer gives all window norms, and one GIG expression
 applies the scaling 1 - alpha^2 exactly where the proposal mean is
-alpha * beta_{t-1}.
+alpha * beta_{t-1}.  The buffer is laid out window axis first, (L, N, p),
+so the norm's sums run over the leading axis for all particles at once.
 """
 
 from __future__ import annotations
@@ -86,38 +87,27 @@ def _sample_tau(
 ) -> NDArray[np.float64]:
     """Latent scales for every (particle, coefficient) pair.
 
-    ``hist`` is the lineage buffer (N, p, L), most recent value last, and
+    ``hist`` is the lineage buffer (L, N, p), most recent value last, and
     ``ds[i] <= L`` the window lengths.  ``scaled[i]`` pairs the law with a
     step of mean alpha * beta_{t-1} and variance (1 - alpha^2) tau; where
     it is False (d = 0 at t = 1 or in the fixed d = 0 model) the marginal
     GIG pairs with a mean-zero step.
     """
-    L = hist.shape[2]
+    L, N = hist.shape[:2]
     a2 = config.alpha**2
-    idx = np.arange(L)
-    pos = idx - (L - ds)[:, None, None]  # index within each particle's window
-    # outside the window the buffer reads as zero; for 1 <= d < L the
-    # window's first value then sits in the interior sum of the full
-    # buffer, which adds alpha^2 x_first^2 / (1 - alpha^2) to the norm
-    msq = mahal_sq_batch(np.where(pos >= 0, hist, 0.0), config.alpha)
-    msq -= a2 * np.where((pos == 0) & (idx > 0), hist, 0.0).sum(axis=2) ** 2 / (1.0 - a2)
+    start = L - ds  # buffer index of each particle's window start
+    inside = np.arange(L)[:, None] >= start
+    msq = mahal_sq_batch(np.where(inside[:, :, None], hist, 0.0), config.alpha, axis=0)
+    if L > 1:
+        # outside the window the buffer reads as zero; for 1 <= d < L the
+        # window's first value then sits in the interior sum of the full
+        # buffer, which adds alpha^2 x_first^2 / (1 - alpha^2) to the norm
+        first = hist[np.minimum(start, L - 1), np.arange(N)]
+        first = np.where(((start > 0) & (start < L))[:, None], first, 0.0)
+        msq -= a2 * first**2 / (1.0 - a2)
     s = np.where(scaled, 1.0 - a2, 1.0)[:, None]
     nu = config.nu - ds[:, None] / 2.0
     return gig_rvs(nu, np.sqrt(s * (config.delta**2 + msq)), config.gamma / np.sqrt(s), rng)
-
-
-def _tri_solve(
-    chol: NDArray[np.float64], rhs: NDArray[np.float64], transpose: bool
-) -> NDArray[np.float64]:
-    """Solve L x = rhs (or L' x = rhs) for (N, p, p) factors, row by row."""
-    p = chol.shape[1]
-    out = np.empty_like(rhs)
-    for i in range(p - 1, -1, -1) if transpose else range(p):
-        done = slice(i + 1, p) if transpose else slice(0, i)
-        row = chol[:, done, i] if transpose else chol[:, i, done]
-        known = np.einsum("nk,nkc->nc", row, out[:, done])
-        out[:, i] = (rhs[:, i] - known) / chol[:, i, i, None]
-    return out
 
 
 def _weight_and_propose(
@@ -139,27 +129,43 @@ def _weight_and_propose(
     log det n log sigma^2 + sum log tau + log det P and quadratic form
     ||r - X b||^2 / sigma^2 + b' D_tau^{-1} b, two nonnegative terms (the
     difference r'r / sigma^2 - b'P b turns an overflowing r into NaN).
+    The factor is built column by column over all particles at once, the
+    particle axis last, with the forward solve L u = X'r / sigma^2 in the
+    same pass.
     """
     N, p = tau.shape
     n = y.shape[0]
     m = (alpha * mean_scale)[:, None] * prev_beta
     r = y[None, :] - m @ X.T
-    prec = np.repeat((X.T @ X / sigma2)[None, :, :], N, axis=0)
-    prec[:, np.arange(p), np.arange(p)] += 1.0 / tau
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"posterior precision not positive definite: {exc}") from exc
-    u = _tri_solve(chol, (r @ X / sigma2)[:, :, None], transpose=False)[:, :, 0]
-    z = rng.standard_normal((N, p))
-    bw = _tri_solve(chol, np.stack([u, z], axis=2), transpose=True)
-    b = bw[:, :, 0]
+    G = X.T @ X / sigma2
+    rhs = (r @ X / sigma2).T
+    chol = np.zeros((p, p, N))
+    u = np.empty((p, N))
+    for j in range(p):
+        done = chol[j, :j]  # row j left of the diagonal
+        pivot = G[j, j] + 1.0 / tau[:, j] - (done * done).sum(axis=0)
+        if not (pivot > 0.0).all():
+            raise NumericalError(
+                f"posterior precision not positive definite: pivot {j + 1} is {pivot.min()}"
+            )
+        chol[j, j] = np.sqrt(pivot)
+        below = np.einsum("ikn,kn->in", chol[j + 1 :, :j], done)
+        chol[j + 1 :, j] = (G[j + 1 :, j, None] - below) / chol[j, j]
+        u[j] = (rhs[j] - np.einsum("kn,kn->n", done, u[:j])) / chol[j, j]
+    # back substitution L' [b, w] = [u, z]
+    bw = np.empty((2, p, N))
+    bw[1] = rng.standard_normal((N, p)).T
+    bw[0] = u
+    for i in range(p - 1, -1, -1):
+        bw[:, i] -= np.einsum("kn,ckn->cn", chol[i + 1 :, i], bw[:, i + 1 :])
+        bw[:, i] /= chol[i, i]
+    b, w = bw[0].T, bw[1].T
     e = r - b @ X.T
     with np.errstate(over="ignore"):  # an overflowing r gives quad = inf, log w = -inf
         quad = (e * e).sum(axis=1) / sigma2 + (b * b / tau).sum(axis=1)
     logdet = n * np.log(sigma2) + np.log(tau).sum(axis=1)
-    logdet += 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return -0.5 * (n * _LOG_2PI + logdet + quad), m + b + bw[:, :, 1]
+    logdet += 2.0 * np.log(np.diagonal(chol)).sum(axis=1)
+    return -0.5 * (n * _LOG_2PI + logdet + quad), m + b + w
 
 
 def _systematic_resample(
@@ -203,10 +209,11 @@ def smc_run(
     d_hist = np.empty((T, N), dtype=np.int64)
     ancestors = np.empty((T, N), dtype=np.int64)
 
-    hist = np.zeros((N, p, 0))  # lineage window buffer, regathered on resample
+    hist = np.zeros((0, N, p))  # lineage window buffer, regathered on resample
     ds = np.zeros(N, dtype=np.int64)
     prev_beta = np.zeros((N, p))
-    log_norm_w = np.full(N, -np.log(N))  # normalized weights carried over
+    uniform = np.full(N, -np.log(N))  # never written in place, so shared
+    log_norm_w = uniform  # normalized weights carried over
     log_Z = 0.0
 
     for t in range(T):
@@ -223,11 +230,11 @@ def smc_run(
             raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
 
         total = log_norm_w + lw
-        if np.any(np.isnan(total)):
+        if np.isnan(total).any():
             raise NumericalError(f"NaN particle log-weight at t={t + 1}")
-        if np.all(total == -np.inf):
-            raise DegeneracyError(f"all particle weights collapsed at t={t + 1}")
         top = total.max()
+        if top == -np.inf:
+            raise DegeneracyError(f"all particle weights collapsed at t={t + 1}")
         if top == np.inf:
             raise NumericalError(f"infinite particle log-weight at t={t + 1}")
         log_step = top + np.log(np.exp(total - top).sum())
@@ -238,18 +245,17 @@ def smc_run(
         d_hist[t] = ds
 
         w = np.exp(log_norm_w)
-        ess = 1.0 / np.sum(w**2)
-        if ess_threshold is None or ess < ess_threshold * N:
+        if ess_threshold is None or 1.0 / (w * w).sum() < ess_threshold * N:
             anc = _systematic_resample(w, rng)
-            log_norm_w = np.full(N, -np.log(N))
+            log_norm_w = uniform
         else:
             anc = np.arange(N)
         ancestors[t] = anc
         w_final = w
 
-        hist = np.concatenate([hist, beta[:, :, None]], axis=2)
+        hist = np.concatenate([hist, beta[None]])
         keep = int(ds.max()) + 1  # deepest window next step can request
-        hist = hist[anc, :, max(0, hist.shape[2] - keep) :]
+        hist = hist[max(0, hist.shape[0] - keep) :, anc]
         prev_beta = beta[anc]
         ds = ds[anc]
 

@@ -1,19 +1,29 @@
-"""Shared quadrature oracles for the test suite.
+"""Shared oracles for the test suite.
 
 Everything here is deliberately independent of the code paths it checks:
 densities are integrated numerically through scipy.integrate, never through
 the package's own normalizers or samplers.  The package itself never
 imports scipy.integrate, so these oracles live here rather than in
-``dynsparse.special``.
+``dynsparse.special``.  Two oracles are earlier forms of package code that
+later ones must reproduce exactly: the per-coefficient EM step and the
+masked-round Devroye GIG kernel.
 """
 
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
-from dynsparse import GigParams, NumericalError, conditional_gh, gh_log_pdf, gig_log_pdf
+from dynsparse import (
+    DomainError,
+    GigParams,
+    NumericalError,
+    conditional_gh,
+    gh_log_pdf,
+    gig_log_pdf,
+)
 from dynsparse.distributions import gh_log_pdf_grad, gig_moment
 from dynsparse.prior import mahal_sq_batch
 
@@ -103,7 +113,8 @@ def ks_statistic(samples, cdf_values):
 def reference_em_map_step(y, X, window, config, tol=1e-8, max_iter=100):
     """The per-coefficient EM step that ``em_map_step`` batches, kept as an oracle.
 
-    One ``gig_moment`` per coefficient in the E-step, one ``gh_log_pdf`` and
+    Returns the maximizer, the objective trace and whether the stopping rule
+    was met.  One ``gig_moment`` per coefficient in the E-step, one ``gh_log_pdf`` and
     ``gh_log_pdf_grad`` per coefficient in the objective and the gradient
     check, and ``cho_factor``/``cho_solve`` in the M-step.
     """
@@ -149,5 +160,97 @@ def reference_em_map_step(y, X, window, config, tol=1e-8, max_iter=100):
         trace.append(objective(beta))
         rel = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-1]))
         if rel < tol and grad_norm(beta) < 10.0 * tol:
+            return beta, np.asarray(trace), True
+    return beta, np.asarray(trace), False
+
+
+def _psi(x, alpha, lam):
+    return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
+
+
+def _dpsi(x, alpha, lam):
+    return -alpha * np.sinh(x) - lam * np.expm1(x)
+
+
+def reference_devroye_gig(lam, omega, rng):
+    """The masked-round Devroye (2014) array kernel, kept as a stream oracle.
+
+    Every round gathers the constants of the pending elements by index from
+    the full arrays and takes U, V and W from three ``rng.random(n)`` calls.
+    """
+    lam = np.asarray(lam, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    shape = np.broadcast_shapes(lam.shape, omega.shape)
+    lam = np.broadcast_to(lam, shape).ravel()
+    omega = np.broadcast_to(omega, shape).ravel()
+    if np.any(omega <= 0.0) or not np.all(np.isfinite(omega)) or not np.all(np.isfinite(lam)):
+        raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
+    if np.any(omega > math.sqrt(sys.float_info.max)):
+        raise DomainError("omega * omega overflows")
+
+    swap = lam < 0.0
+    lam = np.abs(lam)
+    alpha = np.sqrt(omega**2 + lam**2) - lam
+
+    one = np.ones_like(lam)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x0 = -_psi(one, alpha, lam)
+        t = np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), one)
+        t = np.where(x0 < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), t)
+        x1 = -_psi(-one, alpha, lam)
+        s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)), one)
+        cand = np.minimum(
+            1.0 / lam,
+            np.log1p(1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha)),
+        )
+        s = np.where(x1 < 0.5, cand, s)
+
+    eta = -_psi(t, alpha, lam)
+    zeta = -_dpsi(t, alpha, lam)
+    theta = -_psi(-s, alpha, lam)
+    xi = _dpsi(-s, alpha, lam)
+    p = 1.0 / xi
+    r = 1.0 / zeta
+    td = t - r * eta
+    sd = s - p * theta
+    q = td + sd
+
+    out = np.empty_like(lam)
+    active = np.ones(lam.shape, dtype=bool)
+    for _ in range(1000):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
             break
-    return beta, np.asarray(trace)
+        n = idx.size
+        U = rng.random(n)
+        V = rng.random(n)
+        W = rng.random(n)
+        qi, pi, ri = q[idx], p[idx], r[idx]
+        tot = qi + pi + ri
+        u = U * tot
+        with np.errstate(divide="ignore"):
+            logV = np.log(V)
+        x = np.where(
+            u < qi,
+            -sd[idx] + qi * V,
+            np.where(u < qi + ri, td[idx] + ri * (-logV), -sd[idx] + pi * logV),
+        )
+        ai, li = alpha[idx], lam[idx]
+        psix = _psi(x, ai, li)
+        logchi = np.where(
+            x > td[idx],
+            -eta[idx] - zeta[idx] * (x - t[idx]),
+            np.where(x < -sd[idx], -theta[idx] + xi[idx] * (x + s[idx]), 0.0),
+        )
+        with np.errstate(divide="ignore"):
+            accept = np.log(W) + logchi <= psix
+        acc = idx[accept]
+        out[acc] = x[accept]
+        active[acc] = False
+    else:
+        raise NumericalError("GIG rejection sampler exceeded its round budget")
+
+    mode = lam / omega + np.sqrt(1.0 + (lam / omega) ** 2)
+    z = np.exp(out) * mode
+    z = np.where(swap, 1.0 / z, z)
+    return z.reshape(shape)

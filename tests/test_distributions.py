@@ -29,6 +29,7 @@ from helpers import (
     gig_unnormalized,
     integrate_positive_halfline,
     ks_statistic,
+    reference_devroye_gig,
 )
 
 GIG_GRID = [
@@ -203,6 +204,57 @@ def test_devroye_scalar_kernel_matches_array_kernel_on_a_sweep():
             np.array([lam]), omega, rng_arr
         )[0], (lam, omega)
     assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+
+
+class _CountingRng:
+    """Forwards ``random`` to a generator and counts the calls."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.gen.random(size)
+
+
+def test_devroye_array_kernel_keeps_the_masked_round_stream():
+    # the array kernel draws what the masked-round kernel it replaced drew
+    # and leaves the generator where that one left it, across every branch
+    # of both cut points, the lam < 0 swap and batches of 5 or more rounds
+    lam, omega = np.meshgrid(np.linspace(-8.0, 8.0, 33), 10.0 ** np.linspace(-4.0, 3.0, 36))
+    a = np.sqrt(omega**2 + lam**2) - np.abs(lam)
+    right = a * (math.cosh(1.0) - 1.0) + np.abs(lam) * (math.e - 2.0)  # -psi(1)
+    left = a * (math.cosh(1.0) - 1.0) + np.abs(lam) * math.exp(-1.0)  # -psi(-1)
+    for x in (right, left):
+        assert np.any(x > 2.0) and np.any(x < 0.5) and np.any((x >= 0.5) & (x <= 2.0))
+    assert np.any(lam < 0.0) and np.any(lam > 0.0)
+    rounds = []
+    for seed in range(30):
+        counted, oracle = _CountingRng(seed), np.random.default_rng(seed)
+        z = _devroye_gig(lam, omega, counted)
+        assert np.array_equal(z, reference_devroye_gig(lam, omega, oracle))
+        assert counted.gen.bit_generator.state == oracle.bit_generator.state
+        rounds.append(counted.calls)
+    assert max(rounds) >= 5
+
+
+def test_gig_rvs_all_interior_route_matches_a_mixed_batch():
+    # an all-interior batch skips the boolean-mask copies; a batch with
+    # gamma = 0 elements (drawn first) gives its interior the same draws
+    pars = np.random.default_rng(8)
+    nu = pars.uniform(-3.0, 3.0, (8, 5))
+    delta = pars.uniform(0.1, 2.0, (8, 5))
+    gamma = pars.uniform(0.1, 2.0, (8, 5))
+    edge = np.arange(40).reshape(8, 5) % 7 == 3
+    nu_mixed = np.where(edge, -1.5, nu)
+    rng_mixed, rng_split = np.random.default_rng(9), np.random.default_rng(9)
+    mixed = gig_rvs(nu_mixed, delta, np.where(edge, 0.0, gamma), rng_mixed)
+    edge_draws = gig_rvs(nu_mixed[edge], delta[edge], 0.0, rng_split)
+    interior = gig_rvs(nu[~edge], delta[~edge], gamma[~edge], rng_split)
+    assert np.array_equal(mixed[edge], edge_draws)
+    assert np.array_equal(mixed[~edge], interior)
+    assert rng_mixed.bit_generator.state == rng_split.bit_generator.state
 
 
 @pytest.mark.parametrize("size", [1, 3])

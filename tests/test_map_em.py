@@ -35,7 +35,7 @@ def test_regression_data_validation():
 
 def test_zero_data_gives_zero_estimate():
     config = ModelConfig(nu=1.0, delta=0.5, gamma=1.0, alpha=0.0, sigma=1.0, p=2, d=0)
-    beta, trace = em_map_step(
+    beta, trace, _ = em_map_step(
         np.zeros(2), np.eye(2), np.zeros((2, 0)), config, tol=1e-12, max_iter=500
     )
     assert np.allclose(beta, 0.0, atol=1e-9)
@@ -47,7 +47,7 @@ def test_laplace_orthonormal_matches_soft_threshold(gamma, sigma):
     # X = I, Laplace prior: MAP is sign(y) * max(|y| - gamma*sigma^2, 0)
     config = ModelConfig(nu=1.0, delta=0.0, gamma=gamma, alpha=0.0, sigma=sigma, p=4, d=0)
     y = np.array([2.0, -0.3, 0.9, -3.5])
-    beta, trace = em_map_step(
+    beta, trace, _ = em_map_step(
         y, np.eye(4), np.zeros((4, 0)), config, tol=1e-14, max_iter=5000
     )
     expected = np.sign(y) * np.maximum(np.abs(y) - gamma * sigma**2, 0.0)
@@ -73,7 +73,7 @@ def test_em_monotone_on_random_instances():
         y = rng.normal(size=n)
         X = rng.normal(size=(n, p))
         window = rng.normal(size=(p, d))
-        _, trace = em_map_step(y, X, window, config, tol=1e-10, max_iter=200)
+        _, trace, _ = em_map_step(y, X, window, config, tol=1e-10, max_iter=200)
         assert np.all(np.diff(trace) >= -1e-10), f"instance {k} not monotone"
 
 
@@ -94,7 +94,7 @@ def test_em_matches_numerical_ascent_oracle():
         y = rng.normal(size=n) * 2.0
         X = rng.normal(size=(n, p))
         window = rng.normal(size=(p, d))
-        beta, _ = em_map_step(y, X, window, config, tol=1e-13, max_iter=5000)
+        beta, _, _ = em_map_step(y, X, window, config, tol=1e-13, max_iter=5000)
         res = minimize(
             lambda b: -exact_objective(b, y, X, window, config),
             beta + rng.normal(size=p) * 0.05,
@@ -116,7 +116,7 @@ def test_em_fixed_point_gradient_norm():
         y = rng.normal(size=3)
         X = rng.normal(size=(3, 2))
         window = rng.normal(size=(2, 1))
-        beta, _ = em_map_step(y, X, window, config, tol=tol, max_iter=50000)
+        beta, _, _ = em_map_step(y, X, window, config, tol=tol, max_iter=50000)
         h = 1e-7
         g = np.zeros(2)
         for j in range(2):
@@ -193,10 +193,12 @@ def test_error_reports_failing_time_step():
 
 
 def assert_step_matches_reference(y, X, window, config, tol=1e-8, max_iter=100):
-    beta, trace = em_map_step(y, X, window, config, tol=tol, max_iter=max_iter)
-    ref_beta, ref_trace = reference_em_map_step(y, X, window, config, tol=tol, max_iter=max_iter)
+    beta, trace, converged = em_map_step(y, X, window, config, tol=tol, max_iter=max_iter)
+    ref = reference_em_map_step(y, X, window, config, tol=tol, max_iter=max_iter)
+    ref_beta, ref_trace, ref_converged = ref
     assert np.array_equal(beta, ref_beta), (beta, ref_beta)
     assert np.array_equal(trace, ref_trace), (trace, ref_trace)
+    assert converged == ref_converged
     return beta
 
 
@@ -307,7 +309,7 @@ def test_converged_flag_and_one_max_iter_warning():
     config = ModelConfig(nu=2.0, delta=0.1, gamma=1.0, alpha=0.5, sigma=0.5, p=1, d=2)
     free = run_online_map(data, config, tol=1e-10, max_iter=500)
     max_iter = int(np.median(free.em_iters))
-    stuck = np.flatnonzero(free.em_iters >= max_iter)
+    stuck = np.flatnonzero(free.em_iters > max_iter)
     with pytest.warns(RuntimeWarning) as record:
         fit = run_online_map(data, config, tol=1e-10, max_iter=max_iter)
     assert len(record) == 1
@@ -315,8 +317,31 @@ def test_converged_flag_and_one_max_iter_warning():
     assert f"{stuck.size} of 30 EM steps stopped at max_iter={max_iter}" in message
     assert f"first at t={stuck[0] + 1}" in message
     assert fit.converged.dtype == np.bool_
-    assert np.array_equal(fit.converged, fit.em_iters < max_iter)
+    assert np.array_equal(np.flatnonzero(~fit.converged), stuck)
+    # steps that meet the stopping rule on their last sweep count as converged
+    assert np.any(fit.converged & (fit.em_iters == max_iter))
     assert 0 < fit.converged.sum() < 30
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_online_map(data, config, tol=1e-10, max_iter=500).converged.all()
+
+
+def test_step_converging_on_its_last_sweep_is_converged():
+    # max_iter set to the sweep count at which the slowest step converges:
+    # that step met its stopping rule, so it is converged and nothing warns
+    data, _ = _synthetic_instance(T=30, seed=3)
+    config = ModelConfig(nu=2.0, delta=0.1, gamma=1.0, alpha=0.5, sigma=0.5, p=1, d=2)
+    free = run_online_map(data, config, tol=1e-10, max_iter=500)
+    max_iter = int(free.em_iters.max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = run_online_map(data, config, tol=1e-10, max_iter=max_iter)
+    assert fit.converged.all() and fit.em_iters.max() == max_iter
+    assert np.array_equal(fit.beta_hat, free.beta_hat)
+
+    t = int(np.argmax(free.em_iters))
+    step = (data.ys[t], data.Xs[t], free.beta_hat[:, max(0, t - 2) : t], config)
+    _, trace, converged = em_map_step(*step, tol=1e-10, max_iter=max_iter)
+    assert converged and len(trace) - 1 == max_iter
+    _, trace, converged = em_map_step(*step, tol=1e-10, max_iter=max_iter - 1)
+    assert not converged and len(trace) - 1 == max_iter - 1

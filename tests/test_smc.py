@@ -124,16 +124,18 @@ def dense_log_weight_oracle(y, X, tau, mean, s2):
         return float(-(len(y) * mpmath.log(2 * mpmath.pi) + log_det + quad_form) / 2)
 
 
-@pytest.mark.parametrize("n,p", [(2, 1), (4, 4), (6, 4)])
+@pytest.mark.parametrize("n,p", [(2, 1), (4, 4), (6, 4), (8, 8)])
 def test_weight_matches_high_precision_dense_oracle(n, p):
-    # every corner of tau in {e^-16, 1, e^16}^p plus random scales in
-    # between: X D_tau X' + sigma^2 I is ill-conditioned there, the p x p
-    # posterior precision is not while X'X has full rank (n >= p)
+    # every corner of tau in {e^-16, 1, e^16}^p (up to p = 4; 3^8 corners
+    # would take too long) plus random scales in between: X D_tau X' +
+    # sigma^2 I is ill-conditioned there, the p x p posterior precision is
+    # not while X'X has full rank (n >= p)
     rng = np.random.default_rng(2024 + n)
     s2, alpha = 0.49, 0.7
     X = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    corners = np.array(list(itertools.product([-16.0, 0.0, 16.0], repeat=p)))
+    grid = itertools.product([-16.0, 0.0, 16.0], repeat=p)
+    corners = np.array(list(grid)) if p <= 4 else np.empty((0, p))
     tau = np.exp(np.vstack([corners, rng.uniform(-16.0, 16.0, (40, p))]))
     N = tau.shape[0]
     prev = rng.standard_normal((N, p))
@@ -177,9 +179,9 @@ def _record_tau_step(monkeypatch):
     msq_inputs, gig_inputs = [], []
     real_msq, real_gig = dynsparse.smc.mahal_sq_batch, dynsparse.smc.gig_rvs
 
-    def msq(x, alpha):
+    def msq(x, alpha, axis):
         msq_inputs.append(np.array(x))
-        return real_msq(x, alpha)
+        return real_msq(x, alpha, axis)
 
     def gig(nu, delta, gamma, rng):
         gig_inputs.append(np.broadcast_arrays(nu, delta, gamma))
@@ -199,18 +201,18 @@ def test_tau_step_matches_conditional_gig_per_window(monkeypatch, L, scaled_at_z
     msq_inputs, gig_inputs = _record_tau_step(monkeypatch)
     rng = np.random.default_rng(L)
     N, p = 40, 3
-    hist = rng.standard_normal((N, p, L)) * rng.uniform(0.1, 3.0, (N, p, 1))
+    hist = rng.standard_normal((L, N, p)) * rng.uniform(0.1, 3.0, (1, N, p))
     ds = rng.integers(0, L + 1, N)
-    ds[:2] = [0, L]
+    ds[:3] = [0, L, min(1, L)]  # d = 1 < L where L > 1
     scaled = (ds > 0) | scaled_at_zero
     tau = _sample_tau(hist, ds, config, rng, scaled)
 
     assert tau.shape == (N, p) and np.all(tau > 0)
-    assert len(msq_inputs) == 1 and msq_inputs[0].shape == (N, p, L)
+    assert len(msq_inputs) == 1 and msq_inputs[0].shape == (L, N, p)
     (nu, dl, gm), = gig_inputs
     s = 1.0 - config.alpha**2
     for i, j in itertools.product(range(N), range(p)):
-        law = conditional_gig(config, hist[i, j, L - ds[i] :])
+        law = conditional_gig(config, hist[L - ds[i] :, i, j])
         scale = math.sqrt(s) if scaled[i] else 1.0
         np.testing.assert_allclose(
             [nu[i, j], dl[i, j], gm[i, j]],
@@ -224,7 +226,7 @@ def test_tau_step_one_window_norm_call_per_step(monkeypatch):
     T = 8
     smc_run(_tiny_data(T=T), cfg(d=None, rho=0.9), 64, np.random.default_rng(3))
     assert len(msq_inputs) == len(gig_inputs) == T
-    assert msq_inputs[0].shape == (64, 1, 0)  # empty buffer at t = 1
+    assert msq_inputs[0].shape == (0, 64, 1)  # empty buffer at t = 1
     # t = 1 draws from the unscaled marginal GIG
     np.testing.assert_array_equal(gig_inputs[0][1], 0.5)
     np.testing.assert_array_equal(gig_inputs[0][2], 1.0)
