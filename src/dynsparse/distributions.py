@@ -59,11 +59,6 @@ _DELTA_LIMIT = 1e-12
 # omega * omega overflows and no rejection round can accept.
 _OMEGA_MAX = math.sqrt(sys.float_info.max)
 
-# -psi(+-1) = alpha (cosh 1 - 1) + lam * _EXPM1_POS or _EXPM1_NEG: the array
-# kernel's cut-point tests take these scalars, rounded as _psi rounds them
-_COSH1 = np.cosh(1.0)
-_EXPM1_POS, _EXPM1_NEG = np.expm1(1.0) - 1.0, np.expm1(-1.0) + 1.0
-
 
 @dataclass(frozen=True)
 class GigParams:
@@ -242,12 +237,12 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # right cut point t
-        x0 = alpha * (_COSH1 - 1.0) + lam * _EXPM1_POS
+        x0 = -_psi(1.0, alpha, lam)
         t = np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), 1.0)
         t = np.where(x0 < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), t)
         # left cut point s
-        x1 = alpha * (_COSH1 - 1.0) + lam * _EXPM1_NEG
-        s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * _COSH1 + lam)), 1.0)
+        x1 = -_psi(-1.0, alpha, lam)
+        s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)), 1.0)
         cand = np.minimum(
             1.0 / lam,
             np.log1p(1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha)),
@@ -406,9 +401,9 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     if math.prod(shape) == 1:
         z = _gig_one(nu.flat[0], delta.flat[0], gamma.flat[0], rng)
         return float(z) if shape == () else np.full(shape, z)
-    nu, delta, gamma = (
-        x if x.shape == shape else np.broadcast_to(x, shape) for x in (nu, delta, gamma)
-    )
+    nu = np.broadcast_to(nu, shape)
+    delta = np.broadcast_to(delta, shape)
+    gamma = np.broadcast_to(gamma, shape)
 
     out = np.empty(shape, dtype=float)
     g0 = gamma == 0.0
@@ -429,8 +424,6 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     if interior.any():
         if ((delta < 0.0) & (gamma < 0.0)).any():
             raise DomainError("delta and gamma must be nonnegative")
-        if interior.all():
-            return (delta / gamma) * _devroye_gig(nu, delta * gamma, rng)
         out[interior] = (delta[interior] / gamma[interior]) * _devroye_gig(
             nu[interior], delta[interior] * gamma[interior], rng
         )

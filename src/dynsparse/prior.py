@@ -75,18 +75,13 @@ def mahalanobis_norm(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
     return math.sqrt(mahal_sq_batch(x[None, :], corr.alpha)[0])
 
 
-def mahal_sq_batch(
-    x: NDArray[np.float64], alpha: float, axis: int = -1
-) -> NDArray[np.float64]:
-    """Squared Mahalanobis norms under the AR(1) correlation, windows along ``axis``.
+def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
+    """Row-wise squared Mahalanobis norms under the AR(1) correlation.
 
     Sigma^{-1} = T / (1 - alpha^2) with T tridiagonal: diagonal
     (1, 1+a^2, ..., 1+a^2, 1), off-diagonal -a.
     """
     x = np.asarray(x, dtype=float)
-    if axis != -1:
-        # a view; numpy reduces a leading window axis slab by slab
-        x = np.moveaxis(x, axis, -1)
     d = x.shape[-1]
     if d == 1:
         return x[..., 0] ** 2
@@ -150,7 +145,9 @@ def conditional_gh(
     """One-step predictive GH law of beta_t given the window of past values.
 
     An empty window means the i.i.d. GH(0, nu, delta, gamma) marginal.
-    ``msq`` is the window's squared Mahalanobis norm, where the caller has it.
+    ``msq``, where the caller already has it, must be the window's squared
+    AR(1) norm ``mahal_sq_batch(window[None, :], config.alpha)[0]``; it is
+    taken as given, not checked against ``window``.
     """
     window = np.asarray(window, dtype=float).ravel()
     d = window.shape[0]

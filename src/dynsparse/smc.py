@@ -97,7 +97,9 @@ def _sample_tau(
     a2 = config.alpha**2
     start = L - ds  # buffer index of each particle's window start
     inside = np.arange(L)[:, None] >= start
-    msq = mahal_sq_batch(np.where(inside[:, :, None], hist, 0.0), config.alpha, axis=0)
+    # window axis moved last as a view: numpy reduces it slab by slab
+    windows = np.moveaxis(np.where(inside[:, :, None], hist, 0.0), 0, -1)
+    msq = mahal_sq_batch(windows, config.alpha)
     if L > 1:
         # outside the window the buffer reads as zero; for 1 <= d < L the
         # window's first value then sits in the interior sum of the full
@@ -212,8 +214,7 @@ def smc_run(
     hist = np.zeros((0, N, p))  # lineage window buffer, regathered on resample
     ds = np.zeros(N, dtype=np.int64)
     prev_beta = np.zeros((N, p))
-    uniform = np.full(N, -np.log(N))  # never written in place, so shared
-    log_norm_w = uniform  # normalized weights carried over
+    log_norm_w = np.full(N, -np.log(N))  # normalized weights carried over
     log_Z = 0.0
 
     for t in range(T):
@@ -247,7 +248,7 @@ def smc_run(
         w = np.exp(log_norm_w)
         if ess_threshold is None or 1.0 / (w * w).sum() < ess_threshold * N:
             anc = _systematic_resample(w, rng)
-            log_norm_w = uniform
+            log_norm_w = np.full(N, -np.log(N))
         else:
             anc = np.arange(N)
         ancestors[t] = anc

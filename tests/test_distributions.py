@@ -239,24 +239,6 @@ def test_devroye_array_kernel_keeps_the_masked_round_stream():
     assert max(rounds) >= 5
 
 
-def test_gig_rvs_all_interior_route_matches_a_mixed_batch():
-    # an all-interior batch skips the boolean-mask copies; a batch with
-    # gamma = 0 elements (drawn first) gives its interior the same draws
-    pars = np.random.default_rng(8)
-    nu = pars.uniform(-3.0, 3.0, (8, 5))
-    delta = pars.uniform(0.1, 2.0, (8, 5))
-    gamma = pars.uniform(0.1, 2.0, (8, 5))
-    edge = np.arange(40).reshape(8, 5) % 7 == 3
-    nu_mixed = np.where(edge, -1.5, nu)
-    rng_mixed, rng_split = np.random.default_rng(9), np.random.default_rng(9)
-    mixed = gig_rvs(nu_mixed, delta, np.where(edge, 0.0, gamma), rng_mixed)
-    edge_draws = gig_rvs(nu_mixed[edge], delta[edge], 0.0, rng_split)
-    interior = gig_rvs(nu[~edge], delta[~edge], gamma[~edge], rng_split)
-    assert np.array_equal(mixed[edge], edge_draws)
-    assert np.array_equal(mixed[~edge], interior)
-    assert rng_mixed.bit_generator.state == rng_split.bit_generator.state
-
-
 @pytest.mark.parametrize("size", [1, 3])
 def test_gig_rvs_fails_fast_when_omega_squared_overflows(size):
     # omega = delta * gamma = 1e160: omega * omega overflows, so no rejection

@@ -179,9 +179,9 @@ def _record_tau_step(monkeypatch):
     msq_inputs, gig_inputs = [], []
     real_msq, real_gig = dynsparse.smc.mahal_sq_batch, dynsparse.smc.gig_rvs
 
-    def msq(x, alpha, axis):
+    def msq(x, alpha):
         msq_inputs.append(np.array(x))
-        return real_msq(x, alpha, axis)
+        return real_msq(x, alpha)
 
     def gig(nu, delta, gamma, rng):
         gig_inputs.append(np.broadcast_arrays(nu, delta, gamma))
@@ -208,7 +208,7 @@ def test_tau_step_matches_conditional_gig_per_window(monkeypatch, L, scaled_at_z
     tau = _sample_tau(hist, ds, config, rng, scaled)
 
     assert tau.shape == (N, p) and np.all(tau > 0)
-    assert len(msq_inputs) == 1 and msq_inputs[0].shape == (L, N, p)
+    assert len(msq_inputs) == 1 and msq_inputs[0].shape == (N, p, L)
     (nu, dl, gm), = gig_inputs
     s = 1.0 - config.alpha**2
     for i, j in itertools.product(range(N), range(p)):
@@ -226,7 +226,7 @@ def test_tau_step_one_window_norm_call_per_step(monkeypatch):
     T = 8
     smc_run(_tiny_data(T=T), cfg(d=None, rho=0.9), 64, np.random.default_rng(3))
     assert len(msq_inputs) == len(gig_inputs) == T
-    assert msq_inputs[0].shape == (0, 64, 1)  # empty buffer at t = 1
+    assert msq_inputs[0].shape == (64, 1, 0)  # empty buffer at t = 1
     # t = 1 draws from the unscaled marginal GIG
     np.testing.assert_array_equal(gig_inputs[0][1], 0.5)
     np.testing.assert_array_equal(gig_inputs[0][2], 1.0)
