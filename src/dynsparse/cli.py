@@ -225,11 +225,19 @@ def _cmd_fit_smc(cfg: dict, run_id: str) -> list[Path]:
         cfg, ("data_path", "out_dir", "seed", "n_particles", "n_iters"), "fit-smc"
     )
     model = _model_config(cfg)
+    probs = cfg["probs"]
+    # the first and last probs bound the credible interval
+    if (
+        len(probs) < 2
+        or not all(0.0 < q < 1.0 for q in probs)
+        or any(a >= b for a, b in zip(probs, probs[1:]))
+    ):
+        raise ConfigError(
+            "fit-smc needs at least two probs, each strictly inside (0, 1) and "
+            f"strictly increasing, got probs={','.join(map(str, probs))}"
+        )
     data = load_data(cfg["data_path"])
     out = _out_dir(cfg)
-    probs = cfg["probs"]
-    if len(probs) < 2:
-        raise ConfigError("fit-smc needs at least two probs for the interval")
     rng = np.random.default_rng(cfg["seed"])
     chain = pimh_run(data, model, cfg["n_particles"], cfg["n_iters"], rng)
     summ = posterior_summary(chain, np.asarray(probs))

@@ -28,11 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_solve, cholesky
-from scipy.special import gammaln
 
 from .errors import DomainError, NumericalError
-from .special import log_bessel_k, log_gig_normalizer, validate_gig_region
+from .special import (
+    bind_on_first_call,
+    log_bessel_k,
+    log_gig_normalizer,
+    validate_gig_region,
+)
 
 __all__ = [
     "GigParams",
@@ -58,6 +61,11 @@ _DELTA_LIMIT = 1e-12
 # The largest omega whose square is finite: above it the Devroye kernels'
 # omega * omega overflows and no rejection round can accept.
 _OMEGA_MAX = math.sqrt(sys.float_info.max)
+
+# scipy loads on the first call of each (see dynsparse.special)
+cholesky = bind_on_first_call(globals(), "scipy.linalg", "cholesky")
+cho_solve = bind_on_first_call(globals(), "scipy.linalg", "cho_solve")
+gammaln = bind_on_first_call(globals(), "scipy.special", "gammaln")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ the E-step Mahalanobis terms) is computed once per step, and each sweep
 phase makes one ``kve`` call over all p coefficients
 (:func:`dynsparse.special.log_bessel_k_grid`): the E-step, the objective
 and the gradient check.  The M-step calls LAPACK ``dpotrf``/``dpotrs``
-directly.  Elementwise ``log``, ``exp`` and ``sqrt`` stay in ``math`` on
+directly; ``scipy.linalg`` loads on the first M-step solve of the process
+and ``scipy.special`` on the first ``kve`` call (see
+:mod:`dynsparse.special`), so importing this module loads neither.
+Elementwise ``log``, ``exp`` and ``sqrt`` stay in ``math`` on
 Python floats and sums keep their left-to-right order, because numpy's
 vector ``log`` and ``exp`` can differ from ``math`` in the last bit: the
 batched sweep gives the per-coefficient sweep's results bit for bit.
@@ -32,7 +35,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .distributions import (
     GhParams,
@@ -44,13 +46,16 @@ from .distributions import (
 )
 from .errors import DomainError, NumericalError
 from .prior import ModelConfig, conditional_gh, mahal_sq_batch
-from .special import log_bessel_k_grid
+from .special import bind_on_first_call, log_bessel_k_grid
 
 __all__ = ["RegressionData", "MapFit", "em_map_step", "run_online_map"]
 
 # floor on the GIG delta parameter in the E-step: delta = 0, a zero window
 # and beta at the prior mean would otherwise make E[1/tau] diverge
 _ESTEP_DELTA_FLOOR = 1e-12
+
+dpotrf = bind_on_first_call(globals(), "scipy.linalg.lapack", "dpotrf")
+dpotrs = bind_on_first_call(globals(), "scipy.linalg.lapack", "dpotrs")
 
 
 @dataclass

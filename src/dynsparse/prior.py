@@ -269,7 +269,11 @@ def simulate_d_chain(
 
 
 def autocorrelation(series: NDArray[np.float64], max_lag: int) -> NDArray[np.float64]:
-    """Sample autocorrelation at lags 1..max_lag (mean-centered, lag-0 normalized)."""
+    """Sample autocorrelation at lags 1..max_lag (mean-centered, lag-0 normalized).
+
+    The sums are numpy's own pairwise reductions, not BLAS dot products,
+    whose blocking and so whose rounding depend on the BLAS thread count.
+    """
     x = np.asarray(series, dtype=float).ravel()
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
@@ -278,7 +282,9 @@ def autocorrelation(series: NDArray[np.float64], max_lag: int) -> NDArray[np.flo
             f"series length {x.shape[0]} must exceed max_lag {max_lag}"
         )
     x = x - x.mean()
-    c0 = float(x @ x)
+    c0 = float(np.add.reduce(x * x))
     if c0 == 0.0:
         raise DomainError("autocorrelation of a constant series is undefined")
-    return np.array([float(x[:-k] @ x[k:]) / c0 for k in range(1, max_lag + 1)])
+    return np.array(
+        [float(np.add.reduce(x[:-k] * x[k:])) / c0 for k in range(1, max_lag + 1)]
+    )

@@ -319,7 +319,7 @@ def posterior_summary(
     probs = np.atleast_1d(np.asarray(probs, dtype=float))
     if chain.betas.shape[0] == 0:
         raise DomainError("empty chain")
-    if np.any((probs <= 0) | (probs >= 1)):
+    if np.any(~((probs > 0) & (probs < 1))):
         raise DomainError("quantile probabilities must lie strictly in (0, 1)")
     mean = chain.betas.mean(axis=0)
     quantiles = np.quantile(chain.betas, probs, axis=0)

@@ -8,15 +8,22 @@ order, where ``K_a(z)`` overflows a double) falls back to arbitrary
 precision via mpmath, which is imported on that branch only.
 ``log_bessel_k_grid`` evaluates many (order, arg) pairs with one ``kve``
 call and gives the scalar function's bits.
+
+No module of the package imports scipy's submodules at load time: each
+of ``scipy.special`` (here) and ``scipy.linalg`` (``distributions``,
+``map_em``) takes about 0.3 s and 25 MB to import, and only ``fit-map``
+and fixed-d ``simulate`` call into them.  Their functions are bound
+through :func:`bind_on_first_call`, so ``scipy.special`` loads on the
+first ``kve`` or ``gammaln`` call of the process.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, kve
 
 from .errors import DomainError
 
@@ -26,6 +33,26 @@ __all__ = [
     "log_gig_normalizer",
     "validate_gig_region",
 ]
+
+
+def bind_on_first_call(namespace: dict, module: str, name: str) -> Callable:
+    """A stand-in for ``module.name`` that imports ``module`` on its first call.
+
+    That call rebinds ``namespace[name]`` (pass the caller's ``globals()``)
+    to the real function, so every later call through the module global
+    reaches it directly, at no extra cost.
+    """
+
+    def first_call(*args, **kwargs):
+        fn = getattr(importlib.import_module(module), name)
+        namespace[name] = fn
+        return fn(*args, **kwargs)
+
+    return first_call
+
+
+kve = bind_on_first_call(globals(), "scipy.special", "kve")
+gammaln = bind_on_first_call(globals(), "scipy.special", "gammaln")
 
 
 def log_bessel_k(order: float, arg: float) -> float:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dynsparse.cli
 from dynsparse import ParseError, RegressionData, load_data, synthetic_regression
 from dynsparse.cli import run_command
 
@@ -255,6 +256,26 @@ def test_missing_seed_is_config_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probs", ["nan,0.5", "0.95,0.05", "0.05,1.5"])
+def test_bad_smc_probs_are_config_errors_before_any_work(tmp_path, monkeypatch, probs):
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,0.2,1\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("fit-smc started work on a bad probs value")
+
+    monkeypatch.setattr(dynsparse.cli, "load_data", no_work)
+    monkeypatch.setattr(dynsparse.cli, "pimh_run", no_work)
+    out = tmp_path / "out"
+    code = run_command([
+        "fit-smc", "nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "d=1",
+        "sigma=0.5", "n_particles=10", "n_iters=2", "seed=1", f"probs={probs}",
+        f"data_path={dpath}", f"out_dir={out}",
+    ])
+    assert code == 2
+    assert not (out / "estimates.csv").exists()
 
 
 def test_unknown_key_and_bad_type_are_config_errors(tmp_path):

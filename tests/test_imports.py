@@ -1,10 +1,12 @@
 """Import hygiene of the package modules.
 
 No module imports a private (``_``-prefixed) name from a sibling module,
-and no module other than ``__init__`` imports a name it never uses; both
-are checked from the syntax trees.  The module attributes the benchmark's
-span tracer wraps stay bound.  The CLI imports and runs every subcommand
-without loading scipy.integrate, scipy.optimize or mpmath.
+no module other than ``__init__`` imports a name it never uses, and no
+module imports scipy at load time; all three are checked from the syntax
+trees.  The module attributes the benchmark's span tracer wraps stay
+bound.  The CLI imports and runs every subcommand without loading
+scipy.integrate, scipy.optimize or mpmath, and only the subcommands that
+call scipy.special or scipy.linalg load them.
 """
 
 import ast
@@ -57,6 +59,23 @@ def unused_imports(tree):
     return sorted(name for name in bound if name not in used)
 
 
+def module_level_scipy_imports(tree):
+    """scipy modules imported when the module loads, i.e. outside any function."""
+    found = []
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "scipy":
+                found.append(node.module)
+        nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -77,6 +96,11 @@ def test_no_unused_imports(path):
     assert unused_imports(parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_scipy_imports(path):
+    assert module_level_scipy_imports(parse(path)) == []
+
+
 def test_checks_flag_offending_source():
     tree = ast.parse(
         "import os\n"
@@ -87,9 +111,18 @@ def test_checks_flag_offending_source():
         "__all__ = ['reexported']\n"
         "from .x import reexported\n"
         "np.zeros(used, __version__)\n"
+        "try:\n"
+        "    import scipy.special as sc\n"
+        "except ImportError:\n"
+        "    sc = None\n"
+        "def f():\n"
+        "    from scipy.special import kve\n"
+        "    import scipy\n"
+        "    return kve, scipy\n"
     )
     assert private_sibling_imports(tree) == ["_helper"]
     assert unused_imports(tree) == ["_helper", "cho_factor", "os"]
+    assert module_level_scipy_imports(tree) == ["scipy.linalg", "scipy.special"]
 
 
 def tracer_bindings():
@@ -120,11 +153,14 @@ def test_tracer_bindings_resolve():
 # start-up time and memory.
 HEAVY_MODULES = ("scipy.integrate", "scipy.optimize", "mpmath")
 
+# Runs the stages named (comma-separated) in its first argument in order,
+# in one interpreter, and prints which of the modules named in the other
+# arguments are loaded after each.  The "import" stage runs nothing.
 STARTUP_SCRIPT = """
 import json, sys
 from dynsparse.cli import run_command
 
-heavy = sys.argv[1:]
+stages, watched = sys.argv[1].split(","), sys.argv[2:]
 model = ["nu=1.0", "delta=0.5", "gamma=1.0", "alpha=0.5", "sigma=0.7"]
 with open("data.csv", "w") as f:
     f.write("t,y,x1\\n" + "".join(f"{t},{0.1 * t - 0.3},1\\n" for t in range(1, 9)))
@@ -142,22 +178,49 @@ commands = {
         "data_path=data.csv", "out_dir=smc",
     ],
 }
-report = {"import": [m for m in heavy if m in sys.modules]}
-for name, argv in commands.items():
-    code = run_command(argv)
-    report[name] = [m for m in heavy if m in sys.modules] if code == 0 else f"exit {code}"
+report = {}
+for name in stages:
+    code = 0 if name == "import" else run_command(commands[name])
+    report[name] = [m for m in watched if m in sys.modules] if code == 0 else f"exit {code}"
 print(json.dumps(report))
 """
+STAGES = ["import", "simulate", "simulate-rho", "acf", "fit-map", "fit-glasso", "fit-smc"]
 
 
-def test_cli_commands_load_no_integrate_optimize_or_mpmath(tmp_path):
+def startup_report(cwd, stages, watched):
     src = Path(dynsparse.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_SCRIPT, *HEAVY_MODULES],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", STARTUP_SCRIPT, ",".join(stages), *watched],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    stages = ["import", "simulate", "simulate-rho", "acf", "fit-map", "fit-glasso", "fit-smc"]
-    assert report == {stage: [] for stage in stages}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_commands_load_no_integrate_optimize_or_mpmath(tmp_path):
+    report = startup_report(tmp_path, STAGES, HEAVY_MODULES)
+    assert report == {stage: [] for stage in STAGES}
+
+
+# scipy.special and scipy.linalg each take ~0.3 s and ~25 MB to import.
+# Only fit-map (kve, dpotrf, dpotrs) calls both; fixed-d simulate and acf
+# call scipy.linalg's cholesky once.  Top-level scipy, which the manifest
+# reads its version from, is cheap and not watched.  Each stage gets a
+# fresh interpreter, so no stage sees what an earlier one loaded.
+SCIPY_SUBMODULES = ("scipy.special", "scipy.linalg")
+SCIPY_LOADED = {
+    "import": [],
+    "fit-glasso": [],
+    "fit-smc": [],
+    "simulate-rho": [],
+    "simulate": ["scipy.linalg"],
+    "acf": ["scipy.linalg"],
+    "fit-map": ["scipy.special", "scipy.linalg"],
+}
+
+
+@pytest.mark.parametrize("stage", list(SCIPY_LOADED))
+def test_scipy_submodules_load_only_in_commands_that_call_them(tmp_path, stage):
+    report = startup_report(tmp_path, [stage], SCIPY_SUBMODULES)
+    assert report == {stage: SCIPY_LOADED[stage]}

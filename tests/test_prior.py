@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import dynsparse
 from dynsparse import (
     DomainError,
     GhParams,
@@ -311,3 +316,29 @@ def test_acf_shared_sparsity_signature():
     assert np.all(acf[:19] > 0.05)
     assert np.all(acf[250:] < 0.5 * acf[:19].min())
     assert np.mean(acf[250:]) > 0.0
+
+
+ACF_SCRIPT = """
+import numpy as np
+from dynsparse import autocorrelation
+x = np.random.default_rng(2).standard_normal(100_000) ** 2
+print(autocorrelation(x, 30).tobytes().hex())
+"""
+
+
+def test_acf_does_not_depend_on_blas_threads():
+    # a BLAS dot product blocks its sum by thread, so its rounding would
+    # follow OPENBLAS_NUM_THREADS; the acf must be the same bytes for any
+    src = str(Path(dynsparse.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", ACF_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.strip())
+    assert outputs[0] == outputs[1]

@@ -538,3 +538,5 @@ def test_summary_validation():
     )
     with pytest.raises(DomainError, match="0, 1"):
         posterior_summary(good, np.array([1.5]))
+    with pytest.raises(DomainError, match="0, 1"):
+        posterior_summary(good, np.array([0.05, np.nan]))

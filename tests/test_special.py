@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dynsparse import DomainError, log_bessel_k, log_gig_normalizer
-from dynsparse.special import log_bessel_k_grid
+from dynsparse.special import bind_on_first_call, log_bessel_k_grid
 from helpers import gig_unnormalized, integrate_positive_halfline
 
 
@@ -15,6 +15,14 @@ def test_half_integer_closed_form():
     # K_{1/2}(z) = sqrt(pi/(2 z)) e^{-z}
     expected = math.log(math.sqrt(math.pi / 2.0)) - 1.0
     assert log_bessel_k(0.5, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_bind_on_first_call_rebinds_the_name_to_the_real_function():
+    namespace = {}
+    namespace["hypot"] = bind_on_first_call(namespace, "math", "hypot")
+    assert namespace["hypot"](3.0, 4.0) == 5.0
+    # later calls through the name skip the stand-in
+    assert namespace["hypot"] is math.hypot
 
 
 def test_order_symmetry():
