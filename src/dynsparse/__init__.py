@@ -8,7 +8,6 @@ from .distributions import (
     gh_sample,
     gig_log_pdf,
     gig_moment,
-    gig_sample,
     mgh_log_pdf,
     mgh_sample,
 )

@@ -155,7 +155,7 @@ def _cmd_simulate(cfg: dict, run_id: str) -> list[Path]:
         beta = simulate_path(model, T, rng)
         d_path = None
     else:
-        d_path = simulate_d_chain(model.rho, 0, T, rng)
+        d_path = simulate_d_chain(model.rho, T, rng)
         beta = simulate_path(model, T, rng, d_path=d_path)
     rows = [
         [str(t + 1), str(j + 1), _fmt(beta[j, t])]
@@ -349,3 +349,7 @@ def _write_error_record(out_dir: Optional[str], command: str, exc: Exception) ->
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -42,7 +42,6 @@ __all__ = [
     "GhParams",
     "MghParams",
     "gig_log_pdf",
-    "gig_sample",
     "gig_rvs",
     "gig_moment",
     "gh_log_pdf",
@@ -438,13 +437,6 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     return out
 
 
-def gig_sample(params: GigParams, rng: np.random.Generator, size=None):
-    """Draws from the GIG law; scalar when size is None."""
-    if size is None:
-        return float(gig_rvs(params.nu, params.delta, params.gamma, rng, size=(1,))[0])
-    return gig_rvs(params.nu, params.delta, params.gamma, rng, size=size)
-
-
 # ---------------------------------------------------------------------------
 # GH / mGH log densities
 # ---------------------------------------------------------------------------
@@ -570,6 +562,6 @@ def gh_sample(params: GhParams, rng: np.random.Generator, size=None):
 
 def mgh_sample(params: MghParams, rng: np.random.Generator) -> NDArray[np.float64]:
     """One draw from the mGH law: tau ~ GIG, x ~ N(mu, tau * sigma)."""
-    tau = gig_sample(params.mixing, rng)
+    tau = gig_rvs(params.nu, params.delta, params.gamma, rng)
     z = rng.standard_normal(params.dim)
     return params.mu + math.sqrt(tau) * (params._chol @ z)

@@ -228,7 +228,7 @@ def simulate_path(
         lengths = [d] * T
     else:
         if d_path is None:
-            d_path = simulate_d_chain(config.rho, 0, T, rng)
+            d_path = simulate_d_chain(config.rho, T, rng)
         d_path = np.asarray(d_path, dtype=int)
         if d_path.shape != (T,):
             raise DomainError(f"d_path has shape {d_path.shape}, expected ({T},)")
@@ -253,16 +253,13 @@ def simulate_path(
     return beta
 
 
-def simulate_d_chain(
-    rho: float, d0: int, T: int, rng: np.random.Generator
-) -> NDArray[np.int64]:
-    """Binomial Markov chain d_t | d_{t-1} ~ Bin(d_{t-1} + 1, rho)."""
+def simulate_d_chain(rho: float, T: int, rng: np.random.Generator) -> NDArray[np.int64]:
+    """Binomial Markov chain d_t | d_{t-1} ~ Bin(d_{t-1} + 1, rho) from d_1 = 0."""
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"rho must lie in [0, 1], got {rho}")
-    if d0 < 0 or T < 1:
-        raise DomainError(f"need d0 >= 0 and T >= 1, got d0={d0}, T={T}")
-    out = np.empty(T, dtype=np.int64)
-    out[0] = d0
+    if T < 1:
+        raise DomainError(f"need T >= 1, got T={T}")
+    out = np.zeros(T, dtype=np.int64)
     for t in range(1, T):
         out[t] = rng.binomial(out[t - 1] + 1, rho)
     return out

@@ -8,16 +8,16 @@ from the locally optimal Gaussian proposal; the incremental weight is the
 analytic marginal N(y_t; alpha X_t beta_{t-1}, X_t D_tau X_t' + sigma^2 I)
 and therefore does not depend on the sampled beta_t.  One Cholesky
 factor per step, of the p x p posterior precision, gives both the draw
-and the weight; no n x n covariance is formed.  Systematic
-resampling runs every step by default.  The evidence estimate
-Z-hat = prod_t mean(w_t) is unbiased, which makes the outer independent
-MH chain (accept with probability min(1, Z*/Z)) exact for the posterior
-over trajectories.
+and the weight; no n x n covariance is formed.  Resampling is
+systematic and runs at every step; there is no adaptive mode.  The
+evidence estimate Z-hat = prod_t mean(w_t) is then unbiased, which makes
+the outer independent MH chain (accept with probability min(1, Z*/Z))
+exact for the posterior over trajectories.
 
 Particle histories are kept as per-generation states plus ancestor
 indices; the window of past beta values needed by the GIG conditional is
-read from a rolling lineage buffer that is re-gathered at every
-resampling step, so windows never mix values across particle lineages.
+read from a rolling lineage buffer that is re-gathered at every step's
+resample, so windows never mix values across particle lineages.
 The tau step serves every window length of a step at once: each
 particle's buffer reads as zero outside its own window, one AR(1) norm
 call over the whole buffer gives all window norms, and one GIG expression
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -73,9 +72,7 @@ class PosteriorSummary:
 
     mean: NDArray[np.float64]  # p x T
     quantiles: NDArray[np.float64]  # len(probs) x p x T
-    probs: NDArray[np.float64]
     d_posterior: NDArray[np.float64]  # (max_d+1) x T, columns sum to 1
-    log_evidence: NDArray[np.float64]  # per-iteration trace
 
 
 def _sample_tau(
@@ -193,14 +190,8 @@ def smc_run(
     config: ModelConfig,
     N: int,
     rng: np.random.Generator,
-    ess_threshold: Optional[float] = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.int64], float]:
-    """One SMC pass; returns (trajectory draw, d draw, log evidence).
-
-    ``ess_threshold`` switches resampling from every-step (the default)
-    to adaptive: resample only when the effective sample size drops
-    below ``ess_threshold * N``.
-    """
+    """One SMC pass; returns (trajectory draw, d draw, log evidence)."""
     if N < 2:
         raise DomainError(f"need at least 2 particles, got N={N}")
     T, p = data.T, data.p
@@ -214,7 +205,7 @@ def smc_run(
     hist = np.zeros((0, N, p))  # lineage window buffer, regathered on resample
     ds = np.zeros(N, dtype=np.int64)
     prev_beta = np.zeros((N, p))
-    log_norm_w = np.full(N, -np.log(N))  # normalized weights carried over
+    log_uniform = np.full(N, -np.log(N))  # each step starts from a resample
     log_Z = 0.0
 
     for t in range(T):
@@ -230,7 +221,7 @@ def smc_run(
         except (NumericalError, DomainError) as exc:
             raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
 
-        total = log_norm_w + lw
+        total = log_uniform + lw
         if np.isnan(total).any():
             raise NumericalError(f"NaN particle log-weight at t={t + 1}")
         top = total.max()
@@ -240,19 +231,13 @@ def smc_run(
             raise NumericalError(f"infinite particle log-weight at t={t + 1}")
         log_step = top + np.log(np.exp(total - top).sum())
         log_Z += float(log_step)
-        log_norm_w = total - log_step
 
         states[t] = beta
         d_hist[t] = ds
 
-        w = np.exp(log_norm_w)
-        if ess_threshold is None or 1.0 / (w * w).sum() < ess_threshold * N:
-            anc = _systematic_resample(w, rng)
-            log_norm_w = np.full(N, -np.log(N))
-        else:
-            anc = np.arange(N)
+        w = np.exp(total - log_step)
+        anc = _systematic_resample(w, rng)
         ancestors[t] = anc
-        w_final = w
 
         hist = np.concatenate([hist, beta[None]])
         keep = int(ds.max()) + 1  # deepest window next step can request
@@ -263,7 +248,7 @@ def smc_run(
     # final draw proportional to the terminal (pre-resample) weights,
     # traced through the ancestry: the parent of pre-resample particle i
     # at time t is ancestors[t-1][i]
-    cur = int(rng.choice(N, p=w_final / w_final.sum()))
+    cur = int(rng.choice(N, p=w / w.sum()))
     trajectory = np.empty((p, T))
     d_draw = np.empty(T, dtype=np.int64)
     for t in range(T - 1, -1, -1):
@@ -280,7 +265,6 @@ def pimh_run(
     N: int,
     M: int,
     rng: np.random.Generator,
-    ess_threshold: Optional[float] = None,
 ) -> PosteriorChain:
     """Independent MH over SMC runs (accept with min(1, Z*/Z))."""
     if M < 1:
@@ -291,12 +275,12 @@ def pimh_run(
     log_ev = np.empty(M)
     accepted = np.zeros(M, dtype=bool)
 
-    cur_beta, cur_d, cur_lz = smc_run(data, config, N, rng, ess_threshold)
+    cur_beta, cur_d, cur_lz = smc_run(data, config, N, rng)
     betas[0], ds[0], log_ev[0] = cur_beta, cur_d, cur_lz
     accepted[0] = True
     for m in range(1, M):
         try:
-            prop_beta, prop_d, prop_lz = smc_run(data, config, N, rng, ess_threshold)
+            prop_beta, prop_d, prop_lz = smc_run(data, config, N, rng)
         except (DegeneracyError, NumericalError) as exc:
             warnings.warn(
                 f"iteration {m + 1}: proposal SMC failed ({exc}); counted as rejection",
@@ -329,10 +313,4 @@ def posterior_summary(
     for t in range(T):
         counts = np.bincount(chain.ds[:, t], minlength=max_d + 1)
         d_post[:, t] = counts / counts.sum()
-    return PosteriorSummary(
-        mean=mean,
-        quantiles=quantiles,
-        probs=probs,
-        d_posterior=d_post,
-        log_evidence=chain.log_evidence.copy(),
-    )
+    return PosteriorSummary(mean=mean, quantiles=quantiles, d_posterior=d_post)

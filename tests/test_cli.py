@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,26 @@ def test_simulate_byte_identical_and_verified(tmp_path):
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
     assert run_command(["verify", str(out)]) == 0
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # python -m dynsparse.cli is the no-install way to run the CLI
+    env = dict(os.environ, PYTHONPATH=str(Path(dynsparse.cli.__file__).resolve().parents[1]))
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dynsparse.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    out = tmp_path / "out"
+    proc = cli(
+        "simulate", "nu=0.5", "delta=0.5", "gamma=1.0", "alpha=0.5",
+        "d=1", "sigma=1.0", "T=5", "seed=1", f"out_dir={out}",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "path.csv").is_file()
+    assert cli("fit-smc").returncode == 2
 
 
 def test_verify_detects_tampering(tmp_path, capsys):

@@ -249,10 +249,10 @@ def test_simulate_path_pairwise_mgh_property():
 
 def test_simulate_d_chain_extremes():
     rng = np.random.default_rng(25)
-    up = simulate_d_chain(1.0, 0, 10, rng)
+    up = simulate_d_chain(1.0, 10, rng)
     assert np.array_equal(up, np.arange(10))
-    down = simulate_d_chain(0.0, 5, 10, rng)
-    assert np.array_equal(down[1:], np.zeros(9))
+    down = simulate_d_chain(0.0, 10, rng)
+    assert np.array_equal(down, np.zeros(10))
 
 
 def test_simulate_d_chain_stationary_mean_vs_power_iteration():
@@ -271,7 +271,7 @@ def test_simulate_d_chain_stationary_mean_vs_power_iteration():
         pi /= pi.sum()
     target = float(pi @ np.arange(cap + 1))
     rng = np.random.default_rng(26)
-    chain = simulate_d_chain(rho, 0, 400_000, rng)[1000:]
+    chain = simulate_d_chain(rho, 400_000, rng)[1000:]
     assert abs(chain.mean() - target) < 0.15
 
 

@@ -450,15 +450,29 @@ def test_cholesky_failure_names_time_step(monkeypatch):
         smc_run(data, cfg(p=2, d=1), 16, np.random.default_rng(6))
 
 
-def test_ess_mode_matches_evidence_scale():
-    config = cfg(d=0)
-    data = _tiny_data(T=4)
-    rng = np.random.default_rng(31)
-    every = np.mean([smc_run(data, config, 100, rng)[2] for _ in range(60)])
-    adaptive = np.mean(
-        [smc_run(data, config, 100, rng, ess_threshold=0.5)[2] for _ in range(60)]
-    )
-    assert abs(every - adaptive) < 0.05
+@pytest.mark.parametrize(
+    "config", [cfg(p=2, d=2), cfg(p=2, d=None, rho=0.8)], ids=["fixed-d", "rho"]
+)
+def test_log_evidence_sums_every_step_mean_weight(monkeypatch, config):
+    # every step resamples, so each step's weights start uniform and
+    # log Z-hat = sum_t log mean_i w_t,i, to rounding
+    real = dynsparse.smc._weight_and_propose
+    log_ws = []
+
+    def recording(*args):
+        lw, beta = real(*args)
+        log_ws.append(lw.copy())
+        return lw, beta
+
+    monkeypatch.setattr(dynsparse.smc, "_weight_and_propose", recording)
+    rng = np.random.default_rng(37)
+    T, N = 7, 40
+    ys = [rng.standard_normal(3) for _ in range(T)]
+    Xs = [rng.standard_normal((3, 2)) for _ in range(T)]
+    log_z = smc_run(RegressionData(ys, Xs), config, N, rng)[2]
+    assert len(log_ws) == T
+    expected = sum(np.logaddexp.reduce(lw) - math.log(N) for lw in log_ws)
+    assert log_z == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
