@@ -32,7 +32,7 @@ from .smc import pimh_run, posterior_summary
 
 __all__ = ["main", "run_command"]
 
-_MODEL_KEYS = ("nu", "delta", "gamma", "alpha", "d", "rho", "sigma")
+_MODEL_KEYS = ("nu", "delta", "gamma", "alpha", "d", "rho", "sigma", "p")
 _FLOAT_KEYS = ("nu", "delta", "gamma", "alpha", "rho", "sigma", "tol", "eps_sparse")
 _INT_KEYS = ("d", "n_particles", "n_iters", "max_iter", "seed", "T", "max_lag", "p")
 _KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"probs", "data_path", "out_dir"}
@@ -106,7 +106,6 @@ def _require(cfg: dict, keys: tuple[str, ...], command: str) -> None:
 
 def _model_config(cfg: dict) -> ModelConfig:
     kwargs = {k: cfg[k] for k in _MODEL_KEYS if k in cfg}
-    kwargs["p"] = cfg.get("p", 1)
     try:
         return ModelConfig(**kwargs)
     except (DomainError, TypeError) as exc:

@@ -15,9 +15,10 @@ parameter range; the boundaries use plain gamma / inverse-gamma draws.
 The scheme has two kernels: ``_devroye_gig`` works on arrays, each
 rejection round on the elements still pending (the first on the full
 arrays), and ``_devroye_gig_one`` is its setup-light scalar twin.
-``gig_rvs`` picks by size alone: a broadcast batch of exactly one element
-takes the scalar kernel, any other batch the array kernel.  Both give the
-same value for one element and take the same uniforms from the generator.
+In ``gig_rvs`` only a one-element interior draw (delta > 0 and gamma > 0)
+takes the scalar kernel; every other batch goes through the masked array
+route, so the region checks exist once.  Both kernels give the same value
+for one element and take the same uniforms from the generator.
 """
 
 from __future__ import annotations
@@ -372,32 +373,14 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> np.float64:
     return 1.0 / z if swap else z
 
 
-def _gig_one(nu, delta, gamma, rng: np.random.Generator) -> np.float64:
-    """One GIG draw, routed and validated as :func:`gig_rvs` does a batch."""
-    if gamma == 0.0:
-        if nu >= 0.0:
-            raise DomainError("gamma = 0 requires nu < 0")
-        if not delta > 0.0:
-            raise DomainError("gamma = 0 requires delta > 0")
-        return (delta * delta / 2.0) / rng.gamma(-nu, 1.0)
-    if delta == 0.0:
-        if nu <= 0.0:
-            raise DomainError("delta = 0 requires nu > 0")
-        if not gamma > 0.0:
-            raise DomainError("delta = 0 requires gamma > 0")
-        return rng.gamma(nu, 2.0 / (gamma * gamma))
-    if delta < 0.0 and gamma < 0.0:
-        raise DomainError("delta and gamma must be nonnegative")
-    return (delta / gamma) * _devroye_gig_one(nu, delta * gamma, rng)
-
-
 def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np.float64]:
     """Vectorized GIG draws with elementwise parameters.
 
     Boundary parameters (delta = 0 or gamma = 0) are routed to exact
-    gamma / inverse-gamma samplers elementwise.  A batch of one element
-    takes the scalar kernel, which draws the same value as the array
-    kernel would.
+    gamma / inverse-gamma samplers elementwise.  A one-element batch with
+    delta > 0 and gamma > 0 takes the scalar kernel, which draws the same
+    value as the array kernel would; every other batch, a one-element
+    boundary draw or invalid input included, takes the array route.
     """
     nu = np.asarray(nu, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -405,8 +388,9 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     shape = np.broadcast(nu, delta, gamma).shape
     if size is not None:
         shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)))
-    if math.prod(shape) == 1:
-        z = _gig_one(nu.flat[0], delta.flat[0], gamma.flat[0], rng)
+    if math.prod(shape) == 1 and delta.flat[0] > 0.0 and gamma.flat[0] > 0.0:
+        d, g = delta.flat[0], gamma.flat[0]
+        z = (d / g) * _devroye_gig_one(nu.flat[0], d * g, rng)
         return float(z) if shape == () else np.full(shape, z)
     nu = np.broadcast_to(nu, shape)
     delta = np.broadcast_to(delta, shape)
@@ -434,7 +418,7 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
         out[interior] = (delta[interior] / gamma[interior]) * _devroye_gig(
             nu[interior], delta[interior] * gamma[interior], rng
         )
-    return out
+    return float(out) if shape == () else out
 
 
 # ---------------------------------------------------------------------------
@@ -442,30 +426,21 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
 # ---------------------------------------------------------------------------
 
 
-def _log_mixing_norm(nu: float, delta: float, gamma: float) -> tuple[float, float]:
-    """Log of (gamma/delta)^nu / K_nu(delta*gamma) with its limit branches.
-
-    Returns (value, effective delta squared) so callers can drop a
-    negligible delta from the Mahalanobis term consistently.
-    """
-    if gamma == 0.0:
-        # handled separately by the caller
-        raise AssertionError("gamma = 0 must use the heavy-tail branch")
-    if delta < _DELTA_LIMIT and nu > 0.0:
-        return math.log(2.0) - gammaln(nu) + nu * math.log(gamma * gamma / 2.0), 0.0
-    return (
-        nu * (math.log(gamma) - math.log(delta)) - log_bessel_k(nu, delta * gamma),
-        delta * delta,
-    )
-
-
 def _mgh_log_norm(
     nu: float, delta: float, gamma: float, p: int, logdet_sigma: float
 ) -> tuple[float, float]:
-    """The x-free part of the log mGH density (gamma > 0) and its delta squared."""
-    head, d2 = _log_mixing_norm(nu, delta, gamma)
-    head -= 0.5 * p * math.log(2.0 * math.pi) + 0.5 * logdet_sigma
-    return head, d2
+    """The x-free part of the log mGH density (gamma > 0) and its delta squared.
+
+    Delta squared is 0 in the small-delta limit, so callers drop a
+    negligible delta from the Mahalanobis term consistently.
+    """
+    if delta < _DELTA_LIMIT and nu > 0.0:
+        head = math.log(2.0) - gammaln(nu) + nu * math.log(gamma * gamma / 2.0)
+        d2 = 0.0
+    else:
+        head = nu * (math.log(gamma) - math.log(delta)) - log_bessel_k(nu, delta * gamma)
+        d2 = delta * delta
+    return head - (0.5 * p * math.log(2.0 * math.pi) + 0.5 * logdet_sigma), d2
 
 
 def _mgh_log_pdf_core(
@@ -509,7 +484,10 @@ def gh_log_norm(params: GhParams) -> tuple[float, float]:
     ``head + (nu - 1/2) * (log q - log gamma) + log K_{nu-1/2}(gamma q)``
     with ``(head, d2) = gh_log_norm(params)``; d2 is 0 in the small-delta
     limit.  Callers that evaluate one law many times compute this once.
+    Raises DomainError for a gamma = 0 law.
     """
+    if params.gamma == 0.0:
+        raise DomainError("gh_log_norm needs gamma > 0; gamma = 0 is the Student-type law")
     return _mgh_log_norm(params.nu, params.delta, params.gamma, 1, 0.0)
 
 

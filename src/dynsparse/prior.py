@@ -239,15 +239,11 @@ def simulate_path(
 
     # scale-mixture step with mean alpha * beta_{t-1} and variance
     # (1 - alpha^2) tau, the convention of the sequential sampler
-    delta2 = config.delta**2
     for t in range(start, T):
         dt = lengths[t]
         if dt > t:
             raise DomainError(f"d_path[{t}]={dt} exceeds the available history {t}")
-        if dt == 0:
-            s2 = np.full(p, delta2)
-        else:
-            s2 = delta2 + mahal_sq_batch(beta[:, t - dt : t], alpha)
+        s2 = config.delta**2 + mahal_sq_batch(beta[:, t - dt : t], alpha)
         tau = gig_rvs(config.nu - dt / 2.0, np.sqrt(s2), config.gamma, rng)
         beta[:, t] = alpha * beta[:, t - 1] + sa * np.sqrt(tau) * rng.standard_normal(p)
     return beta

@@ -28,7 +28,6 @@ so the norm's sums run over the leading axis for all particles at once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +265,13 @@ def pimh_run(
     M: int,
     rng: np.random.Generator,
 ) -> PosteriorChain:
-    """Independent MH over SMC runs (accept with min(1, Z*/Z))."""
+    """Independent MH over SMC runs (accept with min(1, Z*/Z)).
+
+    A proposal pass that raises ``DegeneracyError`` has Z-hat = 0, a valid
+    value of the unbiased estimator: it counts as a rejection.  Any other
+    ``NumericalError`` is a defect and propagates, naming the iteration and
+    t.  The first pass raises on both: the chain needs a start with Z-hat > 0.
+    """
     if M < 1:
         raise DomainError(f"need at least one iteration, got M={M}")
     T, p = data.T, data.p
@@ -281,14 +286,11 @@ def pimh_run(
     for m in range(1, M):
         try:
             prop_beta, prop_d, prop_lz = smc_run(data, config, N, rng)
-        except (DegeneracyError, NumericalError) as exc:
-            warnings.warn(
-                f"iteration {m + 1}: proposal SMC failed ({exc}); counted as rejection",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        except DegeneracyError:
             betas[m], ds[m], log_ev[m] = cur_beta, cur_d, cur_lz
             continue
+        except NumericalError as exc:
+            raise type(exc)(f"PIMH iteration {m + 1}: {exc}") from exc
         if np.log(rng.random()) < prop_lz - cur_lz:
             cur_beta, cur_d, cur_lz = prop_beta, prop_d, prop_lz
             accepted[m] = True

@@ -64,6 +64,8 @@ def test_load_data_varying_n(tmp_path):
         ("t,y,x1\n1,0.5,1\n2,nan,1.0\n", "line 3: non-finite y"),
         ("t,y,x1,x2\n1,0.5,1,inf\n", "line 2: non-finite x2"),
         ("t,y,x1\n1,0.5,1\n1,0.2,-inf\n", "line 3: non-finite x1"),
+        ("t,y,x1\n0,0.5,1\n", "line 2: t must be >= 1"),
+        ("t,y,x1\n", "no data rows"),
     ],
 )
 def test_load_data_parse_errors(tmp_path, body, match):
@@ -175,6 +177,13 @@ def test_verify_detects_tampering(tmp_path, capsys):
     path.write_text(path.read_text().replace("0.", "1.", 1))
     assert run_command(["verify", str(out)]) == 1
     assert "hash" in capsys.readouterr().err
+    lines = path.read_text().split("\n", 1)
+    path.write_text("# run 0000000000000000\n" + lines[1])
+    assert run_command(["verify", str(out)]) == 1
+    assert "path.csv: run header does not match" in capsys.readouterr().err
+    path.unlink()
+    assert run_command(["verify", str(out)]) == 1
+    assert "path.csv: listed in manifest but missing" in capsys.readouterr().err
 
 
 def test_simulate_rho_mode_emits_d_path(tmp_path):
@@ -302,11 +311,22 @@ def test_bad_smc_probs_are_config_errors_before_any_work(tmp_path, monkeypatch, 
     assert not (out / "estimates.csv").exists()
 
 
-def test_unknown_key_and_bad_type_are_config_errors(tmp_path):
+def test_unknown_key_and_bad_type_are_config_errors(tmp_path, capsys):
     base = ["simulate", "nu=0.5", "delta=0.5", "gamma=1.0", "alpha=0.0",
             "d=0", "sigma=1.0", "T=10", "seed=1", f"out_dir={tmp_path / 'o'}"]
     assert run_command(base + ["bogus_key=1"]) == 2
     assert run_command([a if not a.startswith("T=") else "T=ten" for a in base]) == 2
+    no_equals = tmp_path / "no_equals.cfg"
+    no_equals.write_text("# comment\nnu 0.5\n")
+    for argv, message in [
+        (base + ["--config", str(tmp_path / "missing.cfg")], "cannot read config file"),
+        (base + ["--config", str(no_equals)], "line 2: expected key=value"),
+        (base + ["T10"], "override 'T10' is not key=value"),
+        (base + ["alpha=1.5"], "invalid model configuration: alpha"),
+    ]:
+        capsys.readouterr()
+        assert run_command(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_model_error_exit_one_with_record(tmp_path, capsys):

@@ -21,7 +21,13 @@ from dynsparse import (
     mgh_sample,
 )
 from dynsparse.special import validate_gig_region
-from dynsparse.distributions import _devroye_gig, _devroye_gig_one, gh_log_pdf_grad, gig_rvs
+from dynsparse.distributions import (
+    _devroye_gig,
+    _devroye_gig_one,
+    gh_log_norm,
+    gh_log_pdf_grad,
+    gig_rvs,
+)
 from helpers import (
     gh_cdf_grid,
     gh_pdf_by_mixture,
@@ -407,6 +413,13 @@ def test_gh_tiny_delta_uses_limit_branch():
     lim = gh_log_pdf(GhParams(0.0, 1.0, 0.0, 1.0), 0.5)
     close = gh_log_pdf(GhParams(0.0, 1.0, 1e-13, 1.0), 0.5)
     assert close == pytest.approx(lim, abs=1e-10)
+
+
+def test_gh_log_norm_rejects_the_student_law():
+    # the split head + Bessel form needs gamma > 0; gh_log_pdf has the
+    # gamma = 0 law in closed form
+    with pytest.raises(DomainError, match="gamma > 0"):
+        gh_log_norm(GhParams(0.0, -1.0, 1.0, 0.0))
 
 
 def test_gh_grad_matches_finite_differences():

@@ -283,6 +283,29 @@ def test_simulate_path_time_varying_mode_runs():
     assert np.all(np.isfinite(beta))
 
 
+def test_simulate_path_zero_window_steps_draw_with_delta(monkeypatch):
+    # a d_t = 0 step of the binomial chain has an empty window, whose
+    # squared norm is 0: its GIG law is GIG(nu, delta, gamma) in every row
+    real = dynsparse.prior.gig_rvs
+    calls = []
+
+    def recording(nu, delta, gamma, rng):
+        calls.append((nu, np.array(delta)))
+        return real(nu, delta, gamma, rng)
+
+    monkeypatch.setattr(dynsparse.prior, "gig_rvs", recording)
+    c = cfg(d=None, rho=0.5, nu=1.0, delta=0.3, gamma=1.0, alpha=0.6, p=2)
+    d_path = np.array([0, 0, 1, 0, 2, 0, 0, 1, 2, 0])
+    beta = simulate_path(c, 10, np.random.default_rng(5), d_path=d_path)
+    assert np.all(np.isfinite(beta))
+    assert len(calls) == 9
+    zero_steps = [call for call, dt in zip(calls, d_path[1:]) if dt == 0]
+    assert len(zero_steps) == 5
+    for nu, delta in zero_steps:
+        assert nu == c.nu
+        assert np.array_equal(delta, np.full(2, c.delta))
+
+
 # ---------------------------------------------------------------------------
 # autocorrelation
 # ---------------------------------------------------------------------------

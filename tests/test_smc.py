@@ -501,6 +501,43 @@ def test_chain_stores_current_or_proposed():
         assert same != chain.accepted[m] or chain.accepted[m]
 
 
+def _spoil_second_pass(monkeypatch, value, T):
+    """Patch the step weights so the second SMC pass sees ``value`` at t=2."""
+    real = dynsparse.smc._weight_and_propose
+    calls = []
+
+    def spoiled(*args):
+        lw, beta = real(*args)
+        calls.append(None)
+        if len(calls) == T + 2:
+            lw[:] = value
+        return lw, beta
+
+    monkeypatch.setattr(dynsparse.smc, "_weight_and_propose", spoiled)
+
+
+def test_pimh_counts_a_collapsed_proposal_as_a_rejection(monkeypatch):
+    # all weights -inf is Z-hat = 0, a valid estimate: no warning, the
+    # chain repeats its state
+    T = 3
+    _spoil_second_pass(monkeypatch, -np.inf, T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = pimh_run(_tiny_data(T=T), cfg(d=1), 16, 3, np.random.default_rng(8))
+    assert not chain.accepted[1]
+    assert np.array_equal(chain.betas[1], chain.betas[0])
+    assert np.array_equal(chain.ds[1], chain.ds[0])
+    assert chain.log_evidence[1] == chain.log_evidence[0]
+
+
+def test_pimh_propagates_a_nan_proposal(monkeypatch):
+    T = 3
+    _spoil_second_pass(monkeypatch, np.nan, T)
+    with pytest.raises(NumericalError, match=r"iteration 2: .*t=2") as info:
+        pimh_run(_tiny_data(T=T), cfg(d=1), 16, 3, np.random.default_rng(8))
+    assert not isinstance(info.value, DegeneracyError)
+
+
 def test_summary_single_iteration_and_symmetry():
     beta = np.arange(6.0).reshape(1, 2, 3)
     chain = PosteriorChain(
