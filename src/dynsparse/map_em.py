@@ -12,18 +12,21 @@ first step (and a configured d = 0) use the i.i.d. GH marginal.
 Each sweep is batched over the p coefficients.  What stays fixed within
 a step (the GH log-normaliser head of each conditional, delta'^2, mu and
 the E-step Mahalanobis terms) is computed once per step, and each sweep
-phase makes one ``kve`` call over all p coefficients
-(:func:`dynsparse.special.log_bessel_k_grid`): the E-step, the objective
-and the gradient check.  The M-step calls LAPACK ``dpotrf``/``dpotrs``
-directly; ``scipy.linalg`` loads on the first M-step solve of the process
-and ``scipy.special`` on the first ``kve`` call (see
-:mod:`dynsparse.special`), so importing this module loads neither.
-Elementwise ``log``, ``exp`` and ``sqrt`` stay in ``math`` on
-Python floats and sums keep their left-to-right order, because numpy's
-vector ``log`` and ``exp`` can differ from ``math`` in the last bit: the
-batched sweep gives the per-coefficient sweep's results bit for bit.
-The gamma = 0 (Student) prior and a prior term with q = 0 keep the
-scalar route through the distribution functions.
+makes one ``kve`` call over all p coefficients
+(:func:`dynsparse.special.log_bessel_k_rows`).  Once the M-step returns
+beta, every Bessel value the sweep needs next depends only on
+r = beta - mu, so the objective's call also holds the gradient check's
+rows and the next E-step's.  The E-step makes its own call only where
+the objective took the scalar route or where its own rows would raise.
+The M-step calls LAPACK ``dpotrf``/``dpotrs`` directly; ``scipy.linalg``
+loads on the first M-step solve of the process and ``scipy.special`` on
+the first ``kve`` call (see :mod:`dynsparse.special`), so importing this
+module loads neither.  Elementwise ``log``, ``exp`` and ``sqrt`` stay in
+``math`` on Python floats and sums keep their left-to-right order,
+because numpy's vector ``log`` and ``exp`` can differ from ``math`` in
+the last bit: the batched sweep gives the per-coefficient sweep's results
+bit for bit.  The gamma = 0 (Student) prior and a prior term with q = 0
+keep the scalar route through the distribution functions.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .distributions import (
 )
 from .errors import DomainError, NumericalError
 from .prior import ModelConfig, conditional_gh, mahal_sq_batch
-from .special import bind_on_first_call, log_bessel_k_grid
+from .special import bind_on_first_call, log_bessel_k_rows
 
 __all__ = ["RegressionData", "MapFit", "em_map_step", "run_online_map"]
 
@@ -116,10 +119,11 @@ def _prior_laws(
     return priors, locs, a2
 
 
-def _solve_spd(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Solve A x = b by Cholesky, calling the LAPACK routines cho_factor/cho_solve wrap."""
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+def _solve_spd(A: NDArray[np.float64], b: list[float]) -> NDArray[np.float64]:
+    """Solve A x = b by Cholesky, calling the LAPACK routines cho_factor/cho_solve wrap.
+
+    The caller checks that A and b are finite.
+    """
     c, info = dpotrf(A, lower=False, clean=False)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
@@ -172,96 +176,131 @@ def em_map_step(
         log_gamma = math.log(gamma)
         log_gamma_e = math.log(config.gamma)
 
-    def weights(r: list[float]) -> NDArray[np.float64]:
-        # E-step: w_j = E[1/tau_j | beta_j, window], a GIG(nu_e, dl_j, gamma)
-        # moment, with r_j = beta_j - mu_j
-        dls = [
+    def e_deltas(r: list[float]) -> list[float]:
+        # the E-step GIG delta of every coefficient, with r_j = beta_j - mu_j
+        return [
             max(math.sqrt(s2j + rj * rj / a2), _ESTEP_DELTA_FLOOR) for s2j, rj in zip(s2, r)
         ]
-        if not all(map(math.isfinite, dls)):
-            raise NumericalError(f"E-step delta is not finite: {dls}")
-        if student:
-            return np.array([gig_moment(GigParams(nu_e, dl, config.gamma), -1) for dl in dls])
+
+    def weights(r: list[float], estep: Optional[tuple]) -> list[float]:
+        # E-step: w_j = E[1/tau_j | beta_j, window], a GIG(nu_e, dl_j, gamma)
+        # moment; ``estep`` holds (dl, log K_{nu_e-1}, log K_{nu_e}) where the
+        # objective's Bessel call already computed them
+        if estep is None:
+            dls = e_deltas(r)
+            if not all(map(math.isfinite, dls)):
+                raise NumericalError(f"E-step delta is not finite: {dls}")
+            if student:
+                return [gig_moment(GigParams(nu_e, dl, config.gamma), -1) for dl in dls]
+            z = [dl * config.gamma for dl in dls]
+            lk_lo, lk = log_bessel_k_rows([(nu_e - 1.0, z), (nu_e, z)])
+        else:
+            dls, lk_lo, lk = estep
         # gig_moment(GigParams(nu_e, dl, gamma), -1), operation for operation
-        lk_lo, lk = log_bessel_k_grid([nu_e - 1.0, nu_e], [dl * config.gamma for dl in dls])
-        return np.array([
+        return [
             math.exp(-(math.log(dl) - log_gamma_e) + lo - hi)
             for dl, lo, hi in zip(dls, lk_lo, lk)
-        ])
+        ]
 
-    def objective(beta: NDArray[np.float64], r: list[float]) -> tuple[float, Optional[tuple]]:
-        # also returns (r, q^2, q) of the prior terms for the gradient check,
-        # or None where the terms took the scalar route
+    def objective(
+        beta: NDArray[np.float64], r: list[float]
+    ) -> tuple[float, Optional[tuple], Optional[tuple]]:
+        # also returns the gradient check's (r, q^2, q, log K rows) and the next
+        # E-step's (dl, log K rows), each None where its call took another route
         resid = y - X @ beta
-        with np.errstate(over="ignore"):  # an overflowing resid gives ll = -inf
-            ll = -0.5 * float(resid @ resid) / sig2
+        ll = -0.5 * float(resid @ resid) / sig2  # an overflowing resid gives -inf
         if not ll > -math.inf:
             raise NumericalError(f"EM objective is not finite (log-likelihood {ll})")
-        parts = None
+        parts = estep = None
         if not student:
             q2 = [d2 + rj * rj for d2, rj in zip(d2s, r)]
             if not all(map(math.isfinite, q2)):
                 raise NumericalError(f"EM objective is not finite (prior q^2 {q2})")
             q = [math.sqrt(v) for v in q2]
-            # q = 0 needs delta' on its small-delta limit (d2 = 0) and beta_j = mu_j
-            if 0.0 not in q:
-                parts = (r, q2, q)
-        if parts is None:
+        # q = 0 needs delta' on its small-delta limit (d2 = 0) and beta_j = mu_j
+        if student or 0.0 in q:
             value = ll + sum(gh_log_pdf(priors[j], beta[j]) for j in range(p))
         else:
+            # the sweep's one Bessel call: the prior terms at order nu' - 1/2,
+            # the gradient check's orders nu' - 1/2 -+ 1 at the same gamma' q,
+            # and the next E-step's rows at gamma dl (equal to gamma' q in
+            # value, not as floats)
+            z = [gamma * qj for qj in q]
+            rows = [(order, z), (order - 1.0, z), (order + 1.0, z)]
+            dls = e_deltas(r)
+            z_e = [dl * config.gamma for dl in dls]
+            # the E-step rows stay out where the E-step would raise (a NaN or
+            # inf makes the sum non-finite): it raises in the next sweep, if
+            # this sweep's convergence check lets that one run
+            if 0.0 < min(z_e) and sum(z_e) < math.inf:
+                rows += [(nu_e - 1.0, z_e), (nu_e, z_e)]
+            lk, lk_lo, lk_hi, *lk_e = log_bessel_k_rows(rows)
             # gh_log_pdf(priors[j], beta[j]), operation for operation
-            (lk,) = log_bessel_k_grid([order], [gamma * qj for qj in q])
             terms = [
                 head + order * (math.log(qj) - log_gamma) + lkj
                 for head, qj, lkj in zip(heads, q, lk)
             ]
             value = ll + sum(terms)
+            parts = (r, q2, q, lk, lk_lo, lk_hi)
+            if lk_e:
+                estep = (dls, *lk_e)
         if not value > -math.inf:
             raise NumericalError(f"EM objective is not finite ({value})")
-        return value, parts
+        return value, parts, estep
 
-    def grad_norm(beta: NDArray[np.float64], parts: Optional[tuple]) -> float:
-        g = (Xty - XtX @ beta) / sig2
+    def stationary(beta: NDArray[np.float64], parts: Optional[tuple]) -> bool:
+        # max_j |gradient_j| < 10 tol; a NaN fails the test as under np.max
+        g = ((Xty - XtX @ beta) / sig2).tolist()
         if parts is None:
             prior_g = [gh_log_pdf_grad(priors[j], beta[j]) for j in range(p)]
         else:
             # gh_log_pdf_grad(priors[j], beta[j]), operation for operation
-            r, q2, q = parts
-            lk, lk_lo, lk_hi = log_bessel_k_grid(
-                [order, order - 1.0, order + 1.0], [gamma * qj for qj in q]
-            )
+            r, q2, q, lk, lk_lo, lk_hi = parts
             prior_g = []
             for rj, q2j, qj, k, lo, hi in zip(r, q2, q, lk, lk_lo, lk_hi):
                 dlogk = -0.5 * (math.exp(lo - k) + math.exp(hi - k))
                 prior_g.append(order * rj / q2j + gamma * dlogk * rj / qj)
-        g = g + np.array(prior_g)
-        return float(np.max(np.abs(g)))
+        return all(abs(gj + pj) < 10.0 * tol for gj, pj in zip(g, prior_g))
 
-    A0 = XtX / sig2
-    b0 = Xty / sig2
+    # the M-step system is A0 + diag(w / a2), whose off-diagonal entries are
+    # A0's plus 0.0 (so a -0.0 there turns into +0.0); its diagonal and b are
+    # built from Python floats, and their finiteness is checked on those
+    A0 = XtX / sig2 + 0.0
+    A0_finite = bool(np.isfinite(A0).all())
+    A0_diag = A0.diagonal().tolist()
+    b0 = (Xty / sig2).tolist()
+    last = window[:, -1].tolist() if d_eff else []
     pull = config.alpha / a2
     beta = locs.copy()  # prior mean warm start
     r = (beta - locs).tolist()
-    value, parts = objective(beta, r)
-    trace = [value]
-    for _ in range(max_iter):
-        w = weights(r)
-        # M-step: ridge system with per-coefficient weights
-        A = A0 + np.diag(w / a2)
-        b = b0 + pull * w * window[:, -1] if d_eff else b0
-        try:
-            beta = _solve_spd(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular M-step system (weights range [{w.min()}, {w.max()}]); "
-                "consider a larger delta or eps regularization"
-            ) from exc
-        r = (beta - locs).tolist()
-        value, parts = objective(beta, r)
-        trace.append(value)
-        rel = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-1]))
-        if rel < tol and grad_norm(beta, parts) < 10.0 * tol:
-            return beta, np.asarray(trace), True
+    # every overflow in a sweep ends in an error (a non-finite objective or
+    # M-step system) or a failed stationarity check, so numpy's overflow
+    # warnings would add nothing
+    with np.errstate(over="ignore"):
+        value, parts, estep = objective(beta, r)
+        trace = [value]
+        for _ in range(max_iter):
+            w = weights(r, estep)
+            # M-step: ridge system with per-coefficient weights
+            diag = [ajj + wj / a2 for ajj, wj in zip(A0_diag, w)]
+            b = [bj + pull * wj * lj for bj, wj, lj in zip(b0, w, last)] if d_eff else b0
+            if not (A0_finite and all(map(math.isfinite, diag + b))):
+                raise ValueError("array must not contain infs or NaNs")
+            A = A0.copy()
+            A.flat[:: p + 1] = diag
+            try:
+                beta = _solve_spd(A, b)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"singular M-step system (weights range [{min(w)}, {max(w)}]); "
+                    "consider a larger delta or eps regularization"
+                ) from exc
+            r = (beta - locs).tolist()
+            value, parts, estep = objective(beta, r)
+            trace.append(value)
+            rel = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-1]))
+            if rel < tol and stationary(beta, parts):
+                return beta, np.asarray(trace), True
     return beta, np.asarray(trace), False
 
 

@@ -270,7 +270,8 @@ def pimh_run(
     A proposal pass that raises ``DegeneracyError`` has Z-hat = 0, a valid
     value of the unbiased estimator: it counts as a rejection.  Any other
     ``NumericalError`` is a defect and propagates, naming the iteration and
-    t.  The first pass raises on both: the chain needs a start with Z-hat > 0.
+    t.  The first pass raises on both, naming iteration 1: the chain needs a
+    start with Z-hat > 0.
     """
     if M < 1:
         raise DomainError(f"need at least one iteration, got M={M}")
@@ -280,7 +281,10 @@ def pimh_run(
     log_ev = np.empty(M)
     accepted = np.zeros(M, dtype=bool)
 
-    cur_beta, cur_d, cur_lz = smc_run(data, config, N, rng)
+    try:
+        cur_beta, cur_d, cur_lz = smc_run(data, config, N, rng)
+    except NumericalError as exc:
+        raise type(exc)(f"PIMH iteration 1: {exc}") from exc
     betas[0], ds[0], log_ev[0] = cur_beta, cur_d, cur_lz
     accepted[0] = True
     for m in range(1, M):

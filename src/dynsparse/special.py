@@ -6,8 +6,10 @@ the second kind.  ``scipy.special.kve`` covers the bulk of the domain in
 double precision; the extreme corner (tiny argument together with a large
 order, where ``K_a(z)`` overflows a double) falls back to arbitrary
 precision via mpmath, which is imported on that branch only.
-``log_bessel_k_grid`` evaluates many (order, arg) pairs with one ``kve``
-call and gives the scalar function's bits.
+``log_bessel_k_rows`` evaluates rows of (order, args) pairs, each row
+with its own arguments, in one ``kve`` call and gives the scalar
+function's bits; it is the only caller of ``kve`` besides the scalar
+function.
 
 No module of the package imports scipy's submodules at load time: each
 of ``scipy.special`` (here) and ``scipy.linalg`` (``distributions``,
@@ -29,7 +31,7 @@ from .errors import DomainError
 
 __all__ = [
     "log_bessel_k",
-    "log_bessel_k_grid",
+    "log_bessel_k_rows",
     "log_gig_normalizer",
     "validate_gig_region",
 ]
@@ -79,27 +81,33 @@ def log_bessel_k(order: float, arg: float) -> float:
         return float(mpmath.log(mpmath.besselk(v, mpmath.mpf(arg))))
 
 
-def log_bessel_k_grid(orders: Sequence[float], args: Sequence[float]) -> list[list[float]]:
-    """:func:`log_bessel_k` on the grid ``orders x args``, as rows of floats.
+def log_bessel_k_rows(rows: Sequence[tuple[float, Sequence[float]]]) -> list[list[float]]:
+    """:func:`log_bessel_k` on rows of ``(order, args)`` pairs, as rows of floats.
 
-    Row i holds log K_{orders[i]}(args[j]) for every j.  One array ``kve``
-    call covers the grid, and it gives the values scalar calls give.  The
+    Row i holds log K_{order_i}(z) for every z in its own ``args``; rows
+    may differ in their arguments and their length.  One array ``kve``
+    call covers every row, and it gives the values scalar calls give.  The
     log stays in ``math`` on Python floats, since ``np.log`` differs from
     ``math.log`` in the last bit on some inputs.  A row holding a ``kve``
     that is not finite and positive goes through the scalar function, in
     element order: that is where a bad input raises its ``DomainError`` and
-    where an overflowing ``K`` falls back to mpmath.
+    where an overflowing ``K`` falls back to mpmath.  Rows go in order, so
+    the error raised is the first one row-major scalar calls would raise.
     """
-    args = [float(z) for z in args]
-    scaled = kve(np.abs(np.asarray(orders, dtype=float))[:, None], args).tolist()
-    rows = []
-    for order, row in zip(orders, scaled):
-        # a NaN or inf in the row makes its sum non-finite
-        if 0.0 < min(row) and sum(row) < math.inf:
-            rows.append([math.log(s) - z for s, z in zip(row, args)])
-        else:
-            rows.append([log_bessel_k(order, z) for z in args])
-    return rows
+    orders, args = [], []
+    for order, zs in rows:
+        orders += [abs(order)] * len(zs)
+        args += zs
+    scaled = kve(orders, args).tolist()
+    # None marks a kve value that is not finite and positive (NaN fails too)
+    logs = [math.log(s) - z if 0.0 < s < math.inf else None for s, z in zip(scaled, args)]
+    out = []
+    start = 0
+    for order, zs in rows:
+        row = logs[start : start + len(zs)]
+        start += len(zs)
+        out.append(row if None not in row else [log_bessel_k(order, z) for z in zs])
+    return out
 
 
 def log_gig_normalizer(nu: float, delta: float, gamma: float) -> float:

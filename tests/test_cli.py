@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dynsparse.cli
+import dynsparse.smc
 from dynsparse import ParseError, RegressionData, load_data, synthetic_regression
 from dynsparse.cli import run_command
 
@@ -377,6 +378,30 @@ def test_overflowing_observation_is_a_numerical_error(tmp_path, capsys):
     assert record["error_type"] == "NumericalError"
     assert record["message"].startswith("at time step t=2: EM objective is not finite")
     assert "error: at time step t=2: EM objective is not finite" in capsys.readouterr().err
+
+
+def test_first_pimh_pass_failure_names_iteration_one(tmp_path, monkeypatch, capsys):
+    real = dynsparse.smc._weight_and_propose
+
+    def nan_weights(*args):
+        lw, beta = real(*args)
+        lw[:] = np.nan
+        return lw, beta
+
+    monkeypatch.setattr(dynsparse.smc, "_weight_and_propose", nan_weights)
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,0.2,1\n")
+    out = tmp_path / "out"
+    code = run_command([
+        "fit-smc", "nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "d=1",
+        "sigma=0.5", "n_particles=10", "n_iters=3", "seed=1",
+        f"data_path={dpath}", f"out_dir={out}",
+    ])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error_type"] == "NumericalError"
+    assert record["message"].startswith("PIMH iteration 1: ")
+    assert "t=1" in record["message"]
 
 
 def _fit_map_into(out, dpath, y2):

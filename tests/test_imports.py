@@ -1,12 +1,13 @@
 """Import hygiene of the package modules.
 
 No module imports a private (``_``-prefixed) name from a sibling module,
-no module other than ``__init__`` imports a name it never uses, and no
-module imports scipy at load time; all three are checked from the syntax
-trees.  The module attributes the benchmark's span tracer wraps stay
-bound.  The CLI imports and runs every subcommand without loading
-scipy.integrate, scipy.optimize or mpmath, and only the subcommands that
-call scipy.special or scipy.linalg load them.
+no module other than ``__init__`` imports a name it never uses, no module
+imports scipy at load time, and no module other than ``special`` names
+``kve``; all four are checked from the syntax trees.  The module
+attributes the benchmark's span tracer wraps stay bound.  The CLI imports
+and runs every subcommand without loading scipy.integrate, scipy.optimize
+or mpmath, and only the subcommands that call scipy.special or
+scipy.linalg load them.
 """
 
 import ast
@@ -76,6 +77,22 @@ def module_level_scipy_imports(tree):
     return sorted(found)
 
 
+def kve_references(tree):
+    """Lines that name ``kve``: a name, an attribute, an import or a string."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any("kve" in (a.name, a.asname) for a in node.names):
+                lines.add(node.lineno)
+        elif (
+            (isinstance(node, ast.Name) and node.id == "kve")
+            or (isinstance(node, ast.Attribute) and node.attr == "kve")
+            or (isinstance(node, ast.Constant) and node.value == "kve")
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -101,6 +118,15 @@ def test_no_module_level_scipy_imports(path):
     assert module_level_scipy_imports(parse(path)) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "special.py"], ids=lambda p: p.name
+)
+def test_only_special_names_kve(path):
+    # log_bessel_k and log_bessel_k_rows are the only routes to kve, so the
+    # scalar-fallback rule and the lazy scipy.special import live in one place
+    assert kve_references(parse(path)) == []
+
+
 def test_checks_flag_offending_source():
     tree = ast.parse(
         "import os\n"
@@ -119,10 +145,13 @@ def test_checks_flag_offending_source():
         "    from scipy.special import kve\n"
         "    import scipy\n"
         "    return kve, scipy\n"
+        "g = sc.kve\n"
+        "h = bind_on_first_call(globals(), 'scipy.special', 'kve')\n"
     )
     assert private_sibling_imports(tree) == ["_helper"]
     assert unused_imports(tree) == ["_helper", "cho_factor", "os"]
     assert module_level_scipy_imports(tree) == ["scipy.linalg", "scipy.special"]
+    assert kve_references(tree) == [14, 16, 17, 18]
 
 
 def tracer_bindings():

@@ -6,8 +6,9 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import kve
 
-from dynsparse import DomainError, ModelConfig, NumericalError, conditional_gh, gh_log_pdf
+from dynsparse import DomainError, ModelConfig, NumericalError, conditional_gh, gh_log_pdf, special
 from dynsparse.map_em import MapFit, RegressionData, em_map_step, run_online_map
+from dynsparse.prior import mahal_sq_batch
 from helpers import reference_em_map_step
 
 
@@ -269,6 +270,79 @@ def test_batched_step_matches_reference_on_the_mpmath_fallback():
     assert not np.isfinite(kve(abs(prior.nu - 0.5), prior.gamma * prior.delta))
     X = rng.standard_normal((3, 2))
     assert_step_matches_reference(X @ [0.5, 0.0], X, window, config)
+
+
+def record_bessel_fallbacks(monkeypatch):
+    """Orders of the rows ``log_bessel_k_rows`` hands to the scalar function."""
+    orders = []
+    real = special.log_bessel_k
+
+    def recording(order, arg):
+        orders.append(order)
+        return real(order, arg)
+
+    monkeypatch.setattr(special, "log_bessel_k", recording)
+    return orders
+
+
+def test_batched_step_matches_reference_when_only_estep_rows_overflow(monkeypatch):
+    # nu_e = -150.5: the E-step's order nu_e - 1 and the gradient check's
+    # order nu' - 3/2 are both 151.5, at gamma * dl and gamma' * q, which are
+    # equal in value; delta sits where the two floats differ by one ulp
+    # across the smallest argument at which kve(151.5, .) is finite, so on
+    # the first sweep only the E-step row overflows
+    config = ModelConfig(
+        nu=-149.0, delta=0.7036128031061359, gamma=1.5, alpha=0.3, sigma=0.5, p=1, d=2
+    )
+    window = np.array([[0.1, 0.2]])
+    prior = conditional_gh(config, window[0])
+    z_e = config.gamma * math.sqrt(config.delta**2 + mahal_sq_batch(window, 0.3)[0])
+    assert not np.isfinite(kve(151.5, z_e))
+    assert np.isfinite(kve(151.5, prior.gamma * prior.delta))
+    fallbacks = record_bessel_fallbacks(monkeypatch)
+    assert_step_matches_reference(np.array([0.3, -0.2]), np.array([[1.0], [0.5]]), window, config)
+    assert set(fallbacks) == {-151.5}
+
+
+def test_batched_step_matches_reference_when_only_objective_rows_overflow(monkeypatch):
+    # nu' - 1/2 = 149.5 and gamma * delta = 1.04: K_150.5 overflows (the
+    # gradient check's order nu' + 1/2), K_149.5 and K_148.5 (the objective's
+    # and the E-step's) do not
+    config = ModelConfig(nu=150.0, delta=1.04, gamma=1.0, alpha=0.0, sigma=0.5, p=2, d=0)
+    assert not np.isfinite(kve(150.5, 1.04)) and np.isfinite(kve(149.5, 1.04))
+    fallbacks = record_bessel_fallbacks(monkeypatch)
+    X = np.array([[1.0, 0.3], [0.2, 1.0], [0.5, -0.4]])
+    assert_step_matches_reference(X @ [0.05, -0.02], X, np.zeros((2, 0)), config)
+    assert fallbacks and set(fallbacks) == {150.5}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ModelConfig(nu=3.0, delta=0.1, gamma=0.5, alpha=0.5, sigma=0.5, p=4, d=4),
+        # delta = 0, d = 0: the first objective takes the q = 0 route and
+        # makes no kve call; the first E-step makes its own in its place
+        ModelConfig(nu=1.0, delta=0.0, gamma=1.0, alpha=0.0, sigma=0.5, p=4, d=0),
+    ],
+    ids=["benchmark-model", "delta-0"],
+)
+def test_one_kve_call_per_sweep(monkeypatch, config):
+    calls = []
+
+    def counting(order, arg):
+        calls.append(np.ndim(arg))
+        return kve(order, arg)
+
+    monkeypatch.setattr(special, "kve", counting)
+    ys, Xs = sparse_series(T=12, p=4, rows=3, seed=16)
+    beta_hat = np.zeros((4, 12))
+    for t in range(12):
+        window = beta_hat[:, t - min(config.d, t) : t]
+        calls.clear()
+        beta_hat[:, t], trace, _ = em_map_step(ys[t], Xs[t], window, config)
+        # scalar calls are the GH heads' (one per coefficient, delta > 0)
+        assert sum(ndim > 0 for ndim in calls) == len(trace)
+        assert_step_matches_reference(ys[t], Xs[t], window, config)
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,22 @@ def test_pimh_propagates_a_nan_proposal(monkeypatch):
     assert not isinstance(info.value, DegeneracyError)
 
 
+@pytest.mark.parametrize("value,error", [(np.nan, NumericalError), (-np.inf, DegeneracyError)])
+def test_pimh_names_iteration_one_when_the_first_pass_fails(monkeypatch, value, error):
+    # a collapsed first pass raises too: the chain needs a start with Z-hat > 0
+    real = dynsparse.smc._weight_and_propose
+
+    def spoiled(*args):
+        lw, beta = real(*args)
+        lw[:] = value
+        return lw, beta
+
+    monkeypatch.setattr(dynsparse.smc, "_weight_and_propose", spoiled)
+    with pytest.raises(error, match=r"^PIMH iteration 1: .*t=1") as info:
+        pimh_run(_tiny_data(T=3), cfg(d=1), 16, 1, np.random.default_rng(8))
+    assert type(info.value) is error
+
+
 def test_summary_single_iteration_and_symmetry():
     beta = np.arange(6.0).reshape(1, 2, 3)
     chain = PosteriorChain(

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import kve
 
 from dynsparse import DomainError, log_bessel_k, log_gig_normalizer
-from dynsparse.special import bind_on_first_call, log_bessel_k_grid
+from dynsparse.special import bind_on_first_call, log_bessel_k_rows
 from helpers import gig_unnormalized, integrate_positive_halfline
 
 
@@ -38,22 +39,31 @@ def test_order_symmetry():
 )
 @example(orders=[0.5, -0.5, 3.0], args=[1e-8, 1.0, 1e4])
 @example(orders=[150.0, 0.0], args=[0.05, 2.0])  # K_150(0.05) overflows: mpmath
-def test_log_bessel_k_grid_matches_scalar_calls(orders, args):
-    rows = log_bessel_k_grid(orders, args)
+def test_log_bessel_k_rows_matches_scalar_calls(orders, args):
+    rows = log_bessel_k_rows([(order, args) for order in orders])
     assert len(rows) == len(orders)
     for order, row in zip(orders, rows):
         assert row == [log_bessel_k(order, z) for z in args]
         assert all(type(v) is float for v in row)
 
 
-def test_log_bessel_k_grid_matches_scalar_calls_on_a_sweep():
+def test_log_bessel_k_rows_matches_scalar_calls_on_a_sweep():
     # dense grid: np.log in place of math.log changes ~18 of these 50 000
     # values in the last bit, which the hypothesis examples rarely reach
     rng = np.random.default_rng(31)
     orders = rng.uniform(-20.0, 20.0, 250).tolist()
     args = (10.0 ** rng.uniform(-3.0, 3.0, 200)).tolist()
-    rows = log_bessel_k_grid(orders, args)
+    rows = log_bessel_k_rows([(order, args) for order in orders])
     assert rows == [[log_bessel_k(order, z) for z in args] for order in orders]
+
+
+def first_scalar_error(rows):
+    """The DomainError row-major scalar calls raise first."""
+    with pytest.raises(DomainError) as info:
+        for order, args in rows:
+            for z in args:
+                log_bessel_k(order, z)
+    return str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -65,15 +75,31 @@ def test_log_bessel_k_grid_matches_scalar_calls_on_a_sweep():
         ([150.0, 0.5], [0.05, 0.0]),
     ],
 )
-def test_log_bessel_k_grid_raises_the_first_scalar_error(orders, args):
-    # the error the scalar calls would raise first, in row-major order
-    with pytest.raises(DomainError) as grid_exc:
-        log_bessel_k_grid(orders, args)
-    with pytest.raises(DomainError) as scalar_exc:
-        for order in orders:
-            for z in args:
-                log_bessel_k(order, z)
-    assert str(grid_exc.value) == str(scalar_exc.value)
+def test_log_bessel_k_rows_raises_the_first_scalar_error(orders, args):
+    rows = [(order, args) for order in orders]
+    with pytest.raises(DomainError) as rows_exc:
+        log_bessel_k_rows(rows)
+    assert str(rows_exc.value) == first_scalar_error(rows)
+
+
+def test_log_bessel_k_rows_with_ragged_rows():
+    # rows with their own arguments and lengths; K_150(0.05) overflows a
+    # double, so its row goes through the scalar function and mpmath
+    rows = [
+        (0.5, [1.0, 2.0, 3.0]),
+        (150.0, [2.0, 0.05]),
+        (-2.5, [1e-3]),
+        (3.0, [0.2, 10.0, 1e4, 7.0]),
+    ]
+    assert not np.isfinite(kve(150.0, 0.05))
+    values = log_bessel_k_rows(rows)
+    assert values == [[log_bessel_k(order, z) for z in args] for order, args in rows]
+    assert all(type(v) is float for row in values for v in row)
+    # a row that raises, with a valid row after it and the mpmath row before
+    bad = rows + [(1.5, [4.0, -1.0, math.nan]), (0.5, [0.0])]
+    with pytest.raises(DomainError) as rows_exc:
+        log_bessel_k_rows(bad)
+    assert str(rows_exc.value) == first_scalar_error(bad)
 
 
 def test_against_quadrature_of_integral_representation():
