@@ -18,6 +18,15 @@ group step.  Each group is stored in the eigenbasis of its curvature
 L' diag(G_s[j, j]) L / sigma^2, where the group magnitude is the root of
 a scalar secular equation, solved by Newton's method (Qin, Scheinberg &
 Goldfarb 2013, Math. Prog. Comp. 5:143).
+
+The windows of a fit are independent, so they are solved together.  The
+per-step Gram data are built and checked once per fit, and the windows
+are sliding views of them, fed in blocks of ``_WINDOW_BLOCK``.  Within a
+block every group step, Newton iteration and KKT check is one set of
+array calls over the windows still live.  A window leaves the block once
+its KKT residual is below the tolerance, and every sum runs in the same
+order as for one window alone, so each window gets the sweeps and the
+bits it would get alone.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError, NumericalError
@@ -40,6 +50,14 @@ __all__ = [
 ]
 
 _NEWTON_MAX_ITER = 500  # a safety bound: bench windows take 4-9 Newton steps
+_WINDOW_BLOCK = 128  # windows per kernel call: bounds working memory, not results
+
+
+def _check_scales(gamma: float, sigma2: float) -> None:
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 < sigma2 < math.inf:
+        raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
 @dataclass
@@ -73,10 +91,7 @@ class WindowProblem:
                     f"window step {s}: X has shape {X.shape}, "
                     f"expected ({y.shape[0]}, {p})"
                 )
-        if self.gamma <= 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if self.sigma2 <= 0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        _check_scales(self.gamma, self.sigma2)
 
     @property
     def p(self) -> int:
@@ -97,60 +112,174 @@ def mahalanobis_penalty(
 
 def _group_magnitude(
     lam: NDArray[np.float64], c: NDArray[np.float64], gamma: float
-) -> float:
-    """Root t > 0 of f(t) = sum_i c_i^2 / (lam_i t + gamma)^2 - 1 by Newton.
+) -> tuple[NDArray[np.float64], dict[int, NumericalError]]:
+    """Row-wise root t > 0 of f(t) = sum_i c_i^2 / (lam_i t + gamma)^2 - 1 by Newton.
 
-    Valid when ||c|| > gamma, lam >= 0 and max(lam) > 0.  f is convex and
-    decreasing, so Newton started left of the root rises monotonically to
-    it without overshoot; t0 = (||c|| - gamma) / max(lam) is such a start,
-    since f(t0) >= ||c||^2 / (max(lam) t0 + gamma)^2 - 1 = 0.
+    Valid on rows with ||c|| > gamma, lam >= 0 and max(lam) > 0.  f is
+    convex and decreasing, so Newton started left of the root rises
+    monotonically to it without overshoot; t0 = (||c|| - gamma) / max(lam)
+    is such a start, since f(t0) >= ||c||^2 / (max(lam) t0 + gamma)^2 - 1 = 0.
+    Every row stops by its own rule, and f and f' are summed left to right,
+    so a row gets the bits it would get alone.  Returns ``(t, errors)``:
+    ``errors`` maps each row without a root to its error, and its t is NaN.
     """
-    lam_l = lam.tolist()
-    c2 = [ci * ci for ci in c.tolist()]
-    t = (math.sqrt(math.fsum(c2)) - gamma) / max(lam_l)
-    f_prev = math.inf
+    c2 = c * c
+    t = (np.sqrt([math.fsum(row) for row in c2.tolist()]) - gamma) / lam.max(axis=1)
+    n = len(t)
+    f_prev = np.full(n, np.inf)
+    live = np.ones(n, dtype=bool)
+    bad = np.zeros(n, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
-        f = -1.0
-        df = 0.0
-        for li, qi in zip(lam_l, c2):
-            r = 1.0 / (li * t + gamma)
-            qr2 = qi * r * r
-            f += qr2
-            df += li * qr2 * r
-        if f <= 0.0:
-            return t
-        if f >= f_prev:  # stalled: at the root up to rounding, or f levels off above 0
-            if f < 1e-12:
-                return t
-            break
+        r = 1.0 / (lam * t[:, None] + gamma)
+        q = c2 * r * r
+        df = np.add.accumulate(lam * q * r, axis=1)[:, -1]
+        q[:, 0] -= 1.0  # f = ((-1 + q_0) + q_1) + ...
+        f = np.add.accumulate(q, axis=1)[:, -1]
+        # past the root, or stalled: at it up to rounding, or f levels off above 0
+        stop = live & ((f <= 0.0) | (f >= f_prev) | (df == 0.0))
+        bad |= stop & (f >= 1e-12)
+        live &= ~stop
         f_prev = f
-        step = f / (2.0 * df)
+        step = np.divide(f, 2.0 * df, out=np.zeros(n), where=live)
         t += step
-        if step <= 1e-15 * t:
-            return t
-    raise NumericalError(
-        f"group magnitude: no root of the secular equation (f = {f:.3e} at t = {t:.3e})"
-    )
+        live &= ~(step <= 1e-15 * t)
+        if not np.count_nonzero(live):
+            break
+    bad |= live  # out of iterations
+    # a stopped row keeps its t, so f and t are those it stopped at
+    errors = {
+        i: NumericalError(
+            f"group magnitude: no root of the secular equation (f = {f[i]:.3e} at t = {t[i]:.3e})"
+        )
+        for i in bad.nonzero()[0].tolist()
+    }
+    t[bad] = np.nan
+    return t, errors
 
 
 def _kkt_residual(
     Rt: NDArray[np.float64], U: NDArray[np.float64], phi: NDArray[np.float64], gamma: float
-) -> float:
-    """Max over groups of the subgradient-condition violation.
+) -> NDArray[np.float64]:
+    """Per window, the max over groups of the subgradient-condition violation.
 
     Gradients and coefficients are taken in each group's eigenbasis, an
     orthogonal change of coordinates, so the norms are those of theta.
     """
-    grad = -np.einsum("jws,js->jw", Rt, U)
-    nrm = np.linalg.norm(phi, axis=1)
+    grad = -np.einsum("kjws,kjs->kjw", Rt, U)
+    nrm = np.linalg.norm(phi, axis=2)
     active = nrm > 0.0
-    unit = phi / np.where(active, nrm, 1.0)[:, None]
+    unit = phi / np.where(active, nrm, 1.0)[..., None]
     viol = np.where(
         active,
-        np.linalg.norm(grad + gamma * unit, axis=1),
-        np.linalg.norm(grad, axis=1) - gamma,
+        np.linalg.norm(grad + gamma * unit, axis=2),
+        np.linalg.norm(grad, axis=2) - gamma,
     )
-    return max(float(viol.max()), 0.0)
+    return np.maximum(viol.max(axis=1), 0.0)
+
+
+def _step_gram(
+    ys: list[NDArray[np.float64]], Xs: list[NDArray[np.float64]]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Per-step X_s'X_s, X_s'y_s and y_s'y_s, stacked along a leading step axis."""
+    G = np.stack([X.T @ X for X in Xs])
+    b = np.stack([X.T @ y for X, y in zip(Xs, ys)])
+    yy = np.array([y @ y for y in ys])
+    return G, b, yy
+
+
+def _solve_windows(
+    G: NDArray[np.float64], b: NDArray[np.float64], yy: NDArray[np.float64],
+    L: NDArray[np.float64], gamma: float, sigma2: float, tol: float, max_iter: int,
+) -> tuple[NDArray[np.float64], list[NDArray[np.float64]], tuple[int, Exception] | None]:
+    """Block coordinate descent on every window of a run of steps at once.
+
+    ``G``, ``b`` and ``yy`` are per-step Gram data (steps first) and ``L``
+    the Cholesky factor of the width x width window correlation; window k
+    covers steps k..k+width-1.  Each group step, Newton iteration and KKT
+    check is one set of array calls over the live windows.  A window
+    leaves once its KKT residual is below ``tol``, so it runs the sweeps,
+    and gets the bits, it would get alone.
+
+    Returns ``(beta, traces, failure)``: ``beta`` is windows x p x width in
+    the original coordinates, ``traces[k]`` the objective of window k
+    before and after each sweep, and ``failure`` None or ``(k, error)`` for
+    the earliest window that failed.
+    """
+    w = L.shape[0]
+    Gw = sliding_window_view(G, w, axis=0)  # windows x p x p x width
+    K, p = Gw.shape[:2]
+    # group j of window k lives in the eigenbasis Q_kj of
+    # L' diag(G_s[j, j]) L / sigma2; R_kj = L Q_kj maps its coordinates phi_kj
+    # to beta_kj
+    diag = Gw[:, np.arange(p), np.arange(p)]  # windows x p x width
+    lam, Q = np.linalg.eigh(np.einsum("sa,kjs,sb->kjab", L, diag, L) / sigma2)
+    lam = np.maximum(lam, 0.0)
+    R = L @ Q
+    Rt = np.ascontiguousarray(np.swapaxes(R, 2, 3)) / sigma2
+    b = sliding_window_view(b, w, axis=0).copy()  # windows x p x width
+    yy = np.add.accumulate(sliding_window_view(yy, w), axis=1)[:, -1]  # left to right
+
+    ids = np.arange(K)  # the live windows; their state below is compacted
+    phi = np.zeros((K, p, w))
+    U = b.copy()  # Gram residuals b_s - G_s beta_s, one column per step
+    active = np.zeros((K, p), dtype=bool)
+    dead = np.zeros(K, dtype=bool)  # a group magnitude without a root
+    beta_out = np.empty((K, p, w))
+    traces = [[v] for v in (0.5 * yy / sigma2).tolist()]
+    errors: dict[int, Exception] = {}
+    kkt = _kkt_residual(Rt, U, phi, gamma)
+    for _ in range(max_iter):
+        for j in range(p):
+            # minus the fit gradient at phi_j = 0 (group j's own fit added back)
+            c = (Rt[:, j] @ U[:, j, :, None])[..., 0]
+            np.add(c, lam[:, j] * phi[:, j], out=c, where=active[:, j, None])
+            big = ~(np.sqrt((c[:, None] @ c[..., None])[:, 0, 0]) <= gamma)
+            move = big | active[:, j]
+            new = np.zeros(c.shape)
+            rows = big.nonzero()[0]
+            if rows.size:
+                lj, cj = lam[rows, j], c[rows]
+                t, failed = _group_magnitude(lj, cj, gamma)
+                new[rows] = cj * t[:, None] / (lj * t[:, None] + gamma)
+                for i, exc in failed.items():
+                    errors.setdefault(int(ids[rows[i]]), exc)
+                    dead[rows[i]] = True
+            active[:, j] = big
+            mv = (move & ~dead).nonzero()[0]
+            if mv.size:
+                # G_s symmetric: Gw[k, j, l, s] = G_s[l, j]
+                dbeta = (R[mv, j] @ (new[mv] - phi[mv, j])[..., None]).swapaxes(1, 2)
+                U[mv] -= Gw[ids[mv], j] * dbeta
+                phi[mv, j] = new[mv]
+        beta = np.einsum("kjsw,kjw->kjs", R, phi)
+        # ||y_s - X_s beta_s||^2 = y_s'y_s - beta_s'(b_s + U[:, s])
+        fit = 0.5 * (yy - (beta * (b + U)).reshape(len(ids), -1).sum(axis=1)) / sigma2
+        obj = fit + gamma * np.linalg.norm(phi, axis=2).sum(axis=1)
+        for k, v in zip(ids.tolist(), obj.tolist()):
+            traces[k].append(v)
+        kkt = _kkt_residual(Rt, U, phi, gamma)
+        done = kkt < tol
+        beta_out[ids[done]] = beta[done]
+        keep = ~(done | dead)
+        if errors:
+            keep &= ids < min(errors)  # a later window cannot be the one reported
+        if not keep.all():
+            ids, lam, R, Rt, b, yy, phi, U, active, dead, kkt = (
+                a[keep] for a in (ids, lam, R, Rt, b, yy, phi, U, active, dead, kkt)
+            )
+            if not ids.size:
+                break
+    else:
+        for k, res in zip(ids.tolist(), kkt.tolist()):
+            errors.setdefault(
+                k,
+                ConvergenceError(
+                    f"group lasso window did not reach KKT residual {tol} in "
+                    f"{max_iter} sweeps (residual {res:.3e})"
+                ),
+            )
+    failure = min(errors.items()) if errors else None
+    return beta_out, [np.asarray(tr) for tr in traces], failure
 
 
 def solve_window(
@@ -158,64 +287,21 @@ def solve_window(
     tol: float = 1e-8,
     max_iter: int = 10_000,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Block coordinate descent on one window.
+    """Block coordinate descent on one window: the batched kernel on a stack of one.
 
     Returns ``(beta, objective_trace)`` where ``beta`` is p x width in
     the original (unwhitened) coordinates and ``objective_trace`` holds
     the objective value after each full sweep.  Stops when the KKT
     residual drops below ``tol``.
     """
-    p = problem.p
-    s2 = problem.sigma2
-    gamma = problem.gamma
-    G = np.stack([X.T @ X for X in problem.Xs], axis=2)  # p x p x width
-    b = np.stack([X.T @ y for X, y in zip(problem.Xs, problem.ys)], axis=1)
-    yy = sum(float(y @ y) for y in problem.ys)
+    G, b, yy = _step_gram(problem.ys, problem.Xs)
     L = np.linalg.cholesky(problem.corr.matrix)
-
-    # group j lives in the eigenbasis Q_j of L' diag(G[j, j]) L / s2;
-    # R_j = L Q_j maps its coordinates phi_j to beta_j
-    diag = G[np.arange(p), np.arange(p)]  # p x width
-    lam, Q = np.linalg.eigh(np.einsum("sa,js,sb->jab", L, diag, L) / s2)
-    lam = np.maximum(lam, 0.0)
-    R = L @ Q
-    Rt = np.ascontiguousarray(np.swapaxes(R, 1, 2)) / s2
-
-    phi = np.zeros((p, problem.width))
-    active = [False] * p
-    U = b.copy()  # Gram residual b_s - G_s beta_s, one column per step
-    trace = [0.5 * yy / s2]
-    kkt = _kkt_residual(Rt, U, phi, gamma)
-    for _ in range(max_iter):
-        for j in range(p):
-            # minus the fit gradient at phi_j = 0 (group j's own fit added back)
-            c = Rt[j] @ U[j]
-            if active[j]:
-                c += lam[j] * phi[j]
-            if math.sqrt(float(c @ c)) <= gamma:
-                if not active[j]:
-                    continue
-                new = np.zeros(problem.width)
-                active[j] = False
-            else:
-                t = _group_magnitude(lam[j], c, gamma)
-                new = c * t / (lam[j] * t + gamma)
-                active[j] = True
-            U -= G[j] * (R[j] @ (new - phi[j]))  # G_s symmetric: G[j][k, s] = G_s[k, j]
-            phi[j] = new
-        beta = np.einsum("jsw,jw->js", R, phi)
-        # ||y_s - X_s beta_s||^2 = y_s'y_s - beta_s'(b_s + U[:, s])
-        fit = 0.5 * (yy - float(np.sum(beta * (b + U)))) / s2
-        trace.append(fit + gamma * float(np.sum(np.linalg.norm(phi, axis=1))))
-        kkt = _kkt_residual(Rt, U, phi, gamma)
-        if kkt < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"group lasso window did not reach KKT residual {tol} in "
-            f"{max_iter} sweeps (residual {kkt:.3e})"
-        )
-    return beta, np.asarray(trace)
+    beta, traces, failure = _solve_windows(
+        G, b, yy, L, problem.gamma, problem.sigma2, tol, max_iter
+    )
+    if failure is not None:
+        raise failure[1]
+    return beta[0], traces[0]
 
 
 def run_sliding_window(
@@ -239,32 +325,31 @@ def run_sliding_window(
     T, p = data.T, data.p
     if T <= d:
         raise DomainError(f"need T > d, got T={T}, d={d}")
-    corr = WindowCorrelation(d + 1, config.alpha)
     s2 = config.sigma ** 2
+    _check_scales(config.gamma, s2)
+    G, b, yy = _step_gram(data.ys, data.Xs)
+    bad = ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(yy))
+    if bad.any():
+        t = int(np.argmax(bad)) + 1
+        raise NumericalError(f"at time step t={t}: non-finite data or Gram products")
+    L = np.linalg.cholesky(WindowCorrelation(d + 1, config.alpha).matrix)
 
     beta_hat = np.empty((p, T))
     iters = np.zeros(T, dtype=np.int64)
     traces: list[NDArray[np.float64]] = []
-    for t in range(d, T):
-        try:
-            problem = WindowProblem(
-                ys=list(data.ys[t - d : t + 1]),
-                Xs=list(data.Xs[t - d : t + 1]),
-                gamma=config.gamma,
-                sigma2=s2,
-                corr=corr,
-            )
-            sol, trace = solve_window(problem, tol=tol, max_iter=max_iter)
-        except (ConvergenceError, NumericalError, DomainError) as exc:
-            raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"at time step t={t + 1}: {exc}") from exc
-        if t == d:
-            beta_hat[:, : d + 1] = sol
-        else:
-            beta_hat[:, t] = sol[:, -1]
-        iters[t] = len(trace) - 1
-        traces.append(trace)
+    for k0 in range(0, T - d, _WINDOW_BLOCK):
+        steps = slice(k0, k0 + _WINDOW_BLOCK + d)
+        sol, block_traces, failure = _solve_windows(
+            G[steps], b[steps], yy[steps], L, config.gamma, s2, tol, max_iter
+        )
+        if failure is not None:
+            k, exc = failure
+            raise type(exc)(f"at time step t={k0 + k + d + 1}: {exc}") from exc
+        beta_hat[:, k0 + d : k0 + d + len(sol)] = sol[:, :, -1].T
+        if k0 == 0:
+            beta_hat[:, :d] = sol[0, :, :d]
+        iters[k0 + d : k0 + d + len(sol)] = [len(trace) - 1 for trace in block_traces]
+        traces += block_traces
     support = np.abs(beta_hat) > eps_sparse
     return MapFit(
         beta_hat=beta_hat,
@@ -272,5 +357,5 @@ def run_sliding_window(
         em_iters=iters,
         objective_trace=traces,
         eps_sparse=eps_sparse,
-        converged=np.ones(T, dtype=bool),  # solve_window raises unless it converges
+        converged=np.ones(T, dtype=bool),  # a window that does not converge raises
     )

@@ -5,8 +5,8 @@ densities are integrated numerically through scipy.integrate, never through
 the package's own normalizers or samplers.  The package itself never
 imports scipy.integrate, so these oracles live here rather than in
 ``dynsparse.special``.  Two oracles are earlier forms of package code that
-later ones must reproduce exactly: the per-coefficient EM step and the
-masked-round Devroye GIG kernel.
+later ones must reproduce exactly: the per-coefficient EM step, the
+masked-round Devroye GIG kernel and the per-window group-lasso solver.
 """
 
 import math
@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
 from dynsparse import (
+    ConvergenceError,
     DomainError,
     GigParams,
     NumericalError,
@@ -254,3 +255,109 @@ def reference_devroye_gig(lam, omega, rng):
     z = np.exp(out) * mode
     z = np.where(swap, 1.0 / z, z)
     return z.reshape(shape)
+
+
+_NEWTON_MAX_ITER = 500
+
+
+def reference_group_magnitude(lam, c, gamma):
+    """Scalar Newton root of sum_i c_i^2 / (lam_i t + gamma)^2 = 1, in plain floats."""
+    lam_l = lam.tolist()
+    c2 = [ci * ci for ci in c.tolist()]
+    t = (math.sqrt(math.fsum(c2)) - gamma) / max(lam_l)
+    f_prev = math.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        f = -1.0
+        df = 0.0
+        for li, qi in zip(lam_l, c2):
+            r = 1.0 / (li * t + gamma)
+            qr2 = qi * r * r
+            f += qr2
+            df += li * qr2 * r
+        if f <= 0.0:
+            return t
+        if f >= f_prev:
+            if f < 1e-12:
+                return t
+            break
+        f_prev = f
+        step = f / (2.0 * df)
+        t += step
+        if step <= 1e-15 * t:
+            return t
+    raise NumericalError(
+        f"group magnitude: no root of the secular equation (f = {f:.3e} at t = {t:.3e})"
+    )
+
+
+def _reference_kkt_residual(Rt, U, phi, gamma):
+    grad = -np.einsum("jws,js->jw", Rt, U)
+    nrm = np.linalg.norm(phi, axis=1)
+    active = nrm > 0.0
+    unit = phi / np.where(active, nrm, 1.0)[:, None]
+    viol = np.where(
+        active,
+        np.linalg.norm(grad + gamma * unit, axis=1),
+        np.linalg.norm(grad, axis=1) - gamma,
+    )
+    return max(float(viol.max()), 0.0)
+
+
+def reference_solve_window(problem, tol=1e-8, max_iter=10_000):
+    """The one-window block coordinate descent that ``run_sliding_window`` batches.
+
+    Kept as an oracle: the batched sweeps must give the same beta, objective
+    trace and sweep count bit for bit.  Group magnitudes come from a scalar
+    Newton iteration in plain floats, one window and one group at a time.
+    The window's y'y is summed left to right, as ``sum`` does before
+    Python 3.12.
+    """
+    p = problem.p
+    s2 = problem.sigma2
+    gamma = problem.gamma
+    G = np.stack([X.T @ X for X in problem.Xs], axis=2)  # p x p x width
+    b = np.stack([X.T @ y for X, y in zip(problem.Xs, problem.ys)], axis=1)
+    yy = 0.0
+    for y in problem.ys:
+        yy += float(y @ y)
+    L = np.linalg.cholesky(problem.corr.matrix)
+
+    diag = G[np.arange(p), np.arange(p)]  # p x width
+    lam, Q = np.linalg.eigh(np.einsum("sa,js,sb->jab", L, diag, L) / s2)
+    lam = np.maximum(lam, 0.0)
+    R = L @ Q
+    Rt = np.ascontiguousarray(np.swapaxes(R, 1, 2)) / s2
+
+    phi = np.zeros((p, problem.width))
+    active = [False] * p
+    U = b.copy()
+    trace = [0.5 * yy / s2]
+    kkt = _reference_kkt_residual(Rt, U, phi, gamma)
+    for _ in range(max_iter):
+        for j in range(p):
+            c = Rt[j] @ U[j]
+            if active[j]:
+                c += lam[j] * phi[j]
+            if math.sqrt(float(c @ c)) <= gamma:
+                if not active[j]:
+                    continue
+                new = np.zeros(problem.width)
+                active[j] = False
+            else:
+                t = reference_group_magnitude(lam[j], c, gamma)
+                new = c * t / (lam[j] * t + gamma)
+                active[j] = True
+            U -= G[j] * (R[j] @ (new - phi[j]))
+            phi[j] = new
+        beta = np.einsum("jsw,jw->js", R, phi)
+        fit = 0.5 * (yy - float(np.sum(beta * (b + U)))) / s2
+        trace.append(fit + gamma * float(np.sum(np.linalg.norm(phi, axis=1))))
+        kkt = _reference_kkt_residual(Rt, U, phi, gamma)
+        if kkt < tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"group lasso window did not reach KKT residual {tol} in "
+            f"{max_iter} sweeps (residual {kkt:.3e})"
+        )
+    return beta, np.asarray(trace)

@@ -19,7 +19,9 @@ from dynsparse import (
     run_sliding_window,
     solve_window,
 )
+from dynsparse import group_lasso
 from dynsparse.group_lasso import _group_magnitude
+from helpers import reference_group_magnitude, reference_solve_window
 
 
 def stacked_whitened(problem):
@@ -121,8 +123,16 @@ def bisect_magnitude(lam, c, gamma):
 
 @st.composite
 def secular_problems(draw):
+    """One to four rows sharing a width and gamma, each with a root."""
     w = draw(st.integers(1, 8))
     gamma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rows = [draw(secular_row(w, gamma)) for _ in range(draw(st.integers(1, 4)))]
+    lam, c = (np.array(a) for a in zip(*rows))
+    return lam, c, gamma
+
+
+@st.composite
+def secular_row(draw, w, gamma):
     # curvatures over twelve decades, some exactly zero, at least one positive
     curvature = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
     lam = np.array([draw(curvature) for _ in range(w)])
@@ -141,28 +151,36 @@ def secular_problems(draw):
         c[zero] = z_norm * weights[zero] / np.linalg.norm(weights[zero])
     pos = ~zero
     c[pos] = math.sqrt(cnorm**2 - z_norm**2) * weights[pos] / np.linalg.norm(weights[pos])
-    return lam, c, gamma
+    return lam, c
 
 
 @settings(max_examples=300, deadline=None)
 @given(secular_problems())
 def test_group_magnitude_solves_secular_equation(problem):
     lam, c, gamma = problem
-    t = _group_magnitude(lam, c, gamma)
-    f, _ = secular(lam, c, gamma, t)
-    assert t > 0.0
-    assert abs(f) <= 1e-12
-    t_ref = bisect_magnitude(lam, c, gamma)
-    _, df = secular(lam, c, gamma, t_ref)
-    # the root moves by df^-1 per unit of rounding in f
-    assert abs(t - t_ref) <= 1e-13 * t_ref + 1e-13 / abs(df)
+    t_rows, errors = _group_magnitude(lam, c, gamma)
+    assert errors == {}
+    for lam_i, c_i, t in zip(lam, c, t_rows):
+        assert t == reference_group_magnitude(lam_i, c_i, gamma)  # same bits as alone
+        f, _ = secular(lam_i, c_i, gamma, t)
+        assert t > 0.0
+        assert abs(f) <= 1e-12
+        t_ref = bisect_magnitude(lam_i, c_i, gamma)
+        _, df = secular(lam_i, c_i, gamma, t_ref)
+        # the root moves by df^-1 per unit of rounding in f
+        assert abs(t - t_ref) <= 1e-13 * t_ref + 1e-13 / abs(df)
 
 
 def test_group_magnitude_without_root_raises():
-    # the curvature-free direction alone carries a norm above gamma, so
-    # f(t) levels off at 2^2 - 1 > 0 and has no root
+    # in row 0 the curvature-free direction alone carries a norm above
+    # gamma, so f(t) levels off at 2^2 - 1 > 0 and has no root; row 1 has one
+    lam = np.array([[0.0, 1.0], [1.0, 1.0]])
+    c = np.array([[2.0, 0.1], [2.0, 0.1]])
+    t, errors = _group_magnitude(lam, c, 1.0)
+    assert list(errors) == [0] and math.isnan(t[0])
+    assert abs(secular(lam[1], c[1], 1.0, t[1])[0]) <= 1e-12
     with pytest.raises(NumericalError, match="no root"):
-        _group_magnitude(np.array([0.0, 1.0]), np.array([2.0, 0.1]), 1.0)
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +310,119 @@ def test_window_shape_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "gamma, sigma2",
+    [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0)],
+    ids=["gamma-inf", "gamma-nan", "sigma2-nan", "sigma2-inf", "gamma-neg-inf"],
+)
+def test_non_finite_scales_are_domain_errors(gamma, sigma2):
+    with pytest.raises(DomainError, match="positive and finite"):
+        WindowProblem(
+            ys=[np.array([3.0])],
+            Xs=[np.array([[1.0]])],
+            gamma=gamma,
+            sigma2=sigma2,
+            corr=WindowCorrelation(1, 0.0),
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_window_matches_reference(seed):
+    problem = random_problem(seed, p=4, d=3, gamma=0.5)
+    beta, trace = solve_window(problem)
+    beta_ref, trace_ref = reference_solve_window(problem)
+    assert np.array_equal(beta, beta_ref) and np.array_equal(trace, trace_ref)
+
+
 # ---------------------------------------------------------------------------
 # run_sliding_window
 # ---------------------------------------------------------------------------
+
+
+def ragged_data(seed, T, p):
+    """Steps with 1 to p + 3 rows (so some have n < p) and a sparse truth."""
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal((p, T)) * (rng.random((p, 1)) < 0.6)
+    ns = rng.integers(1, p + 4, size=T)
+    Xs = [rng.standard_normal((n, p)) for n in ns]
+    ys = [X @ truth[:, t] + 0.5 * rng.standard_normal(n) for t, (X, n) in enumerate(zip(Xs, ns))]
+    return RegressionData(ys, Xs)
+
+
+def null_thresholds(data, d, alpha, sigma2):
+    """Per window, the smallest gamma at which its solution is all zero."""
+    L = np.linalg.cholesky(WindowCorrelation(d + 1, alpha).matrix)
+    b = np.stack([X.T @ y for X, y in zip(data.Xs, data.ys)], axis=1)  # p x T
+    return np.array([
+        np.linalg.norm(b[:, t - d : t + 1] @ L, axis=1).max() / sigma2
+        for t in range(d, data.T)
+    ])
+
+
+def reference_fit(data, config, tol=1e-8, max_iter=10_000):
+    """run_sliding_window's outputs, window by window through the oracle."""
+    d, T = config.d, data.T
+    corr = WindowCorrelation(d + 1, config.alpha)
+    beta_hat = np.empty((data.p, T))
+    iters = np.zeros(T, dtype=np.int64)
+    traces = []
+    for t in range(d, T):
+        problem = WindowProblem(
+            ys=data.ys[t - d : t + 1], Xs=data.Xs[t - d : t + 1],
+            gamma=config.gamma, sigma2=config.sigma**2, corr=corr,
+        )
+        sol, trace = reference_solve_window(problem, tol=tol, max_iter=max_iter)
+        if t == d:
+            beta_hat[:, : d + 1] = sol
+        beta_hat[:, t] = sol[:, -1]
+        iters[t] = len(trace) - 1
+        traces.append(trace)
+    return beta_hat, iters, traces
+
+
+def assert_fit_matches_reference(data, config):
+    fit = run_sliding_window(data, config)
+    beta_hat, iters, traces = reference_fit(data, config)
+    assert np.array_equal(fit.beta_hat, beta_hat)
+    assert np.array_equal(fit.em_iters, iters)
+    assert len(fit.objective_trace) == len(traces)
+    assert all(np.array_equal(a, b) for a, b in zip(fit.objective_trace, traces))
+    return fit
+
+
+def oracle_config(data, p, d, alpha, level):
+    """A config whose gamma leaves every window zero, some zero, or none."""
+    crit = null_thresholds(data, d, alpha, 0.25)
+    gamma = {
+        "zero": 1.001 * crit.max(),
+        "mixed": float(np.median(crit)),
+        "dense": 0.5 * crit.min(),
+    }[level]
+    return ModelConfig(nu=10.0, delta=0.0, gamma=gamma, alpha=alpha, sigma=0.5, p=p, d=d)
+
+
+@pytest.mark.parametrize("level", ["zero", "mixed", "dense"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("d", [0, 1, 4, 9])
+@pytest.mark.parametrize("p", [1, 4, 7])
+def test_sliding_window_matches_per_window_reference(p, d, alpha, level):
+    data = ragged_data(1000 * p + 10 * d + int(10 * alpha), T=d + 7, p=p)
+    fit = assert_fit_matches_reference(data, oracle_config(data, p, d, alpha, level))
+    zero_windows = [np.all(fit.beta_hat[:, t] == 0.0) for t in range(d, data.T)]
+    if level == "zero":
+        assert np.all(fit.beta_hat == 0.0)
+    elif level == "mixed":
+        assert any(zero_windows) and not all(zero_windows)
+    else:
+        assert not any(zero_windows)
+
+
+@pytest.mark.parametrize("p, d, alpha", [(1, 0, 0.0), (4, 1, 0.5), (4, 4, 0.9), (7, 9, 0.5)])
+def test_window_blocks_match_reference(monkeypatch, p, d, alpha):
+    # 8 windows in blocks of 3: two full blocks and a short last one
+    monkeypatch.setattr(group_lasso, "_WINDOW_BLOCK", 3)
+    data = ragged_data(7 + p + d, T=d + 8, p=p)
+    assert_fit_matches_reference(data, oracle_config(data, p, d, alpha, "mixed"))
 
 
 def _synthetic_instance(T=80, seed=3, noise=0.5):
@@ -359,3 +487,46 @@ def test_requires_fixed_d_and_enough_data():
         run_sliding_window(
             data, ModelConfig(nu=4.0, delta=0.0, gamma=1.0, alpha=0.0, sigma=0.5, p=1, d=6)
         )
+
+
+def test_non_finite_data_names_its_own_step():
+    # a NaN at step 2 sits in the first window (d = 4) but is reported at t=3
+    data = ragged_data(5, T=12, p=2)
+    data.Xs[2] = data.Xs[2].copy()
+    data.Xs[2][0, 1] = math.nan
+    config = ModelConfig(nu=10.0, delta=0.0, gamma=1.0, alpha=0.5, sigma=0.5, p=2, d=4)
+    with pytest.raises(NumericalError, match=r"at time step t=3: non-finite data"):
+        run_sliding_window(data, config)
+
+
+def test_earliest_failing_window_is_reported(monkeypatch):
+    # all windows are zero but those ending at t=5 (a signal) and t=9 (a
+    # signal 1e9 times larger); the group magnitude is made to fail on
+    # inputs that large, so the later window fails in its first sweep
+    rng = np.random.default_rng(11)
+    Xs = [rng.standard_normal((6, 3)) for _ in range(12)]
+    ys = [0.1 * rng.standard_normal(6) for _ in range(12)]
+    gamma = 1.001 * null_thresholds(RegressionData(ys, Xs), 0, 0.0, 0.25).max()
+    config = ModelConfig(nu=10.0, delta=0.0, gamma=gamma, alpha=0.0, sigma=0.5, p=3, d=0)
+    signal = np.array([3.0, 0.0, -2.0])
+    ys[4] = ys[4] + Xs[4] @ signal
+    ys[8] = ys[8] + Xs[8] @ signal * 1e9
+    real = group_lasso._group_magnitude
+
+    def failing_on_large(lam, c, gamma):
+        t, errors = real(lam, c, gamma)
+        for i in np.flatnonzero(np.abs(c).max(axis=1) > 1e6):
+            errors[int(i)] = NumericalError("group magnitude: no root (injected)")
+            t[i] = math.nan
+        return t, errors
+
+    monkeypatch.setattr(group_lasso, "_group_magnitude", failing_on_large)
+    data = RegressionData(ys, Xs)
+    with pytest.raises(NumericalError, match=r"at time step t=9: .*injected"):
+        run_sliding_window(data, config)
+    # the t=5 window still runs when the t=9 one has failed, and fails later
+    with pytest.raises(ConvergenceError, match=r"at time step t=5: .* in 3 sweeps"):
+        run_sliding_window(data, config, tol=1e-300, max_iter=3)
+    ys[4] = ys[4] * 1e9
+    with pytest.raises(NumericalError, match=r"at time step t=5: .*injected"):
+        run_sliding_window(RegressionData(ys, Xs), config)
