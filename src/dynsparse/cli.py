@@ -95,6 +95,8 @@ def _typed(cfg: dict[str, str]) -> dict:
                 out[key] = raw
         except ValueError:
             raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
+    if out.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got seed={out['seed']}")
     return out
 
 

@@ -19,6 +19,13 @@ In ``gig_rvs`` only a one-element interior draw (delta > 0 and gamma > 0)
 takes the scalar kernel; every other batch goes through the masked array
 route, so the region checks exist once.  Both kernels give the same value
 for one element and take the same uniforms from the generator.
+
+The scalar kernel keeps its state in Python floats, which are cheaper per
+operation than numpy scalars: +, -, *, / and ``math.sqrt`` are correctly
+rounded IEEE float64 operations either way.  Its cosh, sinh, expm1, exp,
+log and log1p stay numpy ufunc calls, because numpy's vectorised loops
+and the C library behind ``math`` do not round alike (``math.cosh`` and
+``np.cosh`` disagree in the last bit on a sizeable share of inputs).
 """
 
 from __future__ import annotations
@@ -61,6 +68,13 @@ _DELTA_LIMIT = 1e-12
 # The largest omega whose square is finite: above it the Devroye kernels'
 # omega * omega overflows and no rejection round can accept.
 _OMEGA_MAX = math.sqrt(sys.float_info.max)
+
+# The terms of psi at the probe points x = 1 and x = -1, cosh(x) - 1 and
+# expm1(x) - x, and cosh(1) for the left cut point, formed once with
+# numpy's own functions for the scalar kernel
+_COSH1 = float(np.cosh(1.0))
+_COSH_P1, _EXPM1_P1 = _COSH1 - 1.0, float(np.expm1(1.0)) - 1.0
+_COSH_M1, _EXPM1_M1 = float(np.cosh(-1.0)) - 1.0, float(np.expm1(-1.0)) - -1.0
 
 # scipy loads on the first call of each (see dynsparse.special)
 cholesky = bind_on_first_call(globals(), "scipy.linalg", "cholesky")
@@ -298,79 +312,101 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     return z.reshape(shape)
 
 
-def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> np.float64:
+def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
     """One draw of :func:`_devroye_gig`, without its array bookkeeping.
 
-    Same operations in the same order on ``np.float64``: numpy's scalar
-    ufuncs give the array loops' bits (``math.cosh`` does not), and
-    ``x * x`` stands in for ``x ** 2``, which the array loop computes as a
-    product but scalar power rounds differently.  Each round takes U, V, W
-    as the array kernel does at n = 1, so value and generator state match.
+    The same operations in the same order, on Python floats: +, -, *, /
+    and ``math.sqrt`` round as numpy's float64 does, so they give the
+    array kernel's bits.  cosh, sinh, expm1, exp, log and log1p are numpy
+    ufunc calls on one float, because the ``math`` functions round
+    differently; the terms at the probe points +-1 are formed once at
+    import, and each cut point shares one expm1 between psi and psi'.
+    Python raises at a zero divisor where float64 gives +-inf, so the
+    divisions that can meet one (1/lam at lam = 0; 1/alpha and 1/alpha^2
+    where alpha cancels or its square underflows to 0; the final 1/z)
+    give that inf explicitly, and a NaN candidate wins the left cut point
+    as in ``np.minimum``.  Each round takes U, V, W as the array kernel
+    does at n = 1, so value, generator state and errors all match.
     """
-    lam = np.float64(lam)
-    omega = np.float64(omega)
+    lam = float(lam)
+    omega = float(omega)
     if not (omega > 0.0 and math.isfinite(omega) and math.isfinite(lam)):
         raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
     if omega > _OMEGA_MAX:
-        raise _omega_overflow(float(omega))
+        raise _omega_overflow(omega)
+    cosh, sinh, expm1, log = np.cosh, np.sinh, np.expm1, np.log
 
     swap = lam < 0.0
     lam = abs(lam)
-    alpha = np.sqrt(omega * omega + lam * lam) - lam
+    alpha = math.sqrt(omega * omega + lam * lam) - lam
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # right cut point t
-        x0 = -_psi(1.0, alpha, lam)
-        t = np.sqrt(2.0 / (alpha + lam)) if x0 > 2.0 else 1.0
-        if x0 < 0.5:
-            t = np.log(4.0 / (alpha + 2.0 * lam))
-        # left cut point s
-        x1 = -_psi(-1.0, alpha, lam)
-        s = np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)) if x1 > 2.0 else 1.0
-        if x1 < 0.5:
-            s = np.minimum(
-                1.0 / lam,
-                np.log1p(1.0 / alpha + np.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)),
-            )
+    # right cut point t, from x0 = -psi(1)
+    x0 = -(-alpha * _COSH_P1 - lam * _EXPM1_P1)
+    if x0 < 0.5:
+        den = alpha + 2.0 * lam
+        t = float(log(4.0 / den)) if den else math.inf
+    elif x0 > 2.0:
+        t = math.sqrt(2.0 / (alpha + lam))
+    else:
+        t = 1.0
+    # left cut point s, from x1 = -psi(-1)
+    x1 = -(-alpha * _COSH_M1 - lam * _EXPM1_M1)
+    if x1 < 0.5:
+        s = 1.0 / lam if lam else math.inf
+        a2 = alpha * alpha
+        if alpha:
+            w = 1.0 / alpha + math.sqrt((1.0 / a2 if a2 else math.inf) + 2.0 / alpha)
+        else:
+            w = math.inf
+        cand = float(np.log1p(w))
+        if not cand >= s:  # np.minimum: a NaN wins
+            s = cand
+    elif x1 > 2.0:
+        s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
+    else:
+        s = 1.0
 
-    eta = -_psi(t, alpha, lam)
-    zeta = -_dpsi(t, alpha, lam)
-    theta = -_psi(-s, alpha, lam)
-    xi = _dpsi(-s, alpha, lam)
+    # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
+    e = float(expm1(t))
+    eta = -(-alpha * (float(cosh(t)) - 1.0) - lam * (e - t))
+    zeta = -(-alpha * float(sinh(t)) - lam * e)
+    e = float(expm1(-s))
+    theta = -(-alpha * (float(cosh(-s)) - 1.0) - lam * (e - -s))
+    xi = -alpha * float(sinh(-s)) - lam * e
     p = 1.0 / xi
     r = 1.0 / zeta
     td = t - r * eta
-    sd = s - p * theta
-    q = td + sd
+    msd = -(s - p * theta)
+    q = td - msd
+    qr = q + r
+    tot = q + p + r
 
     for _ in range(1000):
-        U = rng.random()
-        V = rng.random()
-        W = rng.random()
-        u = U * (q + p + r)
-        logV = np.log(V) if V > 0.0 else -np.inf
+        U, V, W = rng.random(3).tolist()
+        u = U * tot
         if u < q:
-            x = -sd + q * V
-        elif u < q + r:
-            x = td + r * (-logV)
+            x = msd + q * V
         else:
-            x = -sd + p * logV
-        psix = _psi(x, alpha, lam)
+            logV = float(log(V)) if V > 0.0 else -math.inf
+            x = td - r * logV if u < qr else msd + p * logV
+        psix = -alpha * (float(cosh(x)) - 1.0) - lam * (float(expm1(x)) - x)
         if x > td:
             logchi = -eta - zeta * (x - t)
-        elif x < -sd:
+        elif x < msd:
             logchi = -theta + xi * (x + s)
         else:
             logchi = 0.0
-        logW = np.log(W) if W > 0.0 else -np.inf
+        logW = float(log(W)) if W > 0.0 else -math.inf
         if logW + logchi <= psix:
             break
     else:
         raise NumericalError("GIG rejection sampler exceeded its round budget")
 
     ratio = lam / omega
-    z = np.exp(x) * (ratio + np.sqrt(1.0 + ratio * ratio))
-    return 1.0 / z if swap else z
+    z = float(np.exp(x)) * (ratio + math.sqrt(1.0 + ratio * ratio))
+    if swap:
+        return 1.0 / z if z else math.inf
+    return z
 
 
 def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np.float64]:
@@ -385,13 +421,18 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     nu = np.asarray(nu, dtype=float)
     delta = np.asarray(delta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    shape = np.broadcast(nu, delta, gamma).shape
-    if size is not None:
-        shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)))
-    if math.prod(shape) == 1 and delta.flat[0] > 0.0 and gamma.flat[0] > 0.0:
-        d, g = delta.flat[0], gamma.flat[0]
-        z = (d / g) * _devroye_gig_one(nu.flat[0], d * g, rng)
-        return float(z) if shape == () else np.full(shape, z)
+    if size is None and nu.size == delta.size == gamma.size == 1:
+        # size-one arrays broadcast to all ones, in as many dims as the most
+        shape = (1,) * max(nu.ndim, delta.ndim, gamma.ndim)
+    else:
+        shape = np.broadcast(nu, delta, gamma).shape
+        if size is not None:
+            shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)))
+    if math.prod(shape) == 1:
+        d, g = delta.item(), gamma.item()
+        if d > 0.0 and g > 0.0:
+            z = (d / g) * _devroye_gig_one(nu.item(), d * g, rng)
+            return np.array(z, ndmin=len(shape)) if shape else z
     nu = np.broadcast_to(nu, shape)
     delta = np.broadcast_to(delta, shape)
     gamma = np.broadcast_to(gamma, shape)
@@ -530,8 +571,14 @@ def mgh_log_pdf(params: MghParams, x: NDArray[np.float64]) -> float:
 
 
 def gh_sample(params: GhParams, rng: np.random.Generator, size=None):
-    """Draws from the GH law by mixing: tau ~ GIG, x ~ N(mu, tau)."""
-    tau = gig_rvs(params.nu, params.delta, params.gamma, rng, size=size or (1,))
+    """Draws from the GH law by mixing: tau ~ GIG, x ~ N(mu, tau).
+
+    ``size=None`` gives one float; any other size, ``0`` and ``()``
+    included, an array of that shape.
+    """
+    tau = gig_rvs(
+        params.nu, params.delta, params.gamma, rng, size=(1,) if size is None else size
+    )
     x = params.mu + np.sqrt(tau) * rng.standard_normal(np.shape(tau))
     if size is None:
         return float(x[0])

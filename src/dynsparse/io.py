@@ -36,54 +36,68 @@ class ParseError(DomainError):
 
 
 def load_data(path: Union[str, Path]) -> RegressionData:
-    """Read long-format CSV into per-time (y_t, X_t) blocks."""
+    """Read long-format UTF-8 CSV into per-time (y_t, X_t) blocks.
+
+    A file that cannot be opened or decoded is a ParseError naming the path.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        p = len(header) - 2
-        if p < 1 or header[:2] != ["t", "y"] or header[2:] != [
-            f"x{j + 1}" for j in range(p)
-        ]:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            return _parse_rows(path, csv.reader(fh))
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
+def _parse_rows(path: Path, reader) -> RegressionData:
+    """The rows of :func:`load_data`'s open file, checked line by line."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    p = len(header) - 2
+    if p < 1 or header[:2] != ["t", "y"] or header[2:] != [
+        f"x{j + 1}" for j in range(p)
+    ]:
+        raise ParseError(
+            f"{path}: line 1: header must be 't,y,x1,...,xp', got {','.join(header)}"
+        )
+    # rows are sorted by t, so each step's rows form one contiguous run
+    t_values: list[int] = []
+    ys: list[list[float]] = []
+    Xs: list[list[list[float]]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != p + 2:
             raise ParseError(
-                f"{path}: line 1: header must be 't,y,x1,...,xp', got {','.join(header)}"
+                f"{path}: line {lineno}: expected {p + 2} cells, got {len(row)}"
             )
-        # rows are sorted by t, so each step's rows form one contiguous run
-        t_values: list[int] = []
-        ys: list[list[float]] = []
-        Xs: list[list[list[float]]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 2:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {p + 2} cells, got {len(row)}"
-                )
-            try:
-                t = int(row[0])
-                y = float(row[1])
-                xs = [float(c) for c in row[2:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
-            if not (math.isfinite(y) and all(map(math.isfinite, xs))):
-                col = next(h for h, c in zip(header[1:], [y, *xs]) if not math.isfinite(c))
-                raise ParseError(f"{path}: line {lineno}: non-finite {col} cell")
-            if t < 1:
-                raise ParseError(f"{path}: line {lineno}: t must be >= 1, got {t}")
-            if t_values and t < t_values[-1]:
-                raise ParseError(
-                    f"{path}: line {lineno}: rows must be sorted by t"
-                )
-            if not t_values or t != t_values[-1]:
-                t_values.append(t)
-                ys.append([])
-                Xs.append([])
-            ys[-1].append(y)
-            Xs[-1].append(xs)
+        try:
+            t = int(row[0])
+            y = float(row[1])
+            xs = [float(c) for c in row[2:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+        if not (math.isfinite(y) and all(map(math.isfinite, xs))):
+            col = next(h for h, c in zip(header[1:], [y, *xs]) if not math.isfinite(c))
+            raise ParseError(f"{path}: line {lineno}: non-finite {col} cell")
+        if t < 1:
+            raise ParseError(f"{path}: line {lineno}: t must be >= 1, got {t}")
+        if t_values and t < t_values[-1]:
+            raise ParseError(
+                f"{path}: line {lineno}: rows must be sorted by t"
+            )
+        if not t_values or t != t_values[-1]:
+            t_values.append(t)
+            ys.append([])
+            Xs.append([])
+        ys[-1].append(y)
+        Xs[-1].append(xs)
     if not t_values:
         raise ParseError(f"{path}: no data rows")
     if t_values != list(range(1, len(t_values) + 1)):
@@ -140,7 +154,12 @@ def verify_dir(out_dir: Union[str, Path]) -> list[str]:
     manifest_path = out_dir / _MANIFEST_NAME
     if not manifest_path.exists():
         return [f"missing {_MANIFEST_NAME} in {out_dir}"]
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        return [f"{_MANIFEST_NAME}: cannot be read as JSON ({exc})"]
+    if not isinstance(manifest, dict):
+        return [f"{_MANIFEST_NAME}: not a JSON object"]
     problems = []
     run_id = manifest.get("run_id", "")
     for name, digest in manifest.get("outputs", {}).items():

@@ -85,10 +85,12 @@ def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
     d = x.shape[-1]
     if d == 1:
         return x[..., 0] ** 2
-    total = (x * x).sum(axis=-1)
-    inner = (x[..., 1:-1] ** 2).sum(axis=-1)
-    cross = (x[..., :-1] * x[..., 1:]).sum(axis=-1)
-    return (total + alpha**2 * inner - 2.0 * alpha * cross) / (1.0 - alpha**2)
+    sq = x * x
+    total = np.add.reduce(sq, axis=-1)
+    inner = np.add.reduce(sq[..., 1:-1], axis=-1)
+    cross = np.add.reduce(x[..., :-1] * x[..., 1:], axis=-1)
+    a2 = alpha**2
+    return (total + a2 * inner - 2.0 * alpha * cross) / (1.0 - a2)
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,10 @@ def simulate_path(
         d_path = np.asarray(d_path, dtype=int)
         if d_path.shape != (T,):
             raise DomainError(f"d_path has shape {d_path.shape}, expected ({T},)")
+        over = np.flatnonzero(d_path[1:] > np.arange(1, T))
+        if over.size:
+            t = int(over[0]) + 1
+            raise DomainError(f"d_path[{t}]={d_path[t]} exceeds the available history {t}")
         for j in range(p):
             beta[j, 0] = gh_sample(GhParams(0.0, config.nu, config.delta, config.gamma), rng)
         start = 1
@@ -239,13 +245,13 @@ def simulate_path(
 
     # scale-mixture step with mean alpha * beta_{t-1} and variance
     # (1 - alpha^2) tau, the convention of the sequential sampler
+    nu, delta2, gamma = config.nu, config.delta**2, config.gamma
+    prev = beta[:, start - 1]
     for t in range(start, T):
         dt = lengths[t]
-        if dt > t:
-            raise DomainError(f"d_path[{t}]={dt} exceeds the available history {t}")
-        s2 = config.delta**2 + mahal_sq_batch(beta[:, t - dt : t], alpha)
-        tau = gig_rvs(config.nu - dt / 2.0, np.sqrt(s2), config.gamma, rng)
-        beta[:, t] = alpha * beta[:, t - 1] + sa * np.sqrt(tau) * rng.standard_normal(p)
+        s2 = delta2 + mahal_sq_batch(beta[:, t - dt : t], alpha)
+        tau = gig_rvs(nu - dt / 2.0, np.sqrt(s2), gamma, rng)
+        prev = beta[:, t] = alpha * prev + sa * np.sqrt(tau) * rng.standard_normal(p)
     return beta
 
 

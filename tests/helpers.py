@@ -4,9 +4,10 @@ Everything here is deliberately independent of the code paths it checks:
 densities are integrated numerically through scipy.integrate, never through
 the package's own normalizers or samplers.  The package itself never
 imports scipy.integrate, so these oracles live here rather than in
-``dynsparse.special``.  Two oracles are earlier forms of package code that
+``dynsparse.special``.  Other oracles are earlier forms of package code that
 later ones must reproduce exactly: the per-coefficient EM step, the
-masked-round Devroye GIG kernel and the per-window group-lasso solver.
+masked-round and the np.float64 scalar Devroye GIG kernels and the
+per-window group-lasso solver.
 """
 
 import math
@@ -14,13 +15,14 @@ import sys
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from dynsparse import (
     ConvergenceError,
     DomainError,
     GigParams,
     NumericalError,
+    WindowCorrelation,
     conditional_gh,
     gh_log_pdf,
     gig_log_pdf,
@@ -255,6 +257,134 @@ def reference_devroye_gig(lam, omega, rng):
     z = np.exp(out) * mode
     z = np.where(swap, 1.0 / z, z)
     return z.reshape(shape)
+
+
+def reference_devroye_gig_one(lam, omega, rng):
+    """The np.float64 scalar Devroye kernel, kept as a value and stream oracle.
+
+    Every operation is a numpy scalar operation, in the order of the array
+    kernel; U, V and W come from three ``rng.random()`` calls per round.
+    Its errors carry the library's types and messages.
+    """
+    lam = np.float64(lam)
+    omega = np.float64(omega)
+    if not (omega > 0.0 and math.isfinite(omega) and math.isfinite(lam)):
+        raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
+    omega_max = math.sqrt(sys.float_info.max)
+    if omega > omega_max:
+        raise DomainError(
+            f"Devroye GIG sampler needs omega <= {omega_max!r} (omega * omega overflows), "
+            f"got omega={float(omega)!r}"
+        )
+
+    swap = lam < 0.0
+    lam = abs(lam)
+    alpha = np.sqrt(omega * omega + lam * lam) - lam
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x0 = -_psi(1.0, alpha, lam)
+        t = np.sqrt(2.0 / (alpha + lam)) if x0 > 2.0 else 1.0
+        if x0 < 0.5:
+            t = np.log(4.0 / (alpha + 2.0 * lam))
+        x1 = -_psi(-1.0, alpha, lam)
+        s = np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)) if x1 > 2.0 else 1.0
+        if x1 < 0.5:
+            s = np.minimum(
+                1.0 / lam,
+                np.log1p(1.0 / alpha + np.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)),
+            )
+
+    eta = -_psi(t, alpha, lam)
+    zeta = -_dpsi(t, alpha, lam)
+    theta = -_psi(-s, alpha, lam)
+    xi = _dpsi(-s, alpha, lam)
+    p = 1.0 / xi
+    r = 1.0 / zeta
+    td = t - r * eta
+    sd = s - p * theta
+    q = td + sd
+
+    for _ in range(1000):
+        U = rng.random()
+        V = rng.random()
+        W = rng.random()
+        u = U * (q + p + r)
+        logV = np.log(V) if V > 0.0 else -np.inf
+        if u < q:
+            x = -sd + q * V
+        elif u < q + r:
+            x = td + r * (-logV)
+        else:
+            x = -sd + p * logV
+        psix = _psi(x, alpha, lam)
+        if x > td:
+            logchi = -eta - zeta * (x - t)
+        elif x < -sd:
+            logchi = -theta + xi * (x + s)
+        else:
+            logchi = 0.0
+        logW = np.log(W) if W > 0.0 else -np.inf
+        if logW + logchi <= psix:
+            break
+    else:
+        raise NumericalError("GIG rejection sampler exceeded its round budget")
+
+    ratio = lam / omega
+    z = np.exp(x) * (ratio + np.sqrt(1.0 + ratio * ratio))
+    return 1.0 / z if swap else z
+
+
+def _reference_gig_interior(nu, delta, gamma, rng):
+    """GIG draws with delta, gamma > 0 as ``gig_rvs`` routes them: one
+    element to the scalar kernel, more to the masked-round array kernel."""
+    nu, delta, gamma = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (nu, delta, gamma))
+    )
+    assert np.all(delta > 0.0) and np.all(gamma > 0.0), "interior laws only"
+    if delta.size == 1:
+        d, g = delta.flat[0], gamma.flat[0]
+        return np.full(delta.shape, (d / g) * reference_devroye_gig_one(nu.flat[0], d * g, rng))
+    return (delta / gamma) * reference_devroye_gig(nu, delta * gamma, rng)
+
+
+def reference_simulate_path(config, T, rng, d_path=None):
+    """``simulate_path`` as a plain loop over the reference kernels, kept as an oracle.
+
+    Interior mixing laws only (delta > 0 and gamma > 0).  The window norm
+    squares the interior values a second time and sums with ``.sum``; the
+    start block and the first rho-mode value mix their Gaussians as
+    ``mgh_sample`` and ``gh_sample`` do.
+    """
+    p, alpha = config.p, config.alpha
+    beta = np.empty((p, T))
+    sa = math.sqrt(1.0 - alpha**2)
+    if config.fixed_d:
+        start = min(config.d, T)
+        chol = cholesky(WindowCorrelation(start, alpha).matrix, lower=True)
+        for j in range(p):
+            tau = _reference_gig_interior(config.nu, config.delta, config.gamma, rng)[()]
+            beta[j, :start] = np.zeros(start) + math.sqrt(tau) * (chol @ rng.standard_normal(start))
+        lengths = [config.d] * T
+    else:
+        for j in range(p):
+            tau = _reference_gig_interior(config.nu, config.delta, config.gamma, rng)
+            beta[j, 0] = float((0.0 + np.sqrt(tau) * rng.standard_normal((1,)))[0])
+        start = 1
+        lengths = list(d_path)
+    for t in range(start, T):
+        dt = lengths[t]
+        x = beta[:, t - dt : t]
+        if dt == 1:
+            msq = x[:, 0] ** 2
+        else:
+            total = (x * x).sum(axis=-1)
+            inner = (x[:, 1:-1] ** 2).sum(axis=-1)
+            cross = (x[:, :-1] * x[:, 1:]).sum(axis=-1)
+            msq = (total + alpha**2 * inner - 2.0 * alpha * cross) / (1.0 - alpha**2)
+        s2 = config.delta**2 + msq
+        tau = _reference_gig_interior(config.nu - dt / 2.0, np.sqrt(s2), config.gamma, rng)
+        beta[:, t] = alpha * beta[:, t - 1] + sa * np.sqrt(tau) * rng.standard_normal(p)
+    return beta
 
 
 _NEWTON_MAX_ITER = 500

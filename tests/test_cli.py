@@ -88,6 +88,38 @@ def test_non_finite_cell_is_usage_error(tmp_path, capsys):
     assert "line 3: non-finite y" in capsys.readouterr().err
 
 
+_FIT_ARGS = {
+    "fit-map": ["nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "d=1", "sigma=0.5",
+                "max_iter=50"],
+    "fit-glasso": ["nu=2.0", "delta=0.0", "gamma=1.0", "alpha=0.5", "d=1", "sigma=0.5",
+                   "max_iter=50"],
+    "fit-smc": ["nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "d=1", "sigma=0.5",
+                "n_particles=10", "n_iters=2", "seed=1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FIT_ARGS))
+@pytest.mark.parametrize("kind,match", [
+    ("missing", "cannot read the file"),
+    ("directory", "cannot read the file"),
+    ("latin-1", "not UTF-8 text"),
+])
+def test_unreadable_data_file_is_a_parse_error(tmp_path, capsys, command, kind, match):
+    path = tmp_path / "data.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes("t,y,x1\n1,0.5,1\n2,0.2,1 # caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=match):
+        load_data(path)
+    out = tmp_path / "out"
+    code = run_command([command, *_FIT_ARGS[command], f"data_path={path}", f"out_dir={out}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and str(path) in err and match in err
+    assert not (out / "error.json").exists()
+
+
 def test_load_data_round_trip_varying_rows(tmp_path):
     # 1-3 rows per step over 500 steps: each step's block comes back intact
     rng = np.random.default_rng(4)
@@ -185,6 +217,14 @@ def test_verify_detects_tampering(tmp_path, capsys):
     path.unlink()
     assert run_command(["verify", str(out)]) == 1
     assert "path.csv: listed in manifest but missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [b"{\"run_id\": ", b"\xff\xfe", b"[1, 2]"])
+def test_verify_reports_a_manifest_that_is_not_a_json_object(tmp_path, capsys, body):
+    (tmp_path / "manifest.json").write_bytes(body)
+    assert run_command(["verify", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("manifest.json: ")
 
 
 def test_simulate_rho_mode_emits_d_path(tmp_path):
@@ -310,6 +350,26 @@ def test_bad_smc_probs_are_config_errors_before_any_work(tmp_path, monkeypatch, 
     ])
     assert code == 2
     assert not (out / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "acf", "fit-smc"])
+def test_negative_seed_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work on a negative seed")
+
+    for name in ("load_data", "simulate_path", "simulate_d_chain", "pimh_run"):
+        monkeypatch.setattr(dynsparse.cli, name, no_work)
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,0.2,1\n")
+    out = tmp_path / "out"
+    code = run_command([
+        command, "nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "d=1", "sigma=0.5",
+        "T=10", "n_particles=10", "n_iters=2", "seed=-1",
+        f"data_path={dpath}", f"out_dir={out}",
+    ])
+    assert code == 2
+    assert "seed must be a nonnegative integer, got seed=-1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_key_and_bad_type_are_config_errors(tmp_path, capsys):

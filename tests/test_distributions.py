@@ -13,6 +13,7 @@ from dynsparse import (
     GhParams,
     GigParams,
     MghParams,
+    NumericalError,
     gh_log_pdf,
     gh_sample,
     gig_log_pdf,
@@ -22,6 +23,7 @@ from dynsparse import (
 )
 from dynsparse.special import validate_gig_region
 from dynsparse.distributions import (
+    _OMEGA_MAX,
     _devroye_gig,
     _devroye_gig_one,
     gh_log_norm,
@@ -35,6 +37,7 @@ from helpers import (
     integrate_positive_halfline,
     ks_statistic,
     reference_devroye_gig,
+    reference_devroye_gig_one,
 )
 
 GIG_GRID = [
@@ -209,6 +212,56 @@ def test_devroye_scalar_kernel_matches_array_kernel_on_a_sweep():
             np.array([lam]), omega, rng_arr
         )[0], (lam, omega)
     assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+
+
+def _draw_outcome(kernel, lam, omega, seed):
+    """(value, generator state) of one draw, or (error type, message, state)."""
+    rng = np.random.default_rng(seed)
+    try:
+        with np.errstate(all="ignore"):
+            z = kernel(lam, omega, rng)
+    except (DomainError, NumericalError) as exc:
+        return type(exc), str(exc), rng.bit_generator.state
+    return np.float64(z).tobytes(), rng.bit_generator.state
+
+
+_ONE_EDGES = [
+    # lam = 0 exactly, and lam = +-1e-300 whose square underflows
+    *[(lam, omega) for lam in (0.0, 1e-300, -1e-300) for omega in (1e-300, 1e-12, 1.0, 1e3)],
+    (5e-4, 1e-12),  # alpha cancels to 0: the round budget runs out
+    (1.0, 1e-300),  # (lam / omega)^2 overflows in the mode: inf
+    (-1.0, 1e-300),
+    (0.5, _OMEGA_MAX),
+    (0.5, np.nextafter(_OMEGA_MAX, np.inf)),
+    (1e200, 1.0),  # lam * lam overflows
+    (0.5, 5e-324),
+    (math.nan, 1.0),
+    (0.5, -1.0),
+    (0.5, math.inf),
+]
+
+
+def test_devroye_scalar_kernel_matches_its_float64_reference():
+    # Python-float state gives the np.float64 kernel's value and generator
+    # state, or its exception type and message, on the sweep and the edges
+    pars = np.random.default_rng(21)
+    lams = pars.uniform(-15.0, 15.0, 10_000)
+    omegas = 10.0 ** pars.uniform(-6.0, 3.0, 10_000)
+    cases = [*zip(lams.tolist(), omegas.tolist()), *_ONE_EDGES]
+    for seed, (lam, omega) in enumerate(cases):
+        got = _draw_outcome(_devroye_gig_one, lam, omega, seed)
+        assert got == _draw_outcome(reference_devroye_gig_one, lam, omega, seed), (lam, omega)
+
+
+def test_devroye_scalar_kernel_edges_keep_the_reference_outcomes():
+    # the edges reach every outcome: a value, inf, and both error types
+    outcomes = [_draw_outcome(_devroye_gig_one, lam, omega, 0) for lam, omega in _ONE_EDGES]
+    kinds = {o[0] for o in outcomes if len(o) == 3}
+    assert kinds == {DomainError, NumericalError}
+    assert _draw_outcome(_devroye_gig_one, 1.0, 1e-300, 0)[0] == np.float64(np.inf).tobytes()
+    assert _draw_outcome(_devroye_gig_one, 5e-4, 1e-12, 0)[:2] == (
+        NumericalError, "GIG rejection sampler exceeded its round budget"
+    )
 
 
 class _CountingRng:
@@ -532,6 +585,26 @@ def test_gh_sampler_ks_against_quadrature_cdf():
     # critical value at significance 1e-3
     crit = math.sqrt(-math.log(0.5e-3) / 2.0) / math.sqrt(x.size)
     assert ks_statistic(x, cdf) < crit
+
+
+@pytest.mark.parametrize("size,shape", [(0, (0,)), ((), ()), (3, (3,)), ((2, 1), (2, 1))])
+def test_gh_sample_sizes(size, shape):
+    params = GhParams(0.5, -0.7, 1.5, 0.4)
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    x = gh_sample(params, rng, size=size)
+    assert np.shape(x) == shape
+    # an empty draw takes nothing from the generator
+    assert (rng.bit_generator.state == state) == (size == 0)
+
+
+def test_gh_sample_one_draw_is_the_first_of_a_size_one_batch():
+    params = GhParams(0.5, -0.7, 1.5, 0.4)
+    rng_one, rng_batch = np.random.default_rng(17), np.random.default_rng(17)
+    x = gh_sample(params, rng_one)
+    assert isinstance(x, float)
+    assert x == gh_sample(params, rng_batch, size=(1,))[0]
+    assert rng_one.bit_generator.state == rng_batch.bit_generator.state
 
 
 def test_mgh_sampler_moments():

@@ -25,7 +25,7 @@ from dynsparse import (
     simulate_d_chain,
     simulate_path,
 )
-from helpers import gh_cdf_grid, ks_statistic
+from helpers import gh_cdf_grid, ks_statistic, reference_simulate_path
 
 
 def cfg(**kw):
@@ -281,6 +281,31 @@ def test_simulate_path_time_varying_mode_runs():
     beta = simulate_path(c, 300, rng)
     assert beta.shape == (2, 300)
     assert np.all(np.isfinite(beta))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(nu=0.1, delta=0.01, gamma=1.0, alpha=0.0, d=20),
+        dict(nu=0.1, delta=0.01, gamma=1.0, alpha=0.5, d=20),
+        dict(nu=1.0, delta=0.3, gamma=1.0, alpha=0.6, d=None, rho=0.8, p=2),
+    ],
+)
+def test_simulate_path_matches_the_reference_loop(kw):
+    # same bits and generator state as the loop over the np.float64 scalar
+    # and masked-round kernels with the twice-squared window norm
+    c = cfg(**kw)
+    d_path = None if c.fixed_d else simulate_d_chain(c.rho, 2000, np.random.default_rng(30))
+    rng, oracle = np.random.default_rng(31), np.random.default_rng(31)
+    beta = simulate_path(c, 2000, rng, d_path=d_path)
+    assert np.array_equal(beta, reference_simulate_path(c, 2000, oracle, d_path=d_path))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_simulate_path_rejects_a_window_longer_than_the_history():
+    c = cfg(d=None, rho=0.5)
+    with pytest.raises(DomainError, match=r"d_path\[2\]=3 exceeds the available history 2"):
+        simulate_path(c, 5, np.random.default_rng(0), d_path=np.array([0, 1, 3, 0, 9]))
 
 
 def test_simulate_path_zero_window_steps_draw_with_delta(monkeypatch):
