@@ -18,7 +18,7 @@ from .errors import (
     DynsparseError,
     NumericalError,
 )
-from .group_lasso import WindowProblem, mahalanobis_penalty, run_sliding_window, solve_window
+from .group_lasso import run_sliding_window, solve_window
 from .io import ParseError, load_data, verify_dir
 from .map_em import MapFit, RegressionData, em_map_step, run_online_map
 from .prior import (
@@ -27,7 +27,6 @@ from .prior import (
     autocorrelation,
     conditional_gh,
     conditional_gig,
-    mahalanobis_norm,
     simulate_d_chain,
     simulate_path,
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -97,6 +98,11 @@ def _typed(cfg: dict[str, str]) -> dict:
             raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
     if out.get("seed", 0) < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got seed={out['seed']}")
+    for key, low in (("n_particles", 2), ("n_iters", 1), ("T", 1), ("max_lag", 1), ("max_iter", 1)):
+        if out.get(key, low) < low:
+            raise ConfigError(f"{key} must be at least {low}, got {key}={out[key]}")
+    if "tol" in out and not 0.0 < out["tol"] < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got tol={out['tol']}")
     return out
 
 

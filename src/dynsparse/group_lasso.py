@@ -27,12 +27,15 @@ array calls over the windows still live.  A window leaves the block once
 its KKT residual is below the tolerance, and every sum runs in the same
 order as for one window alone, so each window gets the sweeps and the
 bits it would get alone.
+
+``run_sliding_window`` (every window of a series) and ``solve_window``
+(the one window spanning all of its data) share one checked preparation,
+``_window_gram``, and the same kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,74 +43,12 @@ from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .map_em import MapFit, RegressionData
-from .prior import ModelConfig, WindowCorrelation, mahal_sq_batch
+from .prior import ModelConfig, WindowCorrelation
 
-__all__ = [
-    "WindowProblem",
-    "solve_window",
-    "run_sliding_window",
-    "mahalanobis_penalty",
-]
+__all__ = ["solve_window", "run_sliding_window"]
 
 _NEWTON_MAX_ITER = 500  # a safety bound: bench windows take 4-9 Newton steps
 _WINDOW_BLOCK = 128  # windows per kernel call: bounds working memory, not results
-
-
-def _check_scales(gamma: float, sigma2: float) -> None:
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    if not 0.0 < sigma2 < math.inf:
-        raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
-
-
-@dataclass
-class WindowProblem:
-    """One window of the sliding group-lasso objective.
-
-    ``ys``/``Xs`` hold the window's observations, oldest first; their
-    length must equal ``corr.dim`` (the stacked design is block diagonal
-    across time steps, one block per entry).
-    """
-
-    ys: list[NDArray[np.float64]]
-    Xs: list[NDArray[np.float64]]
-    gamma: float
-    sigma2: float
-    corr: WindowCorrelation
-
-    def __post_init__(self) -> None:
-        self.ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in self.ys]
-        self.Xs = [np.atleast_2d(np.asarray(X, dtype=float)) for X in self.Xs]
-        if len(self.ys) != len(self.Xs) or len(self.ys) != self.corr.dim:
-            raise DomainError(
-                f"window holds {len(self.ys)} steps but corr has dim {self.corr.dim}"
-            )
-        p = self.Xs[0].shape[1]
-        for s, (y, X) in enumerate(zip(self.ys, self.Xs)):
-            if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
-                raise NumericalError(f"window step {s}: non-finite data")
-            if X.shape != (y.shape[0], p):
-                raise DomainError(
-                    f"window step {s}: X has shape {X.shape}, "
-                    f"expected ({y.shape[0]}, {p})"
-                )
-        _check_scales(self.gamma, self.sigma2)
-
-    @property
-    def p(self) -> int:
-        return self.Xs[0].shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.corr.dim
-
-
-def mahalanobis_penalty(
-    beta: NDArray[np.float64], corr: WindowCorrelation, gamma: float
-) -> float:
-    """gamma * sum_j sqrt(beta_j' Sigma^{-1} beta_j) for a p x width matrix."""
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    return gamma * float(np.sum(np.sqrt(mahal_sq_batch(beta, corr.alpha))))
 
 
 def _group_magnitude(
@@ -175,16 +116,6 @@ def _kkt_residual(
         np.linalg.norm(grad, axis=2) - gamma,
     )
     return np.maximum(viol.max(axis=1), 0.0)
-
-
-def _step_gram(
-    ys: list[NDArray[np.float64]], Xs: list[NDArray[np.float64]]
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Per-step X_s'X_s, X_s'y_s and y_s'y_s, stacked along a leading step axis."""
-    G = np.stack([X.T @ X for X in Xs])
-    b = np.stack([X.T @ y for X, y in zip(Xs, ys)])
-    yy = np.array([y @ y for y in ys])
-    return G, b, yy
 
 
 def _solve_windows(
@@ -282,23 +213,48 @@ def _solve_windows(
     return beta_out, [np.asarray(tr) for tr in traces], failure
 
 
-def solve_window(
-    problem: WindowProblem,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Block coordinate descent on one window: the batched kernel on a stack of one.
+def _window_gram(
+    data: RegressionData, width: int, alpha: float, gamma: float, sigma2: float,
+    tol: float, max_iter: int,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Check a fit's settings, then build its per-step Gram data.
 
-    Returns ``(beta, objective_trace)`` where ``beta`` is p x width in
-    the original (unwhitened) coordinates and ``objective_trace`` holds
-    the objective value after each full sweep.  Stops when the KKT
-    residual drops below ``tol``.
+    Returns X_t'X_t, X_t'y_t and y_t'y_t, stacked along a leading step
+    axis, and the Cholesky factor of the width x width window correlation.
     """
-    G, b, yy = _step_gram(problem.ys, problem.Xs)
-    L = np.linalg.cholesky(problem.corr.matrix)
-    beta, traces, failure = _solve_windows(
-        G, b, yy, L, problem.gamma, problem.sigma2, tol, max_iter
-    )
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 < sigma2 < math.inf:
+        raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    L = np.linalg.cholesky(WindowCorrelation(width, alpha).matrix)
+    G = np.stack([X.T @ X for X in data.Xs])
+    b = np.stack([X.T @ y for X, y in zip(data.Xs, data.ys)])
+    yy = np.array([y @ y for y in data.ys])
+    bad = ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(yy))
+    if bad.any():
+        t = int(np.argmax(bad)) + 1
+        raise NumericalError(f"at time step t={t}: non-finite data or Gram products")
+    return G, b, yy, L
+
+
+def solve_window(
+    data: RegressionData, alpha: float, gamma: float, sigma2: float,
+    tol: float = 1e-8, max_iter: int = 10_000,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Block coordinate descent on the one window spanning all of ``data``.
+
+    The window is T = ``data.T`` steps wide, with AR(1) correlation
+    ``alpha``.  Returns ``(beta, objective_trace)`` where ``beta`` is
+    p x T in the original (unwhitened) coordinates and ``objective_trace``
+    holds the objective at the start (beta = 0) and then one value per
+    sweep.  Stops when the KKT residual drops below ``tol``.
+    """
+    G, b, yy, L = _window_gram(data, data.T, alpha, gamma, sigma2, tol, max_iter)
+    beta, traces, failure = _solve_windows(G, b, yy, L, gamma, sigma2, tol, max_iter)
     if failure is not None:
         raise failure[1]
     return beta[0], traces[0]
@@ -326,13 +282,7 @@ def run_sliding_window(
     if T <= d:
         raise DomainError(f"need T > d, got T={T}, d={d}")
     s2 = config.sigma ** 2
-    _check_scales(config.gamma, s2)
-    G, b, yy = _step_gram(data.ys, data.Xs)
-    bad = ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(yy))
-    if bad.any():
-        t = int(np.argmax(bad)) + 1
-        raise NumericalError(f"at time step t={t}: non-finite data or Gram products")
-    L = np.linalg.cholesky(WindowCorrelation(d + 1, config.alpha).matrix)
+    G, b, yy, L = _window_gram(data, d + 1, config.alpha, config.gamma, s2, tol, max_iter)
 
     beta_hat = np.empty((p, T))
     iters = np.zeros(T, dtype=np.int64)

@@ -160,10 +160,19 @@ def verify_dir(out_dir: Union[str, Path]) -> list[str]:
         return [f"{_MANIFEST_NAME}: cannot be read as JSON ({exc})"]
     if not isinstance(manifest, dict):
         return [f"{_MANIFEST_NAME}: not a JSON object"]
+    outputs = manifest.get("outputs", {})
+    if not isinstance(outputs, dict):
+        return [f"{_MANIFEST_NAME}: outputs is not a JSON object"]
     problems = []
     run_id = manifest.get("run_id", "")
-    for name, digest in manifest.get("outputs", {}).items():
+    for name, digest in outputs.items():
         path = out_dir / name
+        if not isinstance(digest, str):
+            problems.append(f"{_MANIFEST_NAME}: the digest of {name!r} is not a string")
+            continue
+        if Path(name).name != name or (path.exists() and not path.is_file()):
+            problems.append(f"{_MANIFEST_NAME}: {name!r} is not a regular file in {out_dir}")
+            continue
         if not path.exists():
             problems.append(f"{name}: listed in manifest but missing")
             continue

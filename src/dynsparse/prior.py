@@ -34,7 +34,6 @@ from .special import validate_gig_region
 __all__ = [
     "WindowCorrelation",
     "ModelConfig",
-    "mahalanobis_norm",
     "mahal_sq_batch",
     "conditional_gh",
     "conditional_gig",
@@ -65,14 +64,6 @@ class WindowCorrelation:
     def matrix(self) -> NDArray[np.float64]:
         idx = np.arange(self.dim)
         return self.alpha ** np.abs(idx[:, None] - idx[None, :])
-
-
-def mahalanobis_norm(x: NDArray[np.float64], corr: WindowCorrelation) -> float:
-    """sqrt(x' Sigma^{-1} x), the Mahalanobis norm of a window, in O(dim)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (corr.dim,):
-        raise DomainError(f"x has shape {x.shape}, expected ({corr.dim},)")
-    return math.sqrt(mahal_sq_batch(x[None, :], corr.alpha)[0])
 
 
 def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:

@@ -433,24 +433,23 @@ def _reference_kkt_residual(Rt, U, phi, gamma):
     return max(float(viol.max()), 0.0)
 
 
-def reference_solve_window(problem, tol=1e-8, max_iter=10_000):
+def reference_solve_window(data, alpha, gamma, sigma2, tol=1e-8, max_iter=10_000):
     """The one-window block coordinate descent that ``run_sliding_window`` batches.
 
-    Kept as an oracle: the batched sweeps must give the same beta, objective
-    trace and sweep count bit for bit.  Group magnitudes come from a scalar
-    Newton iteration in plain floats, one window and one group at a time.
-    The window's y'y is summed left to right, as ``sum`` does before
-    Python 3.12.
+    The window spans all of ``data``.  Kept as an oracle: the batched
+    sweeps must give the same beta, objective trace and sweep count bit for
+    bit.  Group magnitudes come from a scalar Newton iteration in plain
+    floats, one window and one group at a time.  The window's y'y is summed
+    left to right, as ``sum`` does before Python 3.12.
     """
-    p = problem.p
-    s2 = problem.sigma2
-    gamma = problem.gamma
-    G = np.stack([X.T @ X for X in problem.Xs], axis=2)  # p x p x width
-    b = np.stack([X.T @ y for X, y in zip(problem.Xs, problem.ys)], axis=1)
+    p, width = data.p, data.T
+    s2 = sigma2
+    G = np.stack([X.T @ X for X in data.Xs], axis=2)  # p x p x width
+    b = np.stack([X.T @ y for X, y in zip(data.Xs, data.ys)], axis=1)
     yy = 0.0
-    for y in problem.ys:
+    for y in data.ys:
         yy += float(y @ y)
-    L = np.linalg.cholesky(problem.corr.matrix)
+    L = np.linalg.cholesky(WindowCorrelation(width, alpha).matrix)
 
     diag = G[np.arange(p), np.arange(p)]  # p x width
     lam, Q = np.linalg.eigh(np.einsum("sa,js,sb->jab", L, diag, L) / s2)
@@ -458,7 +457,7 @@ def reference_solve_window(problem, tol=1e-8, max_iter=10_000):
     R = L @ Q
     Rt = np.ascontiguousarray(np.swapaxes(R, 1, 2)) / s2
 
-    phi = np.zeros((p, problem.width))
+    phi = np.zeros((p, width))
     active = [False] * p
     U = b.copy()
     trace = [0.5 * yy / s2]
@@ -471,7 +470,7 @@ def reference_solve_window(problem, tol=1e-8, max_iter=10_000):
             if math.sqrt(float(c @ c)) <= gamma:
                 if not active[j]:
                     continue
-                new = np.zeros(problem.width)
+                new = np.zeros(width)
                 active[j] = False
             else:
                 t = reference_group_magnitude(lam[j], c, gamma)

@@ -219,7 +219,14 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "path.csv: listed in manifest but missing" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", [b"{\"run_id\": ", b"\xff\xfe", b"[1, 2]"])
+@pytest.mark.parametrize("body", [
+    b"{\"run_id\": ", b"\xff\xfe", b"[1, 2]",
+    b"{\"outputs\": [1]}",
+    b"{\"outputs\": {\"path.csv\": 1}}",
+    b"{\"outputs\": {\"\": \"x\"}}",
+    b"{\"outputs\": {\"..\": \"x\"}}",
+    b"{\"outputs\": {\"../manifest.json\": \"x\"}}",
+])
 def test_verify_reports_a_manifest_that_is_not_a_json_object(tmp_path, capsys, body):
     (tmp_path / "manifest.json").write_bytes(body)
     assert run_command(["verify", str(tmp_path)]) == 1
@@ -369,6 +376,44 @@ def test_negative_seed_is_a_config_error_before_any_work(tmp_path, monkeypatch, 
     ])
     assert code == 2
     assert "seed must be a nonnegative integer, got seed=-1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RANGE_ERRORS = [
+    ("fit-smc", "n_particles=1", "n_particles must be at least 2, got n_particles=1"),
+    ("fit-smc", "n_iters=0", "n_iters must be at least 1, got n_iters=0"),
+    ("simulate", "T=0", "T must be at least 1, got T=0"),
+    ("acf", "max_lag=0", "max_lag must be at least 1, got max_lag=0"),
+    ("fit-map", "max_iter=-3", "max_iter must be at least 1, got max_iter=-3"),
+    ("fit-glasso", "max_iter=0", "max_iter must be at least 1, got max_iter=0"),
+    ("fit-map", "tol=-1", "tol must be positive and finite, got tol=-1.0"),
+    ("fit-glasso", "tol=0", "tol must be positive and finite, got tol=0.0"),
+    ("fit-map", "tol=inf", "tol must be positive and finite, got tol=inf"),
+    ("fit-map", "tol=nan", "tol must be positive and finite, got tol=nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, setting, message", RANGE_ERRORS, ids=[f"{c}-{s}" for c, s, _ in RANGE_ERRORS]
+)
+def test_out_of_range_settings_are_config_errors_before_any_work(
+    tmp_path, monkeypatch, capsys, command, setting, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work with {setting}")
+
+    for name in ("load_data", "simulate_path", "simulate_d_chain", "pimh_run"):
+        monkeypatch.setattr(dynsparse.cli, name, no_work)
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,0.2,1\n")
+    out = tmp_path / "out"
+    code = run_command([
+        command, "nu=2.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "d=1", "sigma=0.5",
+        "T=10", "max_lag=5", "n_particles=10", "n_iters=2", "max_iter=50", "seed=1",
+        f"data_path={dpath}", f"out_dir={out}", setting,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Sliding-window group lasso: oracle agreement, KKT, and solver behavior."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,26 +15,46 @@ from dynsparse import (
     NumericalError,
     RegressionData,
     WindowCorrelation,
-    WindowProblem,
-    mahalanobis_penalty,
     run_sliding_window,
     solve_window,
 )
 from dynsparse import group_lasso
 from dynsparse.group_lasso import _group_magnitude
+from dynsparse.prior import mahal_sq_batch
 from helpers import reference_group_magnitude, reference_solve_window
+
+
+class Window(NamedTuple):
+    """``solve_window``'s leading arguments: ``solve_window(*window)``."""
+
+    data: RegressionData
+    alpha: float
+    gamma: float
+    sigma2: float
+
+    @property
+    def p(self):
+        return self.data.p
+
+    @property
+    def width(self):
+        return self.data.T
+
+    @property
+    def corr_matrix(self):
+        return WindowCorrelation(self.width, self.alpha).matrix
 
 
 def stacked_whitened(problem):
     """Independent construction of Y and the whitened group designs A_j."""
-    Y = np.concatenate(problem.ys)
-    L = np.linalg.cholesky(problem.corr.matrix)
-    ns = [y.shape[0] for y in problem.ys]
+    Y = np.concatenate(problem.data.ys)
+    L = np.linalg.cholesky(problem.corr_matrix)
+    ns = [y.shape[0] for y in problem.data.ys]
     offsets = np.concatenate([[0], np.cumsum(ns)])
     designs = []
     for j in range(problem.p):
         raw = np.zeros((offsets[-1], problem.width))
-        for s, X in enumerate(problem.Xs):
+        for s, X in enumerate(problem.data.Xs):
             raw[offsets[s] : offsets[s + 1], s] = X[:, j]
         designs.append(raw @ L)
     return Y, designs
@@ -42,10 +63,10 @@ def stacked_whitened(problem):
 def objective(problem, beta):
     """Direct (unwhitened) objective value."""
     fit = 0.0
-    for s, (y, X) in enumerate(zip(problem.ys, problem.Xs)):
+    for s, (y, X) in enumerate(zip(problem.data.ys, problem.data.Xs)):
         r = y - X @ beta[:, s]
         fit += 0.5 * np.dot(r, r) / problem.sigma2
-    return fit + mahalanobis_penalty(beta, problem.corr, problem.gamma)
+    return fit + problem.gamma * np.sum(np.sqrt(mahal_sq_batch(beta, problem.alpha)))
 
 
 def fista_oracle(problem, n_iter=200_000):
@@ -77,13 +98,13 @@ def random_problem(seed, p=3, d=2, n=5, gamma=1.0, alpha=0.5):
     w = d + 1
     Xs = [rng.standard_normal((n, p)) for _ in range(w)]
     ys = [rng.standard_normal(n) * 2.0 for _ in range(w)]
-    return WindowProblem(ys=ys, Xs=Xs, gamma=gamma, sigma2=1.0, corr=WindowCorrelation(w, alpha))
+    return Window(RegressionData(ys, Xs), alpha, gamma, 1.0)
 
 
 def assert_kkt(problem, beta, tol):
     """Whitened KKT conditions recomputed from the stacked designs."""
     Y, designs = stacked_whitened(problem)
-    L = np.linalg.cholesky(problem.corr.matrix)
+    L = np.linalg.cholesky(problem.corr_matrix)
     theta = beta @ np.linalg.inv(L).T
     resid = Y - sum(A @ theta[j] for j, A in enumerate(designs))
     for j, A in enumerate(designs):
@@ -190,14 +211,8 @@ def test_group_magnitude_without_root_raises():
 
 def test_scalar_soft_threshold():
     # p=1, d=0, X=1, sigma2=1, y=3, gamma=1 -> beta = max(|y| - gamma, 0) = 2
-    problem = WindowProblem(
-        ys=[np.array([3.0])],
-        Xs=[np.array([[1.0]])],
-        gamma=1.0,
-        sigma2=1.0,
-        corr=WindowCorrelation(1, 0.0),
-    )
-    beta, _ = solve_window(problem)
+    data = RegressionData([np.array([3.0])], [np.array([[1.0]])])
+    beta, _ = solve_window(data, alpha=0.0, gamma=1.0, sigma2=1.0)
     assert beta[0, 0] == pytest.approx(2.0, abs=1e-10)
 
 
@@ -206,20 +221,16 @@ def test_null_solution_threshold(seed):
     problem = random_problem(seed)
     Y, designs = stacked_whitened(problem)
     crit = max(np.linalg.norm(A.T @ Y) for A in designs) / problem.sigma2
-    at = WindowProblem(
-        ys=problem.ys, Xs=problem.Xs, gamma=crit * 1.0001, sigma2=problem.sigma2, corr=problem.corr
-    )
-    below = WindowProblem(
-        ys=problem.ys, Xs=problem.Xs, gamma=crit * 0.99, sigma2=problem.sigma2, corr=problem.corr
-    )
-    assert np.all(solve_window(at)[0] == 0.0)
-    assert np.any(solve_window(below)[0] != 0.0)
+    at = problem._replace(gamma=crit * 1.0001)
+    below = problem._replace(gamma=crit * 0.99)
+    assert np.all(solve_window(*at)[0] == 0.0)
+    assert np.any(solve_window(*below)[0] != 0.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_objective_matches_prox_gradient_oracle(seed):
     problem = random_problem(seed)
-    beta, _ = solve_window(problem, tol=1e-10)
+    beta, _ = solve_window(*problem, tol=1e-10)
     _, obj_oracle = fista_oracle(problem)
     assert objective(problem, beta) == pytest.approx(obj_oracle, abs=1e-5)
 
@@ -228,9 +239,9 @@ def test_objective_matches_prox_gradient_oracle(seed):
 def test_kkt_residual_via_direct_subgradient(seed):
     # recompute the whitened KKT conditions from scratch at the solution
     problem = random_problem(seed, gamma=0.8)
-    beta, _ = solve_window(problem, tol=1e-9)
+    beta, _ = solve_window(*problem, tol=1e-9)
     Y, designs = stacked_whitened(problem)
-    L = np.linalg.cholesky(problem.corr.matrix)
+    L = np.linalg.cholesky(problem.corr_matrix)
     theta = beta @ np.linalg.inv(L).T
     resid = Y - sum(A @ theta[j] for j, A in enumerate(designs))
     for j, A in enumerate(designs):
@@ -249,10 +260,8 @@ def test_steps_with_different_row_counts(seed):
     ns = rng.permutation([1, 3, 7])
     Xs = [rng.standard_normal((n, 3)) for n in ns]
     ys = [rng.standard_normal(n) * 2.0 for n in ns]
-    problem = WindowProblem(
-        ys=ys, Xs=Xs, gamma=0.8, sigma2=1.0, corr=WindowCorrelation(3, 0.5)
-    )
-    beta, trace = solve_window(problem, tol=1e-10)
+    problem = Window(RegressionData(ys, Xs), alpha=0.5, gamma=0.8, sigma2=1.0)
+    beta, trace = solve_window(*problem, tol=1e-10)
     _, obj_oracle = fista_oracle(problem)
     assert objective(problem, beta) == pytest.approx(obj_oracle, abs=1e-5)
     assert trace[-1] == pytest.approx(objective(problem, beta), rel=1e-12)
@@ -262,7 +271,7 @@ def test_steps_with_different_row_counts(seed):
 def test_objective_trace_nonincreasing():
     for seed in range(10):
         problem = random_problem(seed, p=5, d=3, gamma=0.5)
-        _, trace = solve_window(problem)
+        _, trace = solve_window(*problem)
         assert np.all(np.diff(trace) <= 1e-10)
 
 
@@ -270,44 +279,26 @@ def test_penalty_whitening_identity():
     # direct Mahalanobis penalty equals the Euclidean norm of the
     # whitened coordinates
     rng = np.random.default_rng(5)
-    corr = WindowCorrelation(4, 0.7)
     beta = rng.standard_normal((3, 4))
-    L = np.linalg.cholesky(corr.matrix)
+    L = np.linalg.cholesky(WindowCorrelation(4, 0.7).matrix)
     theta = beta @ np.linalg.inv(L).T
-    direct = mahalanobis_penalty(beta, corr, 1.3)
+    direct = 1.3 * np.sum(np.sqrt(mahal_sq_batch(beta, 0.7)))
     assert direct == pytest.approx(1.3 * np.sum(np.linalg.norm(theta, axis=1)), rel=1e-12)
 
 
 def test_solution_invariant_to_group_order():
     problem = random_problem(11, p=4)
-    beta, _ = solve_window(problem, tol=1e-10)
+    beta, _ = solve_window(*problem, tol=1e-10)
     perm = [2, 0, 3, 1]
-    permuted = WindowProblem(
-        ys=problem.ys,
-        Xs=[X[:, perm] for X in problem.Xs],
-        gamma=problem.gamma,
-        sigma2=problem.sigma2,
-        corr=problem.corr,
-    )
-    beta_perm, _ = solve_window(permuted, tol=1e-10)
+    data = RegressionData(problem.data.ys, [X[:, perm] for X in problem.data.Xs])
+    beta_perm, _ = solve_window(*problem._replace(data=data), tol=1e-10)
     assert np.allclose(beta_perm, beta[perm], atol=1e-9)
 
 
 def test_nonconvergence_reports_residual():
     problem = random_problem(0)
     with pytest.raises(ConvergenceError, match="residual"):
-        solve_window(problem, tol=1e-14, max_iter=1)
-
-
-def test_window_shape_validation():
-    with pytest.raises(DomainError, match="dim"):
-        WindowProblem(
-            ys=[np.array([1.0])],
-            Xs=[np.array([[1.0]])],
-            gamma=1.0,
-            sigma2=1.0,
-            corr=WindowCorrelation(2, 0.0),
-        )
+        solve_window(*problem, tol=1e-14, max_iter=1)
 
 
 @pytest.mark.parametrize(
@@ -316,21 +307,47 @@ def test_window_shape_validation():
     ids=["gamma-inf", "gamma-nan", "sigma2-nan", "sigma2-inf", "gamma-neg-inf"],
 )
 def test_non_finite_scales_are_domain_errors(gamma, sigma2):
+    data = RegressionData([np.array([3.0])], [np.array([[1.0]])])
     with pytest.raises(DomainError, match="positive and finite"):
-        WindowProblem(
-            ys=[np.array([3.0])],
-            Xs=[np.array([[1.0]])],
-            gamma=gamma,
-            sigma2=sigma2,
-            corr=WindowCorrelation(1, 0.0),
-        )
+        solve_window(data, 0.0, gamma, sigma2)
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be at least 1, got -3"),
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+        ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+    ],
+    ids=["max_iter-0", "max_iter-neg", "tol-0", "tol-neg", "tol-nan"],
+)
+def test_bad_tol_or_max_iter_is_a_domain_error_before_any_sweep(monkeypatch, kw, match):
+    def no_sweeps(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(group_lasso, "_solve_windows", no_sweeps)
+    data = ragged_data(2, T=6, p=2)
+    config = ModelConfig(nu=10.0, delta=0.0, gamma=1.0, alpha=0.5, sigma=0.5, p=2, d=1)
+    with pytest.raises(DomainError, match=match):
+        solve_window(data, 0.5, 1.0, 0.25, **kw)
+    with pytest.raises(DomainError, match=match):
+        run_sliding_window(data, config, **kw)
+
+
+def test_solve_window_names_the_step_with_non_finite_data():
+    problem = random_problem(3)
+    problem.data.ys[1] = np.array([0.0, math.inf, 0.0, 0.0, 0.0])
+    with pytest.raises(NumericalError, match=r"at time step t=2: non-finite data"):
+        solve_window(*problem)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_window_matches_reference(seed):
     problem = random_problem(seed, p=4, d=3, gamma=0.5)
-    beta, trace = solve_window(problem)
-    beta_ref, trace_ref = reference_solve_window(problem)
+    beta, trace = solve_window(*problem)
+    beta_ref, trace_ref = reference_solve_window(*problem)
     assert np.array_equal(beta, beta_ref) and np.array_equal(trace, trace_ref)
 
 
@@ -362,16 +379,14 @@ def null_thresholds(data, d, alpha, sigma2):
 def reference_fit(data, config, tol=1e-8, max_iter=10_000):
     """run_sliding_window's outputs, window by window through the oracle."""
     d, T = config.d, data.T
-    corr = WindowCorrelation(d + 1, config.alpha)
     beta_hat = np.empty((data.p, T))
     iters = np.zeros(T, dtype=np.int64)
     traces = []
     for t in range(d, T):
-        problem = WindowProblem(
-            ys=data.ys[t - d : t + 1], Xs=data.Xs[t - d : t + 1],
-            gamma=config.gamma, sigma2=config.sigma**2, corr=corr,
+        window = RegressionData(data.ys[t - d : t + 1], data.Xs[t - d : t + 1])
+        sol, trace = reference_solve_window(
+            window, config.alpha, config.gamma, config.sigma**2, tol=tol, max_iter=max_iter
         )
-        sol, trace = reference_solve_window(problem, tol=tol, max_iter=max_iter)
         if t == d:
             beta_hat[:, : d + 1] = sol
         beta_hat[:, t] = sol[:, -1]

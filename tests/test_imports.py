@@ -3,7 +3,8 @@
 No module imports a private (``_``-prefixed) name from a sibling module,
 no module other than ``__init__`` imports a name it never uses, no module
 imports scipy at load time, and no module other than ``special`` names
-``kve``; all four are checked from the syntax trees.  The module
+``kve``; all four are checked from the syntax trees.  Every name in a
+module's ``__all__`` is an attribute of the loaded module.  The module
 attributes the benchmark's span tracer wraps stay bound.  The CLI imports
 and runs every subcommand without loading scipy.integrate, scipy.optimize
 or mpmath, and only the subcommands that call scipy.special or
@@ -16,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,11 @@ def kve_references(tree):
     return sorted(lines)
 
 
+def undefined_exports(module):
+    """Names in the module's ``__all__`` that it does not define."""
+    return sorted(n for n in getattr(module, "__all__", []) if not hasattr(module, n))
+
+
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -152,6 +159,19 @@ def test_checks_flag_offending_source():
     assert unused_imports(tree) == ["_helper", "cho_factor", "os"]
     assert module_level_scipy_imports(tree) == ["scipy.linalg", "scipy.special"]
     assert kve_references(tree) == [14, 16, 17, 18]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_in_all_is_defined(path):
+    name = "dynsparse" if path.stem == "__init__" else f"dynsparse.{path.stem}"
+    assert undefined_exports(importlib.import_module(name)) == []
+
+
+def test_undefined_exports_flags_a_name_left_in_all():
+    module = types.ModuleType("stale")
+    exec("from math import sqrt\n__all__ = ['kept', 'sqrt', 'gone']\ndef kept(): pass\n",
+         module.__dict__)
+    assert undefined_exports(module) == ["gone"]
 
 
 def tracer_bindings():

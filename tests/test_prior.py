@@ -20,11 +20,11 @@ from dynsparse import (
     conditional_gig,
     gh_log_pdf,
     gig_log_pdf,
-    mahalanobis_norm,
     mgh_log_pdf,
     simulate_d_chain,
     simulate_path,
 )
+from dynsparse.prior import mahal_sq_batch
 from helpers import gh_cdf_grid, ks_statistic, reference_simulate_path
 
 
@@ -52,18 +52,13 @@ def test_build_sigma_rejects_alpha_one():
 
 
 def test_mahalanobis_trivial():
-    corr = WindowCorrelation(3, 0.5)
-    assert mahalanobis_norm(np.zeros(3), corr) == 0.0
-    corr0 = WindowCorrelation(4, 0.0)
+    assert mahal_sq_batch(np.zeros(3), 0.5) == 0.0
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    assert mahalanobis_norm(x, corr0) == pytest.approx(np.linalg.norm(x))
+    assert math.sqrt(mahal_sq_batch(x, 0.0)) == pytest.approx(np.linalg.norm(x))
 
 
 def test_mahalanobis_2x2_hand_inversion():
-    corr = WindowCorrelation(2, 0.5)
-    assert mahalanobis_norm(np.array([1.0, 1.0]), corr) == pytest.approx(
-        math.sqrt(4.0 / 3.0)
-    )
+    assert mahal_sq_batch(np.array([1.0, 1.0]), 0.5) == pytest.approx(4.0 / 3.0)
 
 
 @pytest.mark.parametrize("dim", [2, 5, 17, 50])
@@ -73,12 +68,7 @@ def test_mahalanobis_matches_dense_solve(dim, alpha):
     corr = WindowCorrelation(dim, alpha)
     x = rng.normal(size=dim)
     dense = math.sqrt(x @ np.linalg.solve(corr.matrix, x))
-    assert mahalanobis_norm(x, corr) == pytest.approx(dense, abs=1e-10, rel=1e-10)
-
-
-def test_mahalanobis_dimension_mismatch():
-    with pytest.raises(DomainError):
-        mahalanobis_norm(np.zeros(3), WindowCorrelation(2, 0.5))
+    assert math.sqrt(mahal_sq_batch(x, alpha)) == pytest.approx(dense, abs=1e-10, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,7 @@ def test_conditional_gig_alpha_zero():
     g = conditional_gig(c, w)
     assert g.nu == c.nu - 1.0
     assert g.delta == pytest.approx(
-        math.sqrt(c.delta**2 + mahalanobis_norm(w, WindowCorrelation(2, 0.0)) ** 2)
+        math.sqrt(c.delta**2 + mahal_sq_batch(w, 0.0))
     )
     assert g.gamma == c.gamma
 
