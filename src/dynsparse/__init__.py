@@ -26,7 +26,6 @@ from .prior import (
     WindowCorrelation,
     autocorrelation,
     conditional_gh,
-    conditional_gig,
     simulate_d_chain,
     simulate_path,
 )

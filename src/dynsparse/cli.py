@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, DynsparseError
 from .group_lasso import run_sliding_window
 from .io import ParseError, load_data, verify_dir, write_manifest, write_table
-from .map_em import run_online_map
+from .map_em import RegressionData, run_online_map
 from .prior import ModelConfig, autocorrelation, simulate_d_chain, simulate_path
 from .smc import pimh_run, posterior_summary
 
@@ -41,7 +41,6 @@ _KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"probs", "data_path", "out_di
 _DEFAULTS = {
     "tol": "1e-8",
     "probs": "0.05,0.95",
-    "p": "1",
     "max_lag": "300",
 }
 
@@ -118,6 +117,14 @@ def _model_config(cfg: dict) -> ModelConfig:
         return ModelConfig(**kwargs)
     except (DomainError, TypeError) as exc:
         raise ConfigError(f"invalid model configuration: {exc}") from None
+
+
+def _load_fit_data(cfg: dict) -> RegressionData:
+    """The fit's data; an explicit ``p`` must be its predictor count."""
+    data = load_data(cfg["data_path"])
+    if cfg.get("p", data.p) != data.p:
+        raise ConfigError(f"p={cfg['p']} but {cfg['data_path']} has {data.p} predictors")
+    return data
 
 
 def _run_id(command: str, cfg: dict) -> str:
@@ -199,7 +206,11 @@ def _fit_point(
     """Run a point-estimate fitter and write its estimates and objective traces."""
     _require(cfg, ("data_path", "out_dir", "max_iter"), command)
     model = _model_config(cfg)
-    data = load_data(cfg["data_path"])
+    if not model.fixed_d:
+        raise ConfigError(f"{command} needs a fixed window length d, not rho")
+    if command == "fit-glasso" and model.gamma == 0.0:
+        raise ConfigError("fit-glasso needs gamma > 0, the group-lasso penalty weight")
+    data = _load_fit_data(cfg)
     out = _out_dir(cfg)
     fit = fitter(
         data, model, tol=cfg["tol"], max_iter=cfg["max_iter"],
@@ -243,7 +254,7 @@ def _cmd_fit_smc(cfg: dict, run_id: str) -> list[Path]:
             "fit-smc needs at least two probs, each strictly inside (0, 1) and "
             f"strictly increasing, got probs={','.join(map(str, probs))}"
         )
-    data = load_data(cfg["data_path"])
+    data = _load_fit_data(cfg)
     out = _out_dir(cfg)
     rng = np.random.default_rng(cfg["seed"])
     chain = pimh_run(data, model, cfg["n_particles"], cfg["n_iters"], rng)

@@ -158,7 +158,6 @@ def _solve_windows(
     beta_out = np.empty((K, p, w))
     traces = [[v] for v in (0.5 * yy / sigma2).tolist()]
     errors: dict[int, Exception] = {}
-    kkt = _kkt_residual(Rt, U, phi, gamma)
     for _ in range(max_iter):
         for j in range(p):
             # minus the fit gradient at phi_j = 0 (group j's own fit added back)

@@ -40,7 +40,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .distributions import (
-    GhParams,
     GigParams,
     gh_log_norm,
     gh_log_pdf,
@@ -108,17 +107,6 @@ class MapFit:
     converged: NDArray[np.bool_]
 
 
-def _prior_laws(
-    window: NDArray[np.float64], msq: NDArray[np.float64], config: ModelConfig
-) -> tuple[list[GhParams], NDArray[np.float64], float]:
-    """Conditional GH prior per coefficient, its locations, and the variance factor."""
-    p, d_eff = window.shape
-    priors = [conditional_gh(config, window[j], msq[j]) for j in range(p)]
-    locs = np.array([g.mu for g in priors])
-    a2 = 1.0 if d_eff == 0 else 1.0 - config.alpha**2
-    return priors, locs, a2
-
-
 def _solve_spd(A: NDArray[np.float64], b: list[float]) -> NDArray[np.float64]:
     """Solve A x = b by Cholesky, calling the LAPACK routines cho_factor/cho_solve wrap.
 
@@ -159,13 +147,24 @@ def em_map_step(
     p = X.shape[1]
     d_eff = window.shape[1]
     msq = mahal_sq_batch(window, config.alpha)
-    priors, locs, a2 = _prior_laws(window, msq, config)
+    priors = [conditional_gh(config, window[j], msq[j]) for j in range(p)]
+    locs = np.array([g.mu for g in priors])
+    a2 = 1.0 if d_eff == 0 else 1.0 - config.alpha**2  # the prior variance factor
     # E-step GIG pieces that do not change across sweeps
     s2 = (config.delta**2 + msq).tolist()
     nu_e = (config.nu - d_eff / 2.0) - 0.5
     sig2 = config.sigma**2
-    XtX = X.T @ X
-    Xty = X.T @ y
+    # the M-step system is A0 + diag(w / a2), whose off-diagonal entries are
+    # A0's plus 0.0 (so a -0.0 there turns into +0.0); its diagonal and b are
+    # built from Python floats, and their finiteness is checked on those, so
+    # an overflow in these products raises as a non-finite M-step system
+    with np.errstate(over="ignore", invalid="ignore"):
+        XtX = X.T @ X
+        Xty = X.T @ y
+        A0 = XtX / sig2 + 0.0
+        b0 = (Xty / sig2).tolist()
+    A0_finite = bool(np.isfinite(A0).all())
+    A0_diag = A0.diagonal().tolist()
     # the p conditionals share nu and gamma; gamma = 0 (Student) keeps the
     # scalar route through the distribution functions
     student = config.gamma == 0.0
@@ -262,13 +261,6 @@ def em_map_step(
                 prior_g.append(order * rj / q2j + gamma * dlogk * rj / qj)
         return all(abs(gj + pj) < 10.0 * tol for gj, pj in zip(g, prior_g))
 
-    # the M-step system is A0 + diag(w / a2), whose off-diagonal entries are
-    # A0's plus 0.0 (so a -0.0 there turns into +0.0); its diagonal and b are
-    # built from Python floats, and their finiteness is checked on those
-    A0 = XtX / sig2 + 0.0
-    A0_finite = bool(np.isfinite(A0).all())
-    A0_diag = A0.diagonal().tolist()
-    b0 = (Xty / sig2).tolist()
     last = window[:, -1].tolist() if d_eff else []
     pull = config.alpha / a2
     beta = locs.copy()  # prior mean warm start
@@ -285,7 +277,7 @@ def em_map_step(
             diag = [ajj + wj / a2 for ajj, wj in zip(A0_diag, w)]
             b = [bj + pull * wj * lj for bj, wj, lj in zip(b0, w, last)] if d_eff else b0
             if not (A0_finite and all(map(math.isfinite, diag + b))):
-                raise ValueError("array must not contain infs or NaNs")
+                raise NumericalError("M-step system is not finite")
             A = A0.copy()
             A.flat[:: p + 1] = diag
             try:
@@ -320,6 +312,10 @@ def run_online_map(
     """
     if not config.fixed_d:
         raise DomainError("online MAP estimation requires the fixed-d mode")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     T, p = data.T, data.p
     beta_hat = np.zeros((p, T))
     iters = np.zeros(T, dtype=np.int64)
@@ -334,8 +330,6 @@ def run_online_map(
             )
         except (NumericalError, DomainError) as exc:
             raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"at time step t={t + 1}: {exc}") from exc
         beta_hat[:, t] = beta
         iters[t] = len(trace) - 1
         traces.append(trace)

@@ -22,7 +22,6 @@ from numpy.typing import NDArray
 
 from .distributions import (
     GhParams,
-    GigParams,
     MghParams,
     gh_sample,
     gig_rvs,
@@ -36,7 +35,6 @@ __all__ = [
     "ModelConfig",
     "mahal_sq_batch",
     "conditional_gh",
-    "conditional_gig",
     "simulate_path",
     "simulate_d_chain",
     "autocorrelation",
@@ -162,30 +160,6 @@ def conditional_gh(
         ) from exc
 
 
-def conditional_gig(config: ModelConfig, window: NDArray[np.float64]) -> GigParams:
-    """Mixing law of the one-step conditional.
-
-    Pairing convention: with ``tau`` from this law,
-    ``beta_t | tau ~ N(alpha * window[-1], (1 - alpha^2) * tau)``
-    reproduces :func:`conditional_gh` exactly (for an empty window the
-    variance factor is 1 and the mean 0).
-    """
-    window = np.asarray(window, dtype=float).ravel()
-    d = window.shape[0]
-    if d == 0:
-        return GigParams(config.nu, config.delta, config.gamma)
-    s2 = config.delta**2 + mahal_sq_batch(window[None, :], config.alpha)[0]
-    nu = config.nu - d / 2.0
-    dl = math.sqrt(s2)
-    try:
-        return GigParams(nu, dl, config.gamma)
-    except DomainError as exc:
-        raise DomainError(
-            f"conditional GIG falls outside the valid region: "
-            f"(nu'={nu}, delta'={dl}, gamma'={config.gamma})"
-        ) from exc
-
-
 def simulate_path(
     config: ModelConfig,
     T: int,
@@ -197,7 +171,11 @@ def simulate_path(
     Fixed-d mode: the first min(d, T) values are one joint mGH block, the
     rest follow the one-step conditional.  Time-varying mode: the window
     length follows the binomial chain (d_1 = 0), shared across rows; pass
-    ``d_path`` to reuse a pre-simulated chain.
+    ``d_path`` to reuse a pre-simulated chain.  Each later step draws
+    tau ~ GIG(nu - d_t/2, sqrt(delta^2 + msq), gamma), msq the AR(1) norm
+    of its window, and moves from alpha * beta_{t-1} with variance
+    (1 - alpha^2) tau; for d_t >= 1, (1 - alpha^2) tau follows the mixing
+    law of :func:`conditional_gh`.
     """
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
@@ -234,8 +212,6 @@ def simulate_path(
         start = 1
         lengths = d_path.tolist()
 
-    # scale-mixture step with mean alpha * beta_{t-1} and variance
-    # (1 - alpha^2) tau, the convention of the sequential sampler
     nu, delta2, gamma = config.nu, config.delta**2, config.gamma
     prev = beta[:, start - 1]
     for t in range(start, T):

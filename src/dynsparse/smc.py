@@ -19,11 +19,12 @@ indices; the window of past beta values needed by the GIG conditional is
 read from a rolling lineage buffer that is re-gathered at every step's
 resample, so windows never mix values across particle lineages.
 The tau step serves every window length of a step at once: each
-particle's buffer reads as zero outside its own window, one AR(1) norm
-call over the whole buffer gives all window norms, and one GIG expression
-applies the scaling 1 - alpha^2 exactly where the proposal mean is
-alpha * beta_{t-1}.  The buffer is laid out window axis first, (L, N, p),
-so the norm's sums run over the leading axis for all particles at once.
+particle's buffer reads as zero outside its own window, and one AR(1) norm
+call over the whole buffer gives all window norms.  A step draws tau from
+:func:`dynsparse.prior.conditional_gh`'s mixing law for the mean
+alpha * beta_{t-1}, or from the marginal GIG for the mean 0 (t = 1 and
+fixed d = 0).  The buffer is (L, N, p), window axis first, so the norm's
+sums run over the leading axis for all particles at once.
 """
 
 from __future__ import annotations
@@ -79,15 +80,16 @@ def _sample_tau(
     ds: NDArray[np.int64],
     config: ModelConfig,
     rng: np.random.Generator,
-    scaled: NDArray[np.bool_],
+    scaled: bool,
 ) -> NDArray[np.float64]:
     """Latent scales for every (particle, coefficient) pair.
 
     ``hist`` is the lineage buffer (L, N, p), most recent value last, and
-    ``ds[i] <= L`` the window lengths.  ``scaled[i]`` pairs the law with a
-    step of mean alpha * beta_{t-1} and variance (1 - alpha^2) tau; where
-    it is False (d = 0 at t = 1 or in the fixed d = 0 model) the marginal
-    GIG pairs with a mean-zero step.
+    ``ds[i] <= L`` the window lengths.  With ``scaled`` each draw follows
+    ``conditional_gh(config, window).mixing`` of its particle's window (the
+    binomial chain takes the same formula at d = 0), the step variance
+    around the mean alpha * beta_{t-1}; without it (every d = 0: t = 1 or
+    the fixed d = 0 model) the marginal GIG, around the mean 0.
     """
     L, N = hist.shape[:2]
     a2 = config.alpha**2
@@ -103,7 +105,7 @@ def _sample_tau(
         first = hist[np.minimum(start, L - 1), np.arange(N)]
         first = np.where(((start > 0) & (start < L))[:, None], first, 0.0)
         msq -= a2 * first**2 / (1.0 - a2)
-    s = np.where(scaled, 1.0 - a2, 1.0)[:, None]
+    s = 1.0 - a2 if scaled else 1.0
     nu = config.nu - ds[:, None] / 2.0
     return gig_rvs(nu, np.sqrt(s * (config.delta**2 + msq)), config.gamma / np.sqrt(s), rng)
 
@@ -111,17 +113,14 @@ def _sample_tau(
 def _weight_and_propose(
     y: NDArray[np.float64],
     X: NDArray[np.float64],
+    m: NDArray[np.float64],
     tau: NDArray[np.float64],
-    prev_beta: NDArray[np.float64],
-    mean_scale: NDArray[np.float64],
     sigma2: float,
-    alpha: float,
     rng: np.random.Generator,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Incremental log-weight and beta_t draw from one Cholesky factor.
 
-    With m = alpha * mean_scale * beta_{t-1} (``mean_scale`` is 0 where a
-    particle reverts to the prior mean zero), r = y - X m and
+    With prior mean ``m`` (N x p), r = y - X m and
     P = D_tau^{-1} + X'X / sigma^2 = L L': beta_t = m + b + L'^{-1} z with
     b = P^{-1} X'r / sigma^2, and log N(r; 0, X D_tau X' + sigma^2 I) has
     log det n log sigma^2 + sum log tau + log det P and quadratic form
@@ -133,7 +132,6 @@ def _weight_and_propose(
     """
     N, p = tau.shape
     n = y.shape[0]
-    m = (alpha * mean_scale)[:, None] * prev_beta
     r = y[None, :] - m @ X.T
     G = X.T @ X / sigma2
     rhs = (r @ X / sigma2).T
@@ -214,9 +212,10 @@ def smc_run(
                 ds = _next_d(ds, t + 1, config, rng)
             # t = 1 and the fixed d = 0 model step from the prior mean 0; the
             # binomial chain steps from alpha * beta_{t-1} even at d_t = 0
-            scaled = (ds > 0) | (t > 0 and not config.fixed_d)
+            scaled = t > 0 and (not config.fixed_d or config.d > 0)
             tau = _sample_tau(hist, ds, config, rng, scaled)
-            lw, beta = _weight_and_propose(y, X, tau, prev_beta, scaled, s2, alpha, rng)
+            m = (alpha if scaled else 0.0) * prev_beta
+            lw, beta = _weight_and_propose(y, X, m, tau, s2, rng)
         except (NumericalError, DomainError) as exc:
             raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
 

@@ -417,6 +417,56 @@ def test_out_of_range_settings_are_config_errors_before_any_work(
     assert not out.exists()
 
 
+FIT_CONFIG_ERRORS = [
+    ("fit-map", "rho=0.8", "fit-map needs a fixed window length d, not rho"),
+    ("fit-glasso", "rho=0.8", "fit-glasso needs a fixed window length d, not rho"),
+    ("fit-glasso", "gamma=0", "fit-glasso needs gamma > 0, the group-lasso penalty weight"),
+    ("fit-map", "p=7", "p=7 but {data} has 2 predictors"),
+    ("fit-glasso", "p=1", "p=1 but {data} has 2 predictors"),
+    ("fit-smc", "p=3", "p=3 but {data} has 2 predictors"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, setting, message", FIT_CONFIG_ERRORS,
+    ids=[f"{c}-{s}" for c, s, _ in FIT_CONFIG_ERRORS],
+)
+def test_fit_settings_at_odds_with_the_fit_or_data_are_config_errors(
+    tmp_path, monkeypatch, capsys, command, setting, message
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError(f"{command} started fitting with {setting}")
+
+    for name in ("run_online_map", "run_sliding_window", "pimh_run"):
+        monkeypatch.setattr(dynsparse.cli, name, no_fit)
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1,x2\n1,0.5,1,0\n2,0.2,0,1\n")
+    out = tmp_path / "out"
+    window = setting if setting.startswith("rho=") else "d=1"
+    code = run_command([
+        command, "nu=-1.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "sigma=0.5", window,
+        "n_particles=10", "n_iters=2", "max_iter=50", "seed=1",
+        f"data_path={dpath}", f"out_dir={out}", setting,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(data=dpath)}\n"
+    assert not out.exists()
+
+
+def test_manifest_records_only_the_settings_given(tmp_path):
+    # p is not given, so the manifest does not record it; the data have two
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1,x2\n1,0.5,1,0\n2,0.2,0,1\n3,0.1,1,1\n")
+    out = tmp_path / "out"
+    code = run_command([
+        "fit-map", "nu=2.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "sigma=0.5", "d=1",
+        "max_iter=50", f"data_path={dpath}", f"out_dir={out}",
+    ])
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert "p" not in config and config["d"] == "1"
+
+
 def test_unknown_key_and_bad_type_are_config_errors(tmp_path, capsys):
     base = ["simulate", "nu=0.5", "delta=0.5", "gamma=1.0", "alpha=0.0",
             "d=0", "sigma=1.0", "T=10", "seed=1", f"out_dir={tmp_path / 'o'}"]

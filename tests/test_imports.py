@@ -2,8 +2,10 @@
 
 No module imports a private (``_``-prefixed) name from a sibling module,
 no module other than ``__init__`` imports a name it never uses, no module
-imports scipy at load time, and no module other than ``special`` names
-``kve``; all four are checked from the syntax trees.  Every name in a
+defines a private module-level function, class or constant that nothing
+else in it reads, no module imports scipy at load time, and no module
+other than ``special`` names ``kve``; all five are checked from the syntax
+trees.  Every name in a
 module's ``__all__`` is an attribute of the loaded module.  The module
 attributes the benchmark's span tracer wraps stay bound.  The CLI imports
 and runs every subcommand without loading scipy.integrate, scipy.optimize
@@ -62,6 +64,33 @@ def unused_imports(tree):
     return sorted(name for name in bound if name not in used)
 
 
+def unused_private_definitions(tree):
+    """Private module-level defs and constants that no other statement reads.
+
+    A read inside a definition's own body (recursion) does not count.
+    """
+    reads, defined = [], {}
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for name in names:
+            if is_private(name):
+                defined[name] = node
+        loads = {
+            n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        reads.append((node, loads))
+    return sorted(
+        name for name, home in defined.items()
+        if not any(name in loads for node, loads in reads if node is not home)
+    )
+
+
 def module_level_scipy_imports(tree):
     """scipy modules imported when the module loads, i.e. outside any function."""
     found = []
@@ -118,6 +147,33 @@ def test_no_private_sibling_imports(path):
 )
 def test_no_unused_imports(path):
     assert unused_imports(parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    assert unused_private_definitions(parse(path)) == []
+
+
+def test_unused_private_definitions_flags_dead_helpers():
+    tree = ast.parse(
+        "_USED = 1\n"
+        "_UNUSED = 2\n"
+        "_A, (_B, _C) = 3, (4, 5)\n"
+        "_ANNOTATED: int = 6\n"
+        "__all__ = ['public']\n"
+        "def _helper():\n"
+        "    return _USED + _B\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def public():\n"
+        "    _UNUSED = 0  # a local of the same name is not a read\n"
+        "    return _helper(), _C\n"
+    )
+    assert unused_private_definitions(tree) == [
+        "_A", "_ANNOTATED", "_Gone", "_UNUSED", "_recursive",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

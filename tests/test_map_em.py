@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import kve
 
+import dynsparse.map_em
 from dynsparse import DomainError, ModelConfig, NumericalError, conditional_gh, gh_log_pdf, special
 from dynsparse.map_em import MapFit, RegressionData, em_map_step, run_online_map
 from dynsparse.prior import mahal_sq_batch
@@ -357,6 +358,40 @@ def test_overflowing_observation_is_a_numerical_error():
     with pytest.raises(NumericalError, match=r"t=2: EM objective is not finite"):
         with np.errstate(over="ignore"):
             run_online_map(data, config)
+
+
+def test_overflowing_gram_product_is_an_m_step_error():
+    # X'X overflows while the starting objective is finite: the M-step
+    # system is not finite, a NumericalError with no numpy warning
+    config = ModelConfig(nu=1.0, delta=0.5, gamma=1.0, alpha=0.0, sigma=1.0, p=2, d=0)
+    X = np.array([[1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^M-step system is not finite$"):
+            em_map_step(np.ones(1), X, np.zeros((2, 0)), config)
+        with pytest.raises(NumericalError, match=r"^at time step t=2: M-step system"):
+            run_online_map(RegressionData([np.ones(1)] * 2, [np.eye(1, 2), X]), config)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+        ({"tol": math.inf}, "tol must be positive and finite, got inf"),
+    ],
+    ids=["max_iter=0", "tol=-1", "tol=0", "tol=nan", "tol=inf"],
+)
+def test_bad_tol_or_max_iter_is_a_domain_error_before_any_step(monkeypatch, kw, message):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an EM step ran")
+
+    monkeypatch.setattr(dynsparse.map_em, "em_map_step", no_step)
+    data, _ = _synthetic_instance(T=5)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        run_online_map(data, laplace_cfg(), **kw)
 
 
 def test_non_finite_estep_delta_is_a_numerical_error():

@@ -12,12 +12,12 @@ import dynsparse
 from dynsparse import (
     DomainError,
     GhParams,
+    GigParams,
     MghParams,
     ModelConfig,
     WindowCorrelation,
     autocorrelation,
     conditional_gh,
-    conditional_gig,
     gh_log_pdf,
     gig_log_pdf,
     mgh_log_pdf,
@@ -119,7 +119,7 @@ def test_conditional_gh_scalar_window_alpha_zero():
 def test_conditional_gig_alpha_zero():
     c = cfg(alpha=0.0, d=2)
     w = np.array([0.3, -0.8])
-    g = conditional_gig(c, w)
+    g = conditional_gh(c, w).mixing  # at alpha = 0 the unscaled conditional GIG
     assert g.nu == c.nu - 1.0
     assert g.delta == pytest.approx(
         math.sqrt(c.delta**2 + mahal_sq_batch(w, 0.0))
@@ -149,9 +149,11 @@ def test_keystone_joint_marginal_ratio(alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.6])
 def test_conditional_gig_marginalizes_to_conditional_gh(alpha):
+    # the conditional GIG of simulate_path's step, tau ~ GIG(nu - d/2,
+    # sqrt(delta^2 + msq), gamma), mixing N(alpha * w[-1], (1 - alpha^2) tau)
     c = cfg(alpha=alpha, nu=0.7, delta=0.6, gamma=1.1, d=2)
     w = np.array([0.5, -1.0])
-    mix = conditional_gig(c, w)
+    mix = GigParams(c.nu - 1.0, math.sqrt(c.delta**2 + mahal_sq_batch(w, alpha)), c.gamma)
     cond = conditional_gh(c, w)
     a2 = 1.0 - alpha**2
     loc = alpha * w[-1]
@@ -172,9 +174,9 @@ def test_conditional_gig_marginalizes_to_conditional_gh(alpha):
 def test_conditional_invalid_region_reports_parameters():
     c = cfg(delta=0.0, nu=2.0, d=2, alpha=0.0)
     with pytest.raises(DomainError, match="nu'"):
-        conditional_gig(c, np.zeros(4))
+        conditional_gh(c, np.zeros(4))
     # valid at the same d when the window is non-zero
-    conditional_gig(c, np.array([1.0, 0.5]))
+    conditional_gh(c, np.array([1.0, 0.5]))
 
 
 # ---------------------------------------------------------------------------

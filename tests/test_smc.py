@@ -16,12 +16,12 @@ from dynsparse import (
     DegeneracyError,
     DomainError,
     GhParams,
+    GigParams,
     ModelConfig,
     NumericalError,
     PosteriorChain,
     RegressionData,
     conditional_gh,
-    conditional_gig,
     gh_log_pdf,
     pimh_run,
     posterior_summary,
@@ -65,9 +65,7 @@ def test_weight_scalar_formula():
     y, X = np.array([1.3]), np.array([[1.0]])
     tau = np.array([[0.8]])
     prev = np.array([[2.0]])
-    lw, _ = _weight_and_propose(
-        y, X, tau, prev, np.ones(1), 0.49, 0.5, np.random.default_rng(0)
-    )
+    lw, _ = _weight_and_propose(y, X, 0.5 * prev, tau, 0.49, np.random.default_rng(0))
     expected = math.log(normal_pdf(1.3, 0.5 * 2.0, 0.8 + 0.49))
     assert lw[0] == pytest.approx(expected, abs=1e-12)
 
@@ -82,7 +80,7 @@ def test_weight_matches_quadrature_marginal(seed):
     tau = rng.uniform(0.3, 2.0, (1, 2))
     prev = rng.standard_normal((1, 2))
     alpha, s2 = 0.6, 0.5
-    lw, _ = _weight_and_propose(y, X, tau, prev, np.ones(1), s2, alpha, rng)
+    lw, _ = _weight_and_propose(y, X, alpha * prev, tau, s2, rng)
 
     mean = alpha * prev[0]
 
@@ -106,9 +104,8 @@ def test_proposal_reverts_to_prior_transition_without_data():
     rng = np.random.default_rng(7)
     tau = np.full((20_000, 1), 1.7)
     prev = np.full((20_000, 1), 3.0)
-    _, beta = _weight_and_propose(
-        np.array([0.0]), np.array([[0.0]]), tau, prev, np.ones(20_000), 1.0, 0.4, rng
-    )
+    zero = np.array([0.0])
+    _, beta = _weight_and_propose(zero, zero[:, None], 0.4 * prev, tau, 1.0, rng)
     assert beta.mean() == pytest.approx(0.4 * 3.0, abs=0.03)
     assert beta.var() == pytest.approx(1.7, rel=0.05)
 
@@ -139,12 +136,10 @@ def test_weight_matches_high_precision_dense_oracle(n, p):
     tau = np.exp(np.vstack([corners, rng.uniform(-16.0, 16.0, (40, p))]))
     N = tau.shape[0]
     prev = rng.standard_normal((N, p))
-    scale = (np.arange(N) % 3 > 0).astype(float)
-    lw, _ = _weight_and_propose(y, X, tau, prev, scale, s2, alpha, rng)
-    exact = [
-        dense_log_weight_oracle(y, X, tau[i], alpha * scale[i] * prev[i], s2)
-        for i in range(N)
-    ]
+    # per-particle means: a third of the particles step from the mean zero
+    m = (alpha * (np.arange(N) % 3 > 0))[:, None] * prev
+    lw, _ = _weight_and_propose(y, X, m, tau, s2, rng)
+    exact = [dense_log_weight_oracle(y, X, tau[i], m[i], s2) for i in range(N)]
     np.testing.assert_allclose(lw, exact, rtol=0.0, atol=1e-13)
 
 
@@ -157,14 +152,12 @@ def test_proposal_matches_dense_posterior():
     y = rng.standard_normal(n)
     tau = np.exp(rng.uniform(-3.0, 3.0, (N, p)))
     prev = rng.standard_normal((N, p))
-    scale = (np.arange(N) % 2).astype(float)
-    _, beta = _weight_and_propose(
-        y, X, tau, prev, scale, s2, alpha, np.random.default_rng(9)
-    )
+    m = (alpha * (np.arange(N) % 2))[:, None] * prev  # per-particle means
+    _, beta = _weight_and_propose(y, X, m, tau, s2, np.random.default_rng(9))
     z = np.random.default_rng(9).standard_normal((N, p))
     for i in range(N):
         prec = np.diag(1.0 / tau[i]) + X.T @ X / s2
-        mu = np.linalg.solve(prec, alpha * scale[i] * prev[i] / tau[i] + X.T @ y / s2)
+        mu = np.linalg.solve(prec, m[i] / tau[i] + X.T @ y / s2)
         expected = mu + np.linalg.solve(np.linalg.cholesky(prec).T, z[i])
         np.testing.assert_allclose(beta[i], expected, rtol=1e-10, atol=1e-12)
 
@@ -192,31 +185,36 @@ def _record_tau_step(monkeypatch):
     return msq_inputs, gig_inputs
 
 
-@pytest.mark.parametrize("scaled_at_zero", [False, True])
+@pytest.mark.parametrize("scaled", [False, True])
 @pytest.mark.parametrize("L", [0, 1, 2, 7])
-def test_tau_step_matches_conditional_gig_per_window(monkeypatch, L, scaled_at_zero):
-    # one masked window-norm call gives every particle the conditional GIG
-    # of its own last d values, scaled by 1 - alpha^2 where the mean is
+def test_tau_step_matches_conditional_gh_mixing_per_window(monkeypatch, L, scaled):
+    # one masked window-norm call gives every particle the mixing law of the
+    # conditional GH of its own last d values; unscaled (every d = 0, as at
+    # t = 1) the marginal GIG
     config = cfg(d=None, rho=0.8, delta=0.3, gamma=1.2, alpha=0.7)
     msq_inputs, gig_inputs = _record_tau_step(monkeypatch)
     rng = np.random.default_rng(L)
     N, p = 40, 3
     hist = rng.standard_normal((L, N, p)) * rng.uniform(0.1, 3.0, (1, N, p))
-    ds = rng.integers(0, L + 1, N)
-    ds[:3] = [0, L, min(1, L)]  # d = 1 < L where L > 1
-    scaled = (ds > 0) | scaled_at_zero
+    if scaled:
+        ds = rng.integers(0, L + 1, N)
+        ds[:3] = [0, L, min(1, L)]  # d = 1 < L where L > 1
+    else:
+        ds = np.zeros(N, dtype=np.int64)
     tau = _sample_tau(hist, ds, config, rng, scaled)
 
     assert tau.shape == (N, p) and np.all(tau > 0)
     assert len(msq_inputs) == 1 and msq_inputs[0].shape == (N, p, L)
     (nu, dl, gm), = gig_inputs
-    s = 1.0 - config.alpha**2
+    a = math.sqrt(1.0 - config.alpha**2)
     for i, j in itertools.product(range(N), range(p)):
-        law = conditional_gig(config, hist[L - ds[i] :, i, j])
-        scale = math.sqrt(s) if scaled[i] else 1.0
+        law = conditional_gh(config, hist[L - ds[i] :, i, j]).mixing
+        if scaled and ds[i] == 0:
+            # the binomial chain's d = 0 step keeps the mean alpha * beta_{t-1}
+            # and so the scaling, where conditional_gh gives the marginal
+            law = GigParams(law.nu, a * law.delta, law.gamma / a)
         np.testing.assert_allclose(
-            [nu[i, j], dl[i, j], gm[i, j]],
-            [law.nu, law.delta * scale, law.gamma / scale],
+            [nu[i, j], dl[i, j], gm[i, j]], [law.nu, law.delta, law.gamma],
             rtol=1e-13, atol=0.0,
         )
 
