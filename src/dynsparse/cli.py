@@ -102,6 +102,10 @@ def _typed(cfg: dict[str, str]) -> dict:
             raise ConfigError(f"{key} must be at least {low}, got {key}={out[key]}")
     if "tol" in out and not 0.0 < out["tol"] < math.inf:
         raise ConfigError(f"tol must be positive and finite, got tol={out['tol']}")
+    if "eps_sparse" in out and not 0.0 <= out["eps_sparse"] < math.inf:
+        raise ConfigError(
+            f"eps_sparse must be nonnegative and finite, got eps_sparse={out['eps_sparse']}"
+        )
     return out
 
 
@@ -189,6 +193,8 @@ def _cmd_simulate(cfg: dict, run_id: str) -> list[Path]:
 
 def _cmd_acf(cfg: dict, run_id: str) -> list[Path]:
     _require(cfg, ("T", "seed", "out_dir"), "acf")
+    if cfg["max_lag"] >= cfg["T"]:
+        raise ConfigError(f"acf needs max_lag < T, got max_lag={cfg['max_lag']}, T={cfg['T']}")
     model = _model_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
     out = _out_dir(cfg)

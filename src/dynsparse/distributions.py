@@ -17,8 +17,9 @@ rejection round on the elements still pending (the first on the full
 arrays), and ``_devroye_gig_one`` is its setup-light scalar twin.
 In ``gig_rvs`` only a one-element interior draw (delta > 0 and gamma > 0)
 takes the scalar kernel; every other batch goes through the masked array
-route, so the region checks exist once.  Both kernels give the same value
-for one element and take the same uniforms from the generator.
+route, so the region checks exist once.  The scalar kernel serves
+ordinary parameters only, the array kernel edges and invalid input too;
+for one element both give the same value and take the same uniforms.
 
 The scalar kernel keeps its state in Python floats, which are cheaper per
 operation than numpy scalars: +, -, *, / and ``math.sqrt`` are correctly
@@ -228,13 +229,6 @@ def _dpsi(x, alpha, lam):
     return -alpha * np.sinh(x) - lam * np.expm1(x)
 
 
-def _omega_overflow(omega: float) -> DomainError:
-    return DomainError(
-        f"Devroye GIG sampler needs omega <= {_OMEGA_MAX!r} (omega * omega overflows), "
-        f"got omega={omega!r}"
-    )
-
-
 def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     """Draws from pdf prop. to z^(lam-1) exp(-omega (z + 1/z)/2), elementwise.
 
@@ -251,7 +245,10 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     if not (omega.min(initial=1.0) > 0.0 and math.isfinite(top) and np.isfinite(lam).all()):
         raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
     if top > _OMEGA_MAX:
-        raise _omega_overflow(float(top))
+        raise DomainError(
+            f"Devroye GIG sampler needs omega <= {_OMEGA_MAX!r} (omega * omega overflows), "
+            f"got omega={float(top)!r}"
+        )
 
     swap = lam < 0.0
     lam = np.abs(lam)
@@ -321,30 +318,27 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
     ufunc calls on one float, because the ``math`` functions round
     differently; the terms at the probe points +-1 are formed once at
     import, and each cut point shares one expm1 between psi and psi'.
-    Python raises at a zero divisor where float64 gives +-inf, so the
-    divisions that can meet one (1/lam at lam = 0; 1/alpha and 1/alpha^2
-    where alpha cancels or its square underflows to 0; the final 1/z)
-    give that inf explicitly, and a NaN candidate wins the left cut point
-    as in ``np.minimum``.  Each round takes U, V, W as the array kernel
-    does at n = 1, so value, generator state and errors all match.
+    Only ordinary parameters are drawn here (0 < omega <= _OMEGA_MAX and
+    alpha^2 > 0, so no division in the setup meets a zero); every other
+    input goes to the array kernel before a uniform is taken.  Where
+    float64 gives inf and Python raises (1/lam at lam = 0, log 0, the
+    final 1/z at z = 0), the inf is written out.  Each round takes U, V, W
+    as the array kernel does at n = 1, so value, state and errors match.
     """
     lam = float(lam)
     omega = float(omega)
-    if not (omega > 0.0 and math.isfinite(omega) and math.isfinite(lam)):
-        raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
-    if omega > _OMEGA_MAX:
-        raise _omega_overflow(omega)
+    alpha = math.sqrt(omega * omega + lam * lam) - abs(lam)
+    if not (0.0 < omega <= _OMEGA_MAX and alpha * alpha > 0.0):
+        return float(_devroye_gig(np.array([lam]), omega, rng)[0])
     cosh, sinh, expm1, log = np.cosh, np.sinh, np.expm1, np.log
 
     swap = lam < 0.0
     lam = abs(lam)
-    alpha = math.sqrt(omega * omega + lam * lam) - lam
 
     # right cut point t, from x0 = -psi(1)
     x0 = -(-alpha * _COSH_P1 - lam * _EXPM1_P1)
     if x0 < 0.5:
-        den = alpha + 2.0 * lam
-        t = float(log(4.0 / den)) if den else math.inf
+        t = float(log(4.0 / (alpha + 2.0 * lam)))
     elif x0 > 2.0:
         t = math.sqrt(2.0 / (alpha + lam))
     else:
@@ -352,15 +346,8 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
     # left cut point s, from x1 = -psi(-1)
     x1 = -(-alpha * _COSH_M1 - lam * _EXPM1_M1)
     if x1 < 0.5:
-        s = 1.0 / lam if lam else math.inf
-        a2 = alpha * alpha
-        if alpha:
-            w = 1.0 / alpha + math.sqrt((1.0 / a2 if a2 else math.inf) + 2.0 / alpha)
-        else:
-            w = math.inf
-        cand = float(np.log1p(w))
-        if not cand >= s:  # np.minimum: a NaN wins
-            s = cand
+        w = 1.0 / alpha + math.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)
+        s = min(1.0 / lam if lam else math.inf, float(np.log1p(w)))
     elif x1 > 2.0:
         s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
     else:

@@ -272,10 +272,13 @@ def run_sliding_window(
     column reported as beta_hat_t (a filter-style estimate); steps
     t <= d take their columns from the first full window.  With d = 0
     every step is an independent plain lasso.  Group-lasso zeros are
-    exact, so the default support threshold is 0.
+    exact, so the default support threshold ``eps_sparse`` is 0; it must
+    be nonnegative and finite.
     """
     if not config.fixed_d:
         raise DomainError("sliding-window estimation requires fixed-d mode")
+    if not 0.0 <= eps_sparse < math.inf:
+        raise DomainError(f"eps_sparse must be nonnegative and finite, got {eps_sparse}")
     d = int(config.d)
     T, p = data.T, data.p
     if T <= d:

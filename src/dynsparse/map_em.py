@@ -305,10 +305,11 @@ def run_online_map(
 ) -> MapFit:
     """Sequential MAP estimation for t = 1..T, feeding estimates back as history.
 
-    ``eps_sparse`` thresholds the reported support; by default it is
-    ``1e-3 * max |beta_hat|`` (these priors shrink hard but reach exact
-    zero only in limits).  When any step stops at ``max_iter``, one
-    ``RuntimeWarning`` gives their count and the first such t.
+    ``eps_sparse``, nonnegative and finite, thresholds the reported
+    support; by default it is ``1e-3 * max |beta_hat|`` (these priors
+    shrink hard but reach exact zero only in limits).  When any step
+    stops at ``max_iter``, one ``RuntimeWarning`` gives their count and
+    the first such t.
     """
     if not config.fixed_d:
         raise DomainError("online MAP estimation requires the fixed-d mode")
@@ -316,6 +317,8 @@ def run_online_map(
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    if eps_sparse is not None and not 0.0 <= eps_sparse < math.inf:
+        raise DomainError(f"eps_sparse must be nonnegative and finite, got {eps_sparse}")
     T, p = data.T, data.p
     beta_hat = np.zeros((p, T))
     iters = np.zeros(T, dtype=np.int64)

@@ -136,6 +136,10 @@ def conditional_gh(
     """One-step predictive GH law of beta_t given the window of past values.
 
     An empty window means the i.i.d. GH(0, nu, delta, gamma) marginal.
+    It does not describe the rho-mode step with d_t = 0 at t > 1, whose
+    window is empty too: there :func:`simulate_path` and the SMC step from
+    alpha * beta_{t-1} with variance tau ~ GIG(nu, sqrt(1 - alpha^2) delta,
+    gamma / sqrt(1 - alpha^2)).
     ``msq``, where the caller already has it, must be the window's squared
     AR(1) norm ``mahal_sq_batch(window[None, :], config.alpha)[0]``; it is
     taken as given, not checked against ``window``.

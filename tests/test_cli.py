@@ -390,6 +390,13 @@ RANGE_ERRORS = [
     ("fit-glasso", "tol=0", "tol must be positive and finite, got tol=0.0"),
     ("fit-map", "tol=inf", "tol must be positive and finite, got tol=inf"),
     ("fit-map", "tol=nan", "tol must be positive and finite, got tol=nan"),
+    ("fit-map", "eps_sparse=nan", "eps_sparse must be nonnegative and finite, got eps_sparse=nan"),
+    (
+        "fit-glasso", "eps_sparse=-1",
+        "eps_sparse must be nonnegative and finite, got eps_sparse=-1.0",
+    ),
+    ("fit-map", "eps_sparse=inf", "eps_sparse must be nonnegative and finite, got eps_sparse=inf"),
+    ("acf", "max_lag=10", "acf needs max_lag < T, got max_lag=10, T=10"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import dynsparse.distributions
 from dynsparse import (
     DomainError,
     GhParams,
@@ -262,6 +264,48 @@ def test_devroye_scalar_kernel_edges_keep_the_reference_outcomes():
     assert _draw_outcome(_devroye_gig_one, 5e-4, 1e-12, 0)[:2] == (
         NumericalError, "GIG rejection sampler exceeded its round budget"
     )
+
+
+_NEXT_OMEGA = float(np.nextafter(_OMEGA_MAX, np.inf))
+_ROUTER_CASES = [
+    *_ONE_EDGES,
+    # omega at the largest finite square and past it; squares that
+    # underflow (1e-160 to a subnormal, 5e-324 to 0); alpha cancelling to
+    # 0, and to 1.4e-166 > 0 whose square underflows
+    *[(lam, omega) for lam in (0.5, -0.5) for omega in (_OMEGA_MAX, _NEXT_OMEGA, 1e-160, 5e-324)],
+    (5e-4, 1e-12),
+    (1e-150, 1e-158),
+    (-1e-150, 1e-158),
+    *[
+        (lam, omega)
+        for lam in (0.0, 1e154, -1e154, 1e200, -1e200, math.inf, -math.inf, math.nan)
+        for omega in (5e-324, 1e-160, 1.0, 1e154, _OMEGA_MAX, _NEXT_OMEGA)
+    ],
+]
+
+
+def test_devroye_scalar_kernel_routes_edges_to_the_array_kernel(monkeypatch):
+    # on both sides of the router's bounds the scalar kernel gives the array
+    # kernel's n = 1 outcome: value bytes or error, and generator state
+    def array_one(lam, omega, rng):
+        return _devroye_gig(np.array([lam]), omega, rng)[0]
+
+    routed = []
+
+    def counted(lam, omega, rng):
+        routed.append((lam[0], omega))
+        return _devroye_gig(lam, omega, rng)
+
+    monkeypatch.setattr(dynsparse.distributions, "_devroye_gig", counted)
+    for seed, (lam, omega) in enumerate(_ROUTER_CASES):
+        expected = _draw_outcome(array_one, lam, omega, seed)
+        assert _draw_outcome(_devroye_gig_one, lam, omega, seed) == expected, (lam, omega)
+    routed = {(float(lam), float(omega)) for lam, omega in routed}
+    # ordinary parameters next to the bounds stay on the scalar path
+    for case in [(0.5, _OMEGA_MAX), (-0.5, _OMEGA_MAX), (0.0, 1e-160)]:
+        assert case not in routed
+    for case in [(0.5, _NEXT_OMEGA), (0.0, 5e-324), (0.5, 1e-160), (5e-4, 1e-12), (1e-150, 1e-158)]:
+        assert case in routed
 
 
 class _CountingRng:
@@ -542,6 +586,35 @@ def test_mgh_dimension_mismatch():
         MghParams(np.zeros(3), 1.0, 0.5, 1.0, np.eye(2))
     with pytest.raises(DomainError):
         MghParams(np.zeros(2), 1.0, 0.5, 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+INPUT_ERRORS = [
+    ("gh-mu-nan", lambda: GhParams(math.nan, 1.0, 0.5, 1.0), "mu must be finite, got nan"),
+    ("gh-mu-inf", lambda: GhParams(math.inf, 1.0, 0.5, 1.0), "mu must be finite, got inf"),
+    (
+        "mgh-sigma-not-square",
+        lambda: MghParams(np.zeros(2), 1.0, 0.5, 1.0, np.ones((2, 3))),
+        "sigma must be square, got shape (2, 3)",
+    ),
+    (
+        "mgh-sigma-not-symmetric",
+        lambda: MghParams(np.zeros(2), 1.0, 0.5, 1.0, np.array([[2.0, 0.5], [0.4, 2.0]])),
+        "sigma must be symmetric",
+    ),
+    (
+        "gh-pdf-x-inf",
+        lambda: gh_log_pdf(GhParams(0.0, 1.0, 0.5, 1.0), -math.inf),
+        "x must be finite, got -inf",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [e[1:] for e in INPUT_ERRORS], ids=[e[0] for e in INPUT_ERRORS]
+)
+def test_bad_inputs_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,14 @@ def test_non_finite_scales_are_domain_errors(gamma, sigma2):
         ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
         ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
         ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+        ({"eps_sparse": math.nan}, "eps_sparse must be nonnegative and finite, got nan"),
+        ({"eps_sparse": -1.0}, "eps_sparse must be nonnegative and finite, got -1.0"),
+        ({"eps_sparse": math.inf}, "eps_sparse must be nonnegative and finite, got inf"),
     ],
-    ids=["max_iter-0", "max_iter-neg", "tol-0", "tol-neg", "tol-nan"],
+    ids=[
+        "max_iter-0", "max_iter-neg", "tol-0", "tol-neg", "tol-nan",
+        "eps_sparse-nan", "eps_sparse-neg", "eps_sparse-inf",
+    ],
 )
 def test_bad_tol_or_max_iter_is_a_domain_error_before_any_sweep(monkeypatch, kw, match):
     def no_sweeps(*args):
@@ -330,8 +336,9 @@ def test_bad_tol_or_max_iter_is_a_domain_error_before_any_sweep(monkeypatch, kw,
     monkeypatch.setattr(group_lasso, "_solve_windows", no_sweeps)
     data = ragged_data(2, T=6, p=2)
     config = ModelConfig(nu=10.0, delta=0.0, gamma=1.0, alpha=0.5, sigma=0.5, p=2, d=1)
-    with pytest.raises(DomainError, match=match):
-        solve_window(data, 0.5, 1.0, 0.25, **kw)
+    if "eps_sparse" not in kw:  # solve_window reports no support
+        with pytest.raises(DomainError, match=match):
+            solve_window(data, 0.5, 1.0, 0.25, **kw)
     with pytest.raises(DomainError, match=match):
         run_sliding_window(data, config, **kw)
 

@@ -381,8 +381,14 @@ def test_overflowing_gram_product_is_an_m_step_error():
         ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
         ({"tol": math.nan}, "tol must be positive and finite, got nan"),
         ({"tol": math.inf}, "tol must be positive and finite, got inf"),
+        ({"eps_sparse": math.nan}, "eps_sparse must be nonnegative and finite, got nan"),
+        ({"eps_sparse": -1.0}, "eps_sparse must be nonnegative and finite, got -1.0"),
+        ({"eps_sparse": math.inf}, "eps_sparse must be nonnegative and finite, got inf"),
     ],
-    ids=["max_iter=0", "tol=-1", "tol=0", "tol=nan", "tol=inf"],
+    ids=[
+        "max_iter=0", "tol=-1", "tol=0", "tol=nan", "tol=inf",
+        "eps_sparse=nan", "eps_sparse=-1", "eps_sparse=inf",
+    ],
 )
 def test_bad_tol_or_max_iter_is_a_domain_error_before_any_step(monkeypatch, kw, message):
     def no_step(*args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,36 @@ def test_config_region_checks():
         cfg(delta=0.0, d=None, rho=0.9, nu=5.0)
     # group-lasso regime is fine: nu = (d+2)/2, delta = 0
     cfg(delta=0.0, nu=2.0, d=2)
+
+
+INPUT_ERRORS = [
+    ("config-p=0", lambda rng: cfg(p=0), "p must be >= 1, got 0"),
+    ("config-d=-1", lambda rng: cfg(d=-1), "d must be nonnegative, got -1"),
+    ("config-rho=-0.1", lambda rng: cfg(d=None, rho=-0.1), "rho must lie in [0, 1], got -0.1"),
+    ("config-rho=1.5", lambda rng: cfg(d=None, rho=1.5), "rho must lie in [0, 1], got 1.5"),
+    ("path-T=0", lambda rng: simulate_path(cfg(), 0, rng), "T must be >= 1, got 0"),
+    (
+        "path-d_path-shape",
+        lambda rng: simulate_path(cfg(d=None, rho=0.5), 5, rng, d_path=np.zeros(3)),
+        "d_path has shape (3,), expected (5,)",
+    ),
+    ("chain-rho=2", lambda rng: simulate_d_chain(2.0, 5, rng), "rho must lie in [0, 1], got 2.0"),
+    ("chain-T=0", lambda rng: simulate_d_chain(0.5, 0, rng), "need T >= 1, got T=0"),
+    ("acf-max_lag=0", lambda rng: autocorrelation(np.ones(5), 0), "max_lag must be >= 1, got 0"),
+    (
+        "acf-short-series",
+        lambda rng: autocorrelation(np.ones(5), 5),
+        "series length 5 must exceed max_lag 5",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [e[1:] for e in INPUT_ERRORS], ids=[e[0] for e in INPUT_ERRORS]
+)
+def test_bad_inputs_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,12 @@ def test_smc_reproducible_and_requires_particles():
         smc_run(data, config, 1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("M", [0, -2])
+def test_pimh_run_needs_an_iteration(M):
+    with pytest.raises(DomainError, match=f"^need at least one iteration, got M={M}$"):
+        pimh_run(_tiny_data(T=3), cfg(), 8, M, np.random.default_rng(0))
+
+
 def test_weight_collapse_raises_degeneracy():
     config = cfg()
     data = RegressionData([np.array([1e200])], [np.eye(1)])
