@@ -253,6 +253,13 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     swap = lam < 0.0
     lam = np.abs(lam)
     alpha = np.sqrt(omega**2 + lam**2) - lam
+    # finite lam and omega leave alpha finite, or +inf where the sum overflows
+    if alpha.max(initial=0.0) == math.inf:
+        i = int(np.argmax(alpha))
+        raise DomainError(
+            f"Devroye GIG sampler needs omega * omega + lam * lam <= {sys.float_info.max!r} "
+            f"(it overflows), got |lam|={float(lam[i])!r}, omega={float(omega[i])!r}"
+        )
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # right cut point t
@@ -328,7 +335,7 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
     lam = float(lam)
     omega = float(omega)
     alpha = math.sqrt(omega * omega + lam * lam) - abs(lam)
-    if not (0.0 < omega <= _OMEGA_MAX and alpha * alpha > 0.0):
+    if not (0.0 < omega <= _OMEGA_MAX and 0.0 < alpha * alpha < math.inf):
         return float(_devroye_gig(np.array([lam]), omega, rng)[0])
     cosh, sinh, expm1, log = np.cosh, np.sinh, np.expm1, np.log
 

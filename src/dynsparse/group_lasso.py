@@ -22,11 +22,14 @@ Goldfarb 2013, Math. Prog. Comp. 5:143).
 The windows of a fit are independent, so they are solved together.  The
 per-step Gram data are built and checked once per fit, and the windows
 are sliding views of them, fed in blocks of ``_WINDOW_BLOCK``.  Within a
-block every group step, Newton iteration and KKT check is one set of
-array calls over the windows still live.  A window leaves the block once
-its KKT residual is below the tolerance, and every sum runs in the same
-order as for one window alone, so each window gets the sweeps and the
-bits it would get alone.
+block every group step and KKT check is one set of array calls over the
+windows still live.  The group magnitude's Newton runs on arrays too
+when many windows need it; when few do (the last windows of a block, or
+a single window), it solves them one by one in Python floats, which is
+cheaper than the fixed cost of the array calls.  A window leaves the
+block once its KKT residual is below the tolerance, and every sum runs
+in the same order as for one window alone, so each window gets the
+sweeps and the bits it would get alone.
 
 ``run_sliding_window`` (every window of a series) and ``solve_window``
 (the one window spanning all of its data) share one checked preparation,
@@ -49,6 +52,13 @@ __all__ = ["solve_window", "run_sliding_window"]
 
 _NEWTON_MAX_ITER = 500  # a safety bound: bench windows take 4-9 Newton steps
 _WINDOW_BLOCK = 128  # windows per kernel call: bounds working memory, not results
+# Rows x width up to which the group magnitude is solved in Python floats.
+# The array route has a fixed cost of ~150-250 us a call, the float route
+# one that grows with rows x width.  Over the Newton calls of the benchmark's
+# width-5 fits they broke even near 30 rows; in synthetic calls near
+# rows x width = 100-150 for widths 2 to 100, and near 24 rows at width 1,
+# where the per-row cost dominates.
+_FLOAT_NEWTON_SIZE = 80
 
 
 def _group_magnitude(
@@ -63,9 +73,72 @@ def _group_magnitude(
     Every row stops by its own rule, and f and f' are summed left to right,
     so a row gets the bits it would get alone.  Returns ``(t, errors)``:
     ``errors`` maps each row without a root to its error, and its t is NaN.
+
+    Up to ``_FLOAT_NEWTON_SIZE`` elements the rows are solved one by one in
+    Python floats, else all at once in arrays.  Both routes run the same
+    operations in the same order from the same start, so they agree bit
+    for bit, errors included.
     """
     c2 = c * c
     t = (np.sqrt([math.fsum(row) for row in c2.tolist()]) - gamma) / lam.max(axis=1)
+    newton = _newton_floats if c.size <= _FLOAT_NEWTON_SIZE else _newton_arrays
+    t, f, bad = newton(lam, c2, t, gamma)
+    # a stopped row keeps its t, so f and t are those it stopped at
+    errors = {
+        i: NumericalError(
+            f"group magnitude: no root of the secular equation (f = {f[i]:.3e} at t = {t[i]:.3e})"
+        )
+        for i in bad
+    }
+    t[bad] = np.nan
+    return t, errors
+
+
+def _newton_floats(
+    lam: NDArray[np.float64], c2: NDArray[np.float64], t0: NDArray[np.float64], gamma: float
+) -> tuple[NDArray[np.float64], list[float], list[int]]:
+    """:func:`_group_magnitude`'s Newton, one row at a time in Python floats.
+
+    +, * and / round as numpy's float64 does, so each row gets the array
+    route's bits.  On the valid rows lam_i t + gamma stays positive, so no
+    division meets a zero (where Python would raise and numpy give inf).
+    Returns each row's last t and f and the rows without a root.
+    """
+    ts, fs, bad = [], [], []
+    for i, (lam_i, c2_i, t) in enumerate(zip(lam.tolist(), c2.tolist(), t0.tolist())):
+        f_prev = math.inf
+        for _ in range(_NEWTON_MAX_ITER):
+            f = -1.0
+            df = 0.0
+            for lk, c2k in zip(lam_i, c2_i):
+                r = 1.0 / (lk * t + gamma)
+                q = c2k * r * r
+                f += q
+                df += lk * q * r
+            # past the root, or stalled: at it up to rounding, or f levels off above 0
+            if f <= 0.0 or f >= f_prev or df == 0.0:
+                if f >= 1e-12:
+                    bad.append(i)
+                break
+            f_prev = f
+            step = f / (2.0 * df)
+            t += step
+            if step <= 1e-15 * t:
+                break
+        else:
+            bad.append(i)  # out of iterations
+        ts.append(t)
+        fs.append(f)
+    return np.array(ts), fs, bad
+
+
+def _newton_arrays(
+    lam: NDArray[np.float64], c2: NDArray[np.float64], t: NDArray[np.float64], gamma: float
+) -> tuple[NDArray[np.float64], NDArray[np.float64], list[int]]:
+    """:func:`_group_magnitude`'s Newton on all rows at once, each by its own stop rule.
+
+    Returns each row's last t and f and the rows without a root.
+    """
     n = len(t)
     f_prev = np.full(n, np.inf)
     live = np.ones(n, dtype=bool)
@@ -87,15 +160,7 @@ def _group_magnitude(
         if not np.count_nonzero(live):
             break
     bad |= live  # out of iterations
-    # a stopped row keeps its t, so f and t are those it stopped at
-    errors = {
-        i: NumericalError(
-            f"group magnitude: no root of the secular equation (f = {f[i]:.3e} at t = {t[i]:.3e})"
-        )
-        for i in bad.nonzero()[0].tolist()
-    }
-    t[bad] = np.nan
-    return t, errors
+    return t, f, bad.nonzero()[0].tolist()
 
 
 def _kkt_residual(
@@ -126,10 +191,10 @@ def _solve_windows(
 
     ``G``, ``b`` and ``yy`` are per-step Gram data (steps first) and ``L``
     the Cholesky factor of the width x width window correlation; window k
-    covers steps k..k+width-1.  Each group step, Newton iteration and KKT
-    check is one set of array calls over the live windows.  A window
-    leaves once its KKT residual is below ``tol``, so it runs the sweeps,
-    and gets the bits, it would get alone.
+    covers steps k..k+width-1.  Each group step and KKT check is one set
+    of array calls over the live windows.  A window leaves once its KKT
+    residual is below ``tol``, so it runs the sweeps, and gets the bits,
+    it would get alone.
 
     Returns ``(beta, traces, failure)``: ``beta`` is windows x p x width in
     the original coordinates, ``traces[k]`` the objective of window k

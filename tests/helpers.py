@@ -280,6 +280,11 @@ def reference_devroye_gig_one(lam, omega, rng):
     swap = lam < 0.0
     lam = abs(lam)
     alpha = np.sqrt(omega * omega + lam * lam) - lam
+    if alpha == math.inf:
+        raise DomainError(
+            f"Devroye GIG sampler needs omega * omega + lam * lam <= {sys.float_info.max!r} "
+            f"(it overflows), got |lam|={float(lam)!r}, omega={float(omega)!r}"
+        )
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x0 = -_psi(1.0, alpha, lam)

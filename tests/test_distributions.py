@@ -308,6 +308,31 @@ def test_devroye_scalar_kernel_routes_edges_to_the_array_kernel(monkeypatch):
         assert case in routed
 
 
+@pytest.mark.parametrize(
+    "lam, omega", [(1e200, 1.0), (-1e200, 1.0), (1e154, 1e154), (1e150, _OMEGA_MAX)]
+)
+def test_devroye_kernels_reject_an_overflowing_alpha_before_any_uniform(lam, omega):
+    # omega^2 + lam^2 overflows, so alpha is inf and no round could accept:
+    # both kernels and gig_rvs (omega = delta * 1) raise before drawing
+    msg = (
+        f"Devroye GIG sampler needs omega * omega + lam * lam <= {sys.float_info.max!r} "
+        f"(it overflows), got |lam|={abs(lam)!r}, omega={omega!r}"
+    )
+    draws = [
+        lambda rng: _devroye_gig_one(lam, omega, rng),
+        lambda rng: _devroye_gig(np.array([0.5, lam]), np.array([1.0, omega]), rng),
+        lambda rng: gig_rvs(lam, omega, 1.0, rng),
+        lambda rng: gig_rvs(lam, omega, 1.0, rng, size=3),
+    ]
+    untouched = np.random.default_rng(0).bit_generator.state
+    for draw in draws:
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as info:
+            draw(rng)
+        assert str(info.value) == msg
+        assert rng.bit_generator.state == untouched
+
+
 class _CountingRng:
     """Forwards ``random`` to a generator and counts the calls."""
 

@@ -19,7 +19,7 @@ from dynsparse import (
     solve_window,
 )
 from dynsparse import group_lasso
-from dynsparse.group_lasso import _group_magnitude
+from dynsparse.group_lasso import _FLOAT_NEWTON_SIZE, _group_magnitude
 from dynsparse.prior import mahal_sq_batch
 from helpers import reference_group_magnitude, reference_solve_window
 
@@ -144,12 +144,14 @@ def bisect_magnitude(lam, c, gamma):
 
 @st.composite
 def secular_problems(draw):
-    """One to four rows sharing a width and gamma, each with a root."""
+    """Rows sharing a width and gamma, each with a root: one to four
+    distinct rows, repeated up to twice the float Newton route's size."""
     w = draw(st.integers(1, 8))
     gamma = 10.0 ** draw(st.floats(-3.0, 3.0))
     rows = [draw(secular_row(w, gamma)) for _ in range(draw(st.integers(1, 4)))]
     lam, c = (np.array(a) for a in zip(*rows))
-    return lam, c, gamma
+    copies = draw(st.integers(1, 2 * _FLOAT_NEWTON_SIZE // lam.size + 1))
+    return np.tile(lam, (copies, 1)), np.tile(c, (copies, 1)), gamma
 
 
 @st.composite
@@ -183,6 +185,8 @@ def test_group_magnitude_solves_secular_equation(problem):
     assert errors == {}
     for lam_i, c_i, t in zip(lam, c, t_rows):
         assert t == reference_group_magnitude(lam_i, c_i, gamma)  # same bits as alone
+    _, distinct = np.unique(np.hstack([lam, c]), axis=0, return_index=True)
+    for lam_i, c_i, t in zip(lam[distinct], c[distinct], t_rows[distinct]):
         f, _ = secular(lam_i, c_i, gamma, t)
         assert t > 0.0
         assert abs(f) <= 1e-12
@@ -202,6 +206,43 @@ def test_group_magnitude_without_root_raises():
     assert abs(secular(lam[1], c[1], 1.0, t[1])[0]) <= 1e-12
     with pytest.raises(NumericalError, match="no root"):
         raise errors[0]
+
+
+@st.composite
+def newton_route_problems(draw):
+    """1 to twice the float route's size in rows: rows with a root, and at
+    drawn places rows without one and rows with a non-finite c."""
+    w = draw(st.integers(1, 8))
+    gamma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    base = [draw(secular_row(w, gamma)) for _ in range(draw(st.integers(1, 3)))]
+    n = draw(st.integers(1, 2 * _FLOAT_NEWTON_SIZE // w))
+    lam = np.array([base[i % len(base)][0] for i in range(n)])
+    c = np.array([base[i % len(base)][1] for i in range(n)])
+    if w > 1:  # a curvature-free direction carrying 2 gamma: f levels off at 3
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+            lam[i, 0], c[i, 0] = 0.0, 2.0 * gamma
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        c[i, draw(st.integers(0, w - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return lam, c, gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(newton_route_problems(), st.sampled_from([1, 2, 3, 500]))
+def test_newton_routes_agree(problem, max_iter):
+    # the float and the array route give the same t (NaN included) and the
+    # same errors, also for rows that run out of iterations
+    lam, c, gamma = problem
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(group_lasso, "_NEWTON_MAX_ITER", max_iter)
+        for size in (c.size, c.size - 1):  # the float route, then the array route
+            mp.setattr(group_lasso, "_FLOAT_NEWTON_SIZE", size)
+            t, errors = _group_magnitude(lam, c, gamma)
+            outcomes.append((t, {i: (type(e), str(e)) for i, e in errors.items()}))
+    (t_float, err_float), (t_array, err_array) = outcomes
+    assert np.array_equal(t_float, t_array, equal_nan=True)
+    assert err_float == err_array
+    assert np.isnan(t_float[list(err_float)]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +486,30 @@ def test_window_blocks_match_reference(monkeypatch, p, d, alpha):
     monkeypatch.setattr(group_lasso, "_WINDOW_BLOCK", 3)
     data = ragged_data(7 + p + d, T=d + 8, p=p)
     assert_fit_matches_reference(data, oracle_config(data, p, d, alpha, "mixed"))
+
+
+def test_few_live_rows_skip_the_array_newton(monkeypatch):
+    # a one-window solve never pays for the array Newton; in a block of
+    # windows it runs while many windows are live, and not once one or
+    # two are left
+    rows_by_route = {"floats": [], "arrays": []}
+    for route, rows in rows_by_route.items():
+        real = getattr(group_lasso, f"_newton_{route}")
+
+        def counted(lam, c2, t, gamma, real=real, rows=rows):
+            rows.append(len(t))
+            return real(lam, c2, t, gamma)
+
+        monkeypatch.setattr(group_lasso, f"_newton_{route}", counted)
+    solve_window(*random_problem(0, p=4, d=3, gamma=0.5))
+    assert rows_by_route["floats"] and not rows_by_route["arrays"]
+
+    rows_by_route["floats"].clear()
+    data = ragged_data(3, T=68, p=4)  # 64 windows of width d + 1 = 5
+    assert_fit_matches_reference(data, oracle_config(data, 4, 4, 0.5, "dense"))
+    assert rows_by_route["arrays"] and min(rows_by_route["arrays"]) > _FLOAT_NEWTON_SIZE // 5
+    assert max(rows_by_route["floats"]) <= _FLOAT_NEWTON_SIZE // 5
+    assert {1, 2} <= set(rows_by_route["floats"])
 
 
 def _synthetic_instance(T=80, seed=3, noise=0.5):
