@@ -23,11 +23,11 @@ from .io import ParseError, load_data, verify_dir
 from .map_em import MapFit, RegressionData, em_map_step, run_online_map
 from .prior import (
     ModelConfig,
-    WindowCorrelation,
     autocorrelation,
     conditional_gh,
     simulate_d_chain,
     simulate_path,
+    window_correlation,
 )
 from .smc import (
     PosteriorChain,
@@ -37,6 +37,6 @@ from .smc import (
     smc_run,
 )
 from .special import log_bessel_k, log_gig_normalizer
-from .synthetic import CHANGE_POINTS, piecewise_signal, synthetic_regression
+from .synthetic import CHANGE_POINTS, synthetic_regression
 
 __version__ = "0.1.0"

@@ -169,12 +169,8 @@ def _cmd_simulate(cfg: dict, run_id: str) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
     out = _out_dir(cfg)
     T = cfg["T"]
-    if model.fixed_d:
-        beta = simulate_path(model, T, rng)
-        d_path = None
-    else:
-        d_path = simulate_d_chain(model.rho, T, rng)
-        beta = simulate_path(model, T, rng, d_path=d_path)
+    d_path = None if model.fixed_d else simulate_d_chain(model.rho, T, rng)
+    beta = simulate_path(model, T, rng, d_path=d_path)
     rows = [
         [str(t + 1), str(j + 1), _fmt(beta[j, t])]
         for t in range(T)

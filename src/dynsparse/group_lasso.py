@@ -46,7 +46,7 @@ from numpy.typing import NDArray
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .map_em import MapFit, RegressionData
-from .prior import ModelConfig, WindowCorrelation
+from .prior import ModelConfig, window_correlation
 
 __all__ = ["solve_window", "run_sliding_window"]
 
@@ -80,7 +80,7 @@ def _group_magnitude(
     for bit, errors included.
     """
     c2 = c * c
-    t = (np.sqrt([math.fsum(row) for row in c2.tolist()]) - gamma) / lam.max(axis=1)
+    t = (np.sqrt([_fsum(row) for row in c2.tolist()]) - gamma) / lam.max(axis=1)
     newton = _newton_floats if c.size <= _FLOAT_NEWTON_SIZE else _newton_arrays
     t, f, bad = newton(lam, c2, t, gamma)
     # a stopped row keeps its t, so f and t are those it stopped at
@@ -92,6 +92,15 @@ def _group_magnitude(
     }
     t[bad] = np.nan
     return t, errors
+
+
+def _fsum(row: list[float]) -> float:
+    """``math.fsum``, or NaN where finite terms overflow it: like an infinite
+    term, a NaN start makes the row one without a root."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.nan
 
 
 def _newton_floats(
@@ -294,7 +303,7 @@ def _window_gram(
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    L = np.linalg.cholesky(WindowCorrelation(width, alpha).matrix)
+    L = np.linalg.cholesky(window_correlation(width, alpha))
     G = np.stack([X.T @ X for X in data.Xs])
     b = np.stack([X.T @ y for X, y in zip(data.Xs, data.ys)])
     yy = np.array([y @ y for y in data.ys])

@@ -1,13 +1,15 @@
 """CSV ingestion and run-artifact emission.
 
 Input data is long-format CSV with header ``t,y,x1,...,xp``: one row per
-observation, rows sorted by the positive integer time index t, so a
-time-varying number of observations per step is representable.  Output
-files all start with a ``# run <hash>`` comment tying them to the
-manifest, which records the resolved configuration, the seed, package
-versions, and a sha256 per output file.  Tables and the manifest are
-written to a temporary sibling and renamed into place, so a reader never
-sees a partial file.
+observation, so a time-varying number of observations per step is
+representable.  The first row's t is 1 and every later row's t is that of
+the row before it or the next integer, so the steps run 1..T in order
+without gaps; a row that breaks this rule is a ParseError naming its
+line.  Output files all start with a ``# run <hash>`` comment tying them
+to the manifest, which records the resolved configuration, the seed,
+package versions, and a sha256 per output file.  Tables and the manifest
+are written to a temporary sibling and renamed into place, so a reader
+never sees a partial file.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ def _parse_rows(path: Path, reader) -> RegressionData:
         raise ParseError(
             f"{path}: line 1: header must be 't,y,x1,...,xp', got {','.join(header)}"
         )
-    # rows are sorted by t, so each step's rows form one contiguous run
-    t_values: list[int] = []
+    # ys[-1] and Xs[-1] collect the rows of the current step, t = len(ys)
     ys: list[list[float]] = []
     Xs: list[list[list[float]]] = []
     for lineno, row in enumerate(reader, start=2):
@@ -86,22 +87,18 @@ def _parse_rows(path: Path, reader) -> RegressionData:
         if not (math.isfinite(y) and all(map(math.isfinite, xs))):
             col = next(h for h, c in zip(header[1:], [y, *xs]) if not math.isfinite(c))
             raise ParseError(f"{path}: line {lineno}: non-finite {col} cell")
-        if t < 1:
-            raise ParseError(f"{path}: line {lineno}: t must be >= 1, got {t}")
-        if t_values and t < t_values[-1]:
-            raise ParseError(
-                f"{path}: line {lineno}: rows must be sorted by t"
-            )
-        if not t_values or t != t_values[-1]:
-            t_values.append(t)
+        if t == len(ys) + 1:
             ys.append([])
             Xs.append([])
+        elif t != len(ys) or not ys:
+            want = f"{len(ys)} or {len(ys) + 1}" if ys else "1"
+            raise ParseError(
+                f"{path}: line {lineno}: t must be {want} (steps 1..T in order), got {t}"
+            )
         ys[-1].append(y)
         Xs[-1].append(xs)
-    if not t_values:
+    if not ys:
         raise ParseError(f"{path}: no data rows")
-    if t_values != list(range(1, len(t_values) + 1)):
-        raise ParseError(f"{path}: time indices must cover 1..T without gaps")
     return RegressionData([np.array(y) for y in ys], [np.array(X) for X in Xs])
 
 

@@ -31,7 +31,7 @@ from .errors import DomainError
 from .special import validate_gig_region
 
 __all__ = [
-    "WindowCorrelation",
+    "window_correlation",
     "ModelConfig",
     "mahal_sq_batch",
     "conditional_gh",
@@ -43,25 +43,14 @@ __all__ = [
 _ALPHA_MAX = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class WindowCorrelation:
+def window_correlation(dim: int, alpha: float) -> NDArray[np.float64]:
     """AR(1) correlation matrix of a coefficient window: entries alpha^|i-j|."""
-
-    dim: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if not (0.0 <= self.alpha < 1.0):
-            raise DomainError(
-                f"alpha must lie in [0, 1) (alpha = 1 is degenerate), got {self.alpha}"
-            )
-
-    @property
-    def matrix(self) -> NDArray[np.float64]:
-        idx = np.arange(self.dim)
-        return self.alpha ** np.abs(idx[:, None] - idx[None, :])
+    if dim < 1:
+        raise DomainError(f"dim must be >= 1, got {dim}")
+    if not (0.0 <= alpha < 1.0):
+        raise DomainError(f"alpha must lie in [0, 1) (alpha = 1 is degenerate), got {alpha}")
+    idx = np.arange(dim)
+    return alpha ** np.abs(idx[:, None] - idx[None, :])
 
 
 def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
@@ -196,7 +185,7 @@ def simulate_path(
         start = min(d, T)
         init = MghParams(
             np.zeros(start), config.nu, config.delta, config.gamma,
-            WindowCorrelation(start, alpha).matrix,
+            window_correlation(start, alpha),
         )
         for j in range(p):
             beta[j, :start] = mgh_sample(init, rng)

@@ -201,8 +201,6 @@ def smc_run(
 
     hist = np.zeros((0, N, p))  # lineage window buffer, regathered on resample
     ds = np.zeros(N, dtype=np.int64)
-    prev_beta = np.zeros((N, p))
-    log_uniform = np.full(N, -np.log(N))  # each step starts from a resample
     log_Z = 0.0
 
     for t in range(T):
@@ -214,12 +212,12 @@ def smc_run(
             # binomial chain steps from alpha * beta_{t-1} even at d_t = 0
             scaled = t > 0 and (not config.fixed_d or config.d > 0)
             tau = _sample_tau(hist, ds, config, rng, scaled)
-            m = (alpha if scaled else 0.0) * prev_beta
+            m = alpha * hist[-1] if scaled else np.zeros((N, p))
             lw, beta = _weight_and_propose(y, X, m, tau, s2, rng)
         except (NumericalError, DomainError) as exc:
             raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
 
-        total = log_uniform + lw
+        total = lw - np.log(N)  # each step starts from a resample
         if np.isnan(total).any():
             raise NumericalError(f"NaN particle log-weight at t={t + 1}")
         top = total.max()
@@ -238,9 +236,8 @@ def smc_run(
         ancestors[t] = anc
 
         hist = np.concatenate([hist, beta[None]])
-        keep = int(ds.max()) + 1  # deepest window next step can request
+        keep = int(ds.max()) + 1  # deepest window next step can request, beta_{t-1} at least
         hist = hist[max(0, hist.shape[0] - keep) :, anc]
-        prev_beta = beta[anc]
         ds = ds[anc]
 
     # final draw proportional to the terminal (pre-resample) weights,
@@ -280,24 +277,18 @@ def pimh_run(
     log_ev = np.empty(M)
     accepted = np.zeros(M, dtype=bool)
 
-    try:
-        cur_beta, cur_d, cur_lz = smc_run(data, config, N, rng)
-    except NumericalError as exc:
-        raise type(exc)(f"PIMH iteration 1: {exc}") from exc
-    betas[0], ds[0], log_ev[0] = cur_beta, cur_d, cur_lz
-    accepted[0] = True
-    for m in range(1, M):
+    cur = None  # (trajectory, d path, log Z-hat) of the chain's state
+    for m in range(M):
         try:
-            prop_beta, prop_d, prop_lz = smc_run(data, config, N, rng)
-        except DegeneracyError:
-            betas[m], ds[m], log_ev[m] = cur_beta, cur_d, cur_lz
-            continue
+            prop = smc_run(data, config, N, rng)
         except NumericalError as exc:
-            raise type(exc)(f"PIMH iteration {m + 1}: {exc}") from exc
-        if np.log(rng.random()) < prop_lz - cur_lz:
-            cur_beta, cur_d, cur_lz = prop_beta, prop_d, prop_lz
-            accepted[m] = True
-        betas[m], ds[m], log_ev[m] = cur_beta, cur_d, cur_lz
+            if cur is None or not isinstance(exc, DegeneracyError):
+                raise type(exc)(f"PIMH iteration {m + 1}: {exc}") from exc
+        else:
+            if cur is None or np.log(rng.random()) < prop[2] - cur[2]:
+                cur = prop
+                accepted[m] = True
+        betas[m], ds[m], log_ev[m] = cur
     return PosteriorChain(betas=betas, ds=ds, log_evidence=log_ev, accepted=accepted)
 
 

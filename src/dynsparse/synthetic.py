@@ -14,13 +14,13 @@ from numpy.typing import NDArray
 from .errors import DomainError
 from .map_em import RegressionData
 
-__all__ = ["piecewise_signal", "synthetic_regression", "CHANGE_POINTS"]
+__all__ = ["synthetic_regression", "CHANGE_POINTS"]
 
-# segment boundaries of the default T = 120 signal (start indices)
+# segment boundaries of the T = 120 signal (start indices)
 CHANGE_POINTS = (20, 45, 60, 80, 100)
 
 
-def piecewise_signal(T: int = 120) -> NDArray[np.float64]:
+def _piecewise_signal(T: int) -> NDArray[np.float64]:
     """Ground truth: zeros, a +4 shelf, zeros, an alternating +/-5 burst,
     a -3 shelf, zeros.  Longer T stretches the trailing zero segment;
     shorter T truncates."""
@@ -40,7 +40,7 @@ def synthetic_regression(
     T: int, sigma: float, rng: np.random.Generator
 ) -> tuple[RegressionData, NDArray[np.float64]]:
     """Noisy scalar observations of the piecewise signal (identity design)."""
-    truth = piecewise_signal(T)
+    truth = _piecewise_signal(T)
     ys = [np.array([truth[t] + sigma * rng.standard_normal()]) for t in range(T)]
     Xs = [np.eye(1)] * T
     return RegressionData(ys, Xs), truth

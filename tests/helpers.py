@@ -22,10 +22,10 @@ from dynsparse import (
     DomainError,
     GigParams,
     NumericalError,
-    WindowCorrelation,
     conditional_gh,
     gh_log_pdf,
     gig_log_pdf,
+    window_correlation,
 )
 from dynsparse.distributions import gh_log_pdf_grad, gig_moment
 from dynsparse.prior import mahal_sq_batch
@@ -365,7 +365,7 @@ def reference_simulate_path(config, T, rng, d_path=None):
     sa = math.sqrt(1.0 - alpha**2)
     if config.fixed_d:
         start = min(config.d, T)
-        chol = cholesky(WindowCorrelation(start, alpha).matrix, lower=True)
+        chol = cholesky(window_correlation(start, alpha), lower=True)
         for j in range(p):
             tau = _reference_gig_interior(config.nu, config.delta, config.gamma, rng)[()]
             beta[j, :start] = np.zeros(start) + math.sqrt(tau) * (chol @ rng.standard_normal(start))
@@ -454,7 +454,7 @@ def reference_solve_window(data, alpha, gamma, sigma2, tol=1e-8, max_iter=10_000
     yy = 0.0
     for y in data.ys:
         yy += float(y @ y)
-    L = np.linalg.cholesky(WindowCorrelation(width, alpha).matrix)
+    L = np.linalg.cholesky(window_correlation(width, alpha))
 
     diag = G[np.arange(p), np.arange(p)]  # p x width
     lam, Q = np.linalg.eigh(np.einsum("sa,js,sb->jab", L, diag, L) / s2)

@@ -20,7 +20,6 @@ from dynsparse import (
     GhParams,
     ModelConfig,
     MghParams,
-    WindowCorrelation,
     autocorrelation,
     conditional_gh,
     gh_log_pdf,
@@ -30,6 +29,7 @@ from dynsparse import (
     simulate_path,
     smc_run,
     synthetic_regression,
+    window_correlation,
 )
 from dynsparse.cli import run_command
 
@@ -103,7 +103,7 @@ def test_criterion_03_keystone_conditional(report):
     nu, delta, gamma = 0.8, 0.6, 1.1
     worst = 0.0
     for alpha in [0.0, 0.5, 0.9]:
-        sigma2 = WindowCorrelation(2, alpha).matrix
+        sigma2 = window_correlation(2, alpha)
         for x in np.linspace(-2.5, 2.5, 15):
             w = 0.7
             joint = mgh_log_pdf(

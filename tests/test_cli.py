@@ -59,13 +59,18 @@ def test_load_data_varying_n(tmp_path):
         ("t,y,x1\n1,0.5\n", "line 2"),
         ("t,y,x1\n1,abc,1\n", "line 2"),
         ("t,y,x1\n1,0.5,1\n3,0.2,1\n", "1..T"),
-        ("t,y,x1\n2,0.5,1\n1,0.2,1\n", "sorted"),
+        ("t,y,x1\n1,0.5,1\n3,0.2,1\n", r"line 3: t must be 1 or 2 .*, got 3$"),
+        ("t,y,x1\n2,0.5,1\n1,0.2,1\n", r"line 2: t must be 1 .*, got 2$"),
         ("y,t,x1\n1,0.5,1\n", "header"),
         ("", "empty"),
         ("t,y,x1\n1,0.5,1\n2,nan,1.0\n", "line 3: non-finite y"),
         ("t,y,x1,x2\n1,0.5,1,inf\n", "line 2: non-finite x2"),
         ("t,y,x1\n1,0.5,1\n1,0.2,-inf\n", "line 3: non-finite x1"),
-        ("t,y,x1\n0,0.5,1\n", "line 2: t must be >= 1"),
+        ("t,y,x1\n0,0.5,1\n", r"line 2: t must be 1 .*, got 0$"),
+        ("t,y,x1\n0,0.5,1\n1,0.2,1\n", r"line 2: t must be 1 .*, got 0$"),
+        ("t,y,x1\n2,0.5,1\n", r"line 2: t must be 1 .*, got 2$"),
+        ("t,y,x1\n1,0.5,1\n2,0.2,1\n1,0.1,1\n", r"line 4: t must be 2 or 3 .*, got 1$"),
+        ("t,y,x1\n1,0.5,1\n\n1,0.1,1\n-1,0.3,1\n", r"line 5: t must be 1 or 2 .*, got -1$"),
         ("t,y,x1\n", "no data rows"),
     ],
 )

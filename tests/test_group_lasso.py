@@ -14,9 +14,9 @@ from dynsparse import (
     ModelConfig,
     NumericalError,
     RegressionData,
-    WindowCorrelation,
     run_sliding_window,
     solve_window,
+    window_correlation,
 )
 from dynsparse import group_lasso
 from dynsparse.group_lasso import _FLOAT_NEWTON_SIZE, _group_magnitude
@@ -42,7 +42,7 @@ class Window(NamedTuple):
 
     @property
     def corr_matrix(self):
-        return WindowCorrelation(self.width, self.alpha).matrix
+        return window_correlation(self.width, self.alpha)
 
 
 def stacked_whitened(problem):
@@ -321,7 +321,7 @@ def test_penalty_whitening_identity():
     # whitened coordinates
     rng = np.random.default_rng(5)
     beta = rng.standard_normal((3, 4))
-    L = np.linalg.cholesky(WindowCorrelation(4, 0.7).matrix)
+    L = np.linalg.cholesky(window_correlation(4, 0.7))
     theta = beta @ np.linalg.inv(L).T
     direct = 1.3 * np.sum(np.sqrt(mahal_sq_batch(beta, 0.7)))
     assert direct == pytest.approx(1.3 * np.sum(np.linalg.norm(theta, axis=1)), rel=1e-12)
@@ -384,6 +384,41 @@ def test_bad_tol_or_max_iter_is_a_domain_error_before_any_sweep(monkeypatch, kw,
         run_sliding_window(data, config, **kw)
 
 
+@pytest.mark.parametrize("alpha", [1.0, -0.1, math.nan, math.inf])
+def test_solve_window_rejects_alpha_outside_0_1_before_any_sweep(monkeypatch, alpha):
+    def no_sweeps(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(group_lasso, "_solve_windows", no_sweeps)
+    with pytest.raises(DomainError, match=rf"alpha must lie in \[0, 1\) .*, got {alpha}$"):
+        solve_window(ragged_data(2, T=4, p=2), alpha, 1.0, 0.25)
+
+
+def test_overflowing_group_norm_is_a_numerical_error():
+    # every c_i^2 is finite but their sum is not: fsum raises OverflowError,
+    # which must surface as the typed "no root" error, at its step for a fit
+    c = np.array([[1e154, 1e154], [1.0, 0.5]])
+    lam = np.array([[1.0, 2.0], [1.0, 2.0]])
+    for size in (c.size, c.size - 1):  # the float route, then the array route
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(group_lasso, "_FLOAT_NEWTON_SIZE", size)
+            t, errors = _group_magnitude(lam, c, 1.0)
+        assert list(errors) == [0] and math.isnan(t[0]) and t[1] > 0.0
+    rng = np.random.default_rng(0)
+    Xs = [rng.standard_normal((5, 2)) for _ in range(3)]
+    ys = [1e150 * rng.standard_normal(5) for _ in range(3)]
+    data = RegressionData(ys, Xs)
+    for sigma2 in (3.4e-5, 1e-4):
+        config = ModelConfig(
+            nu=3.0, delta=0.0, gamma=1.0, alpha=0.5, sigma=math.sqrt(sigma2), p=2, d=2
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="^group magnitude: no root"):
+                solve_window(data, 0.5, 1.0, sigma2)
+            with pytest.raises(NumericalError, match="^at time step t=3: group magnitude"):
+                run_sliding_window(data, config)
+
+
 def test_solve_window_names_the_step_with_non_finite_data():
     problem = random_problem(3)
     problem.data.ys[1] = np.array([0.0, math.inf, 0.0, 0.0, 0.0])
@@ -416,7 +451,7 @@ def ragged_data(seed, T, p):
 
 def null_thresholds(data, d, alpha, sigma2):
     """Per window, the smallest gamma at which its solution is all zero."""
-    L = np.linalg.cholesky(WindowCorrelation(d + 1, alpha).matrix)
+    L = np.linalg.cholesky(window_correlation(d + 1, alpha))
     b = np.stack([X.T @ y for X, y in zip(data.Xs, data.ys)], axis=1)  # p x T
     return np.array([
         np.linalg.norm(b[:, t - d : t + 1] @ L, axis=1).max() / sigma2

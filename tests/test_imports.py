@@ -5,9 +5,11 @@ no module other than ``__init__`` imports a name it never uses, no module
 defines a private module-level function, class or constant that nothing
 else in it reads, no module imports scipy at load time, and no module
 other than ``special`` names ``kve``; all five are checked from the syntax
-trees.  Every name in a
-module's ``__all__`` is an attribute of the loaded module.  The module
-attributes the benchmark's span tracer wraps stay bound.  The CLI imports
+trees.  Every name in a module's ``__all__`` is an attribute of the loaded
+module, and every function in it is named outside the module: by another
+package module (``__init__``'s re-exports do not count), by a test, or as
+a ``[project.scripts]`` entry point.  The module attributes the
+benchmark's span tracer wraps stay bound.  The CLI imports
 and runs every subcommand without loading scipy.integrate, scipy.optimize
 or mpmath, and only the subcommands that call scipy.special or
 scipy.linalg load them.
@@ -15,8 +17,10 @@ scipy.linalg load them.
 
 import ast
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -228,6 +232,64 @@ def test_undefined_exports_flags_a_name_left_in_all():
     exec("from math import sqrt\n__all__ = ['kept', 'sqrt', 'gone']\ndef kept(): pass\n",
          module.__dict__)
     assert undefined_exports(module) == ["gone"]
+
+
+def referenced_names(tree):
+    """Names a syntax tree reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def script_targets():
+    """``(module, function)`` pairs of pyproject.toml's ``[project.scripts]``."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return re.findall(r'=\s*"([\w.]+):(\w+)"', section)
+
+
+def unreferenced_functions(module, names_elsewhere, scripts):
+    """Functions in the module's ``__all__`` that no other file names."""
+    return sorted(
+        name for name in getattr(module, "__all__", [])
+        if inspect.isfunction(getattr(module, name))
+        and name not in names_elsewhere
+        and (module.__name__, name) not in scripts
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_public_functions_are_used_outside_their_module(path):
+    # a re-export in __init__ is not a use; the tests and the other modules are
+    others = [p for p in MODULES if p.name not in (path.name, "__init__.py")]
+    others += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    names = set().union(*(referenced_names(parse(p)) for p in others))
+    module = importlib.import_module(f"dynsparse.{path.stem}")
+    assert unreferenced_functions(module, names, script_targets()) == []
+
+
+def test_unreferenced_functions_flags_an_unused_export():
+    module = types.ModuleType("pkg.mod")
+    exec(
+        "__all__ = ['called', 'read', 'unused', 'main', 'LIMIT', 'Kind']\n"
+        "def called(): pass\n"
+        "def read(): pass\n"
+        "def unused(): pass\n"
+        "def main(): pass\n"
+        "LIMIT = 1\n"
+        "class Kind: pass\n",
+        module.__dict__,
+    )
+    tree = ast.parse("from pkg.mod import called\nimport pkg\ncalled(pkg.mod.read)\n")
+    names = referenced_names(tree)
+    assert unreferenced_functions(module, names, [("pkg.mod", "main")]) == ["unused"]
+    assert ("dynsparse.cli", "main") in script_targets()
 
 
 def tracer_bindings():

@@ -16,7 +16,6 @@ from dynsparse import (
     GigParams,
     MghParams,
     ModelConfig,
-    WindowCorrelation,
     autocorrelation,
     conditional_gh,
     gh_log_pdf,
@@ -24,6 +23,7 @@ from dynsparse import (
     mgh_log_pdf,
     simulate_d_chain,
     simulate_path,
+    window_correlation,
 )
 from dynsparse.prior import mahal_sq_batch
 from helpers import gh_cdf_grid, ks_statistic, reference_simulate_path
@@ -41,15 +41,15 @@ def cfg(**kw):
 
 
 def test_build_sigma_entries():
-    m = WindowCorrelation(3, 0.5).matrix
+    m = window_correlation(3, 0.5)
     assert np.allclose(m, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
-    assert np.allclose(WindowCorrelation(1, 0.9).matrix, [[1.0]])
-    assert np.allclose(WindowCorrelation(4, 0.0).matrix, np.eye(4))
+    assert np.allclose(window_correlation(1, 0.9), [[1.0]])
+    assert np.allclose(window_correlation(4, 0.0), np.eye(4))
 
 
 def test_build_sigma_rejects_alpha_one():
     with pytest.raises(DomainError):
-        WindowCorrelation(3, 1.0)
+        window_correlation(3, 1.0)
 
 
 def test_mahalanobis_trivial():
@@ -66,9 +66,9 @@ def test_mahalanobis_2x2_hand_inversion():
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.95])
 def test_mahalanobis_matches_dense_solve(dim, alpha):
     rng = np.random.default_rng(dim * 17 + int(alpha * 100))
-    corr = WindowCorrelation(dim, alpha)
+    corr = window_correlation(dim, alpha)
     x = rng.normal(size=dim)
-    dense = math.sqrt(x @ np.linalg.solve(corr.matrix, x))
+    dense = math.sqrt(x @ np.linalg.solve(corr, x))
     assert math.sqrt(mahal_sq_batch(x, alpha)) == pytest.approx(dense, abs=1e-10, rel=1e-10)
 
 
@@ -169,7 +169,7 @@ def test_keystone_joint_marginal_ratio(alpha):
     c = cfg(alpha=alpha, nu=0.7, delta=0.6, gamma=1.1, d=1)
     marg = GhParams(0.0, c.nu, c.delta, c.gamma)
     joint = MghParams(
-        np.zeros(2), c.nu, c.delta, c.gamma, WindowCorrelation(2, alpha).matrix
+        np.zeros(2), c.nu, c.delta, c.gamma, window_correlation(2, alpha)
     )
     for w in [-1.5, -0.2, 0.4, 2.0]:
         cond = conditional_gh(c, np.array([w]))
@@ -257,7 +257,7 @@ def test_simulate_path_pairwise_mgh_property():
     rng = np.random.default_rng(24)
     b = simulate_path(c, 60_000, rng)[0]
     pairs = np.stack([b[:-1], b[1:]], axis=1)[:: 7][:8000]
-    joint = MghParams(np.zeros(2), c.nu, c.delta, c.gamma, WindowCorrelation(2, c.alpha).matrix)
+    joint = MghParams(np.zeros(2), c.nu, c.delta, c.gamma, window_correlation(2, c.alpha))
     ll = np.array([mgh_log_pdf(joint, pr) for pr in pairs])
     # E[log f(X)] under f via quadrature
     grid = np.linspace(-9, 9, 241)
