@@ -202,9 +202,7 @@ def _cmd_acf(cfg: dict, run_id: str) -> list[Path]:
     return [path]
 
 
-def _fit_point(
-    cfg: dict, run_id: str, command: str, fitter, eps_sparse, diag_header: list[str]
-) -> list[Path]:
+def _fit_point(cfg: dict, run_id: str, command: str, fitter, diag_header: list[str]) -> list[Path]:
     """Run a point-estimate fitter and write its estimates and objective traces."""
     _require(cfg, ("data_path", "out_dir", "max_iter"), command)
     model = _model_config(cfg)
@@ -214,10 +212,9 @@ def _fit_point(
         raise ConfigError("fit-glasso needs gamma > 0, the group-lasso penalty weight")
     data = _load_fit_data(cfg)
     out = _out_dir(cfg)
-    fit = fitter(
-        data, model, tol=cfg["tol"], max_iter=cfg["max_iter"],
-        eps_sparse=cfg.get("eps_sparse", eps_sparse),
-    )
+    # without the key, the fitter's own eps_sparse default applies
+    eps = {"eps_sparse": cfg["eps_sparse"]} if "eps_sparse" in cfg else {}
+    fit = fitter(data, model, tol=cfg["tol"], max_iter=cfg["max_iter"], **eps)
     est = out / "estimates.csv"
     write_table(est, run_id, _ESTIMATE_HEADER, _estimate_rows(fit.beta_hat, fit.support))
     diag = out / "diagnostics.csv"
@@ -231,13 +228,12 @@ def _fit_point(
 
 
 def _cmd_fit_map(cfg: dict, run_id: str) -> list[Path]:
-    return _fit_point(cfg, run_id, "fit-map", run_online_map, None, ["t", "iter", "objective"])
+    return _fit_point(cfg, run_id, "fit-map", run_online_map, ["t", "iter", "objective"])
 
 
 def _cmd_fit_glasso(cfg: dict, run_id: str) -> list[Path]:
-    return _fit_point(
-        cfg, run_id, "fit-glasso", run_sliding_window, 0.0, ["window", "sweep", "objective"]
-    )
+    header = ["window", "sweep", "objective"]
+    return _fit_point(cfg, run_id, "fit-glasso", run_sliding_window, header)
 
 
 def _cmd_fit_smc(cfg: dict, run_id: str) -> list[Path]:

@@ -15,11 +15,11 @@ parameter range; the boundaries use plain gamma / inverse-gamma draws.
 The scheme has two kernels: ``_devroye_gig`` works on arrays, each
 rejection round on the elements still pending (the first on the full
 arrays), and ``_devroye_gig_one`` is its setup-light scalar twin.
-In ``gig_rvs`` only a one-element interior draw (delta > 0 and gamma > 0)
-takes the scalar kernel; every other batch goes through the masked array
-route, so the region checks exist once.  The scalar kernel serves
-ordinary parameters only, the array kernel edges and invalid input too;
-for one element both give the same value and take the same uniforms.
+``gig_rvs`` checks the whole batch by ``validate_gig_region``'s rule
+before any draw: parameters outside it raise one ``DomainError`` and
+leave the generator as it was.  Only a one-element interior draw takes the
+scalar kernel, which serves ordinary parameters only; for one element
+both kernels give the same value and take the same uniforms.
 
 The scalar kernel keeps its state in Python floats, which are cheaper per
 operation than numpy scalars: +, -, *, / and ``math.sqrt`` are correctly
@@ -406,11 +406,12 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
 def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np.float64]:
     """Vectorized GIG draws with elementwise parameters.
 
-    Boundary parameters (delta = 0 or gamma = 0) are routed to exact
-    gamma / inverse-gamma samplers elementwise.  A one-element batch with
-    delta > 0 and gamma > 0 takes the scalar kernel, which draws the same
-    value as the array kernel would; every other batch, a one-element
-    boundary draw or invalid input included, takes the array route.
+    Before any draw, the broadcast batch is checked against the GIG
+    region; its first bad element raises :func:`validate_gig_region`'s
+    ``DomainError``.  Boundary parameters (delta = 0 or gamma = 0) go to
+    exact gamma / inverse-gamma samplers elementwise.  A one-element batch
+    with finite nu, delta and gamma > 0 takes the scalar kernel, which
+    draws what the array kernel would; every other batch the array route.
     """
     nu = np.asarray(nu, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -423,33 +424,30 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
         if size is not None:
             shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)))
     if math.prod(shape) == 1:
-        d, g = delta.item(), gamma.item()
-        if d > 0.0 and g > 0.0:
-            z = (d / g) * _devroye_gig_one(nu.item(), d * g, rng)
+        n, d, g = nu.item(), delta.item(), gamma.item()
+        if 0.0 < d < math.inf and 0.0 < g < math.inf and math.isfinite(n):
+            z = (d / g) * _devroye_gig_one(n, d * g, rng)
             return np.array(z, ndmin=len(shape)) if shape else z
     nu = np.broadcast_to(nu, shape)
     delta = np.broadcast_to(delta, shape)
     gamma = np.broadcast_to(gamma, shape)
-
+    # validate_gig_region's rule, elementwise
+    valid = (
+        np.isfinite(nu) & (0.0 <= delta) & (delta < math.inf) & (0.0 <= gamma) & (gamma < math.inf)
+        & ((delta > 0.0) | (nu > 0.0)) & ((gamma > 0.0) | (nu < 0.0))
+    )
+    if not valid.all():
+        i = int(np.argmin(valid))
+        validate_gig_region(float(nu.flat[i]), float(delta.flat[i]), float(gamma.flat[i]))
     out = np.empty(shape, dtype=float)
     g0 = gamma == 0.0
-    d0 = (delta == 0.0) & ~g0
-    interior = ~g0 & ~d0
+    d0 = delta == 0.0
+    interior = ~(g0 | d0)
     if g0.any():
-        if np.any(nu[g0] >= 0.0):
-            raise DomainError("gamma = 0 requires nu < 0")
-        if not np.all(delta[g0] > 0.0):
-            raise DomainError("gamma = 0 requires delta > 0")
         out[g0] = (delta[g0] ** 2 / 2.0) / rng.gamma(-nu[g0], 1.0)
     if d0.any():
-        if np.any(nu[d0] <= 0.0):
-            raise DomainError("delta = 0 requires nu > 0")
-        if not np.all(gamma[d0] > 0.0):
-            raise DomainError("delta = 0 requires gamma > 0")
         out[d0] = rng.gamma(nu[d0], 2.0 / gamma[d0] ** 2)
     if interior.any():
-        if ((delta < 0.0) & (gamma < 0.0)).any():
-            raise DomainError("delta and gamma must be nonnegative")
         out[interior] = (delta[interior] / gamma[interior]) * _devroye_gig(
             nu[interior], delta[interior] * gamma[interior], rng
         )

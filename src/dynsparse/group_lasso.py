@@ -77,10 +77,24 @@ def _group_magnitude(
     Up to ``_FLOAT_NEWTON_SIZE`` elements the rows are solved one by one in
     Python floats, else all at once in arrays.  Both routes run the same
     operations in the same order from the same start, so they agree bit
-    for bit, errors included.
+    for bit, errors included.  A row whose ||c||^2 overflows has no start:
+    it fails before any Newton step, and the other rows are solved alone.
     """
     c2 = c * c
-    t = (np.sqrt([_fsum(row) for row in c2.tolist()]) - gamma) / lam.max(axis=1)
+    norm2 = [_fsum(row) for row in c2.tolist()]
+    if not all(map(math.isfinite, norm2)):  # on Python floats: cheaper than numpy for few rows
+        finite = np.isfinite(norm2)
+        rows = finite.nonzero()[0]
+        t = np.full(len(c), np.nan)
+        t[rows], errors = _group_magnitude(lam[rows], c[rows], gamma)
+        errors = {int(rows[i]): exc for i, exc in errors.items()}
+        for i in (~finite).nonzero()[0].tolist():
+            errors[i] = NumericalError(
+                "group magnitude: no root of the secular equation, since ||c||^2 overflows "
+                f"(max |c_i| = {np.abs(c[i]).max():.3e})"
+            )
+        return t, errors
+    t = (np.sqrt(norm2) - gamma) / lam.max(axis=1)
     newton = _newton_floats if c.size <= _FLOAT_NEWTON_SIZE else _newton_arrays
     t, f, bad = newton(lam, c2, t, gamma)
     # a stopped row keeps its t, so f and t are those it stopped at
@@ -95,8 +109,7 @@ def _group_magnitude(
 
 
 def _fsum(row: list[float]) -> float:
-    """``math.fsum``, or NaN where finite terms overflow it: like an infinite
-    term, a NaN start makes the row one without a root."""
+    """``math.fsum``, or NaN where finite terms overflow it."""
     try:
         return math.fsum(row)
     except OverflowError:

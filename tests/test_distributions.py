@@ -421,16 +421,44 @@ def test_gig_rvs_size_one_boundary_routes(nu, delta, gamma):
     [
         (-1.0, 0.0, 1.0, "delta = 0 requires nu > 0"),
         (0.5, 1.0, 0.0, "gamma = 0 requires nu < 0"),
-        (0.5, -1.0, 1.0, "finite lam and omega > 0"),
+        (0.5, -1.0, 1.0, "delta and gamma must be nonnegative"),
         (-3.0, -1.0, -1.0, "delta and gamma must be nonnegative"),
-        (np.nan, 1.0, 1.0, "finite lam and omega > 0"),
+        (np.nan, 1.0, 1.0, "non-finite GIG parameters"),
     ],
 )
 def test_gig_rvs_size_one_errors_match_batch(nu, delta, gamma, match):
-    rng = np.random.default_rng(0)
+    # every size raises the region rule's message before taking a uniform
+    with pytest.raises(DomainError, match=match) as rule:
+        validate_gig_region(nu, delta, gamma)
     for size in (None, (1,), 3):
-        with pytest.raises(DomainError, match=match):
+        rng = np.random.default_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(DomainError, match=f"^{re.escape(str(rule.value))}$"):
             gig_rvs(nu, delta, gamma, rng, size=size)
+        assert rng.bit_generator.state == untouched
+
+
+@pytest.mark.parametrize(
+    "nu,delta,gamma,message",
+    [
+        # a valid inverse-gamma element ahead of a bad gamma-law one
+        ([-1.0, -1.0], [1.0, 0.0], [0.0, 1.0], "delta = 0 requires nu > 0, got nu=-1.0"),
+        # a valid boundary element ahead of bad interior ones
+        ([-1.0, 0.5], [1.0, -1.0], [0.0, 1.0],
+         "delta and gamma must be nonnegative, got (-1.0, 1.0)"),
+        ([-1.0, np.nan], 1.0, [0.0, 1.0], "non-finite GIG parameters (nan, 1.0, 1.0)"),
+        # the first bad element in flat order is the one reported
+        ([[2.0, -1.0], [0.5, 0.5]], [[1.0, 0.0], [-1.0, 1.0]], 1.0,
+         "delta = 0 requires nu > 0, got nu=-1.0"),
+    ],
+    ids=["delta0-nu-neg", "delta-neg", "nu-nan", "first-in-flat-order"],
+)
+def test_gig_rvs_checks_the_whole_batch_before_any_draw(nu, delta, gamma, message):
+    rng = np.random.default_rng(0)
+    untouched = rng.bit_generator.state
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        gig_rvs(nu, delta, gamma, rng)
+    assert rng.bit_generator.state == untouched
 
 
 # region edges: zero, small, unit and negative delta/gamma, nu on both
@@ -451,9 +479,11 @@ def test_gig_rvs_rejects_the_invalid_region_edges(nu, delta, gamma, size):
     rng = np.random.default_rng(0)
     try:
         validate_gig_region(nu, delta, gamma)
-    except DomainError:
-        with pytest.raises(DomainError):
+    except DomainError as rule:
+        untouched = rng.bit_generator.state
+        with pytest.raises(DomainError, match=f"^{re.escape(str(rule))}$"):
             gig_rvs(nu, delta, gamma, rng, size=size)
+        assert rng.bit_generator.state == untouched
         return
     # no NaN; inf is allowed, since for |nu| near 0 the law itself
     # puts most of its mass beyond the double range

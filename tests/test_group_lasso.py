@@ -1,6 +1,7 @@
 """Sliding-window group lasso: oracle agreement, KKT, and solver behavior."""
 
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -396,25 +397,30 @@ def test_solve_window_rejects_alpha_outside_0_1_before_any_sweep(monkeypatch, al
 
 def test_overflowing_group_norm_is_a_numerical_error():
     # every c_i^2 is finite but their sum is not: fsum raises OverflowError,
-    # which must surface as the typed "no root" error, at its step for a fit
+    # which must surface as the typed "no root" error naming the overflow,
+    # at its step for a fit, and leave the finite row its own root
     c = np.array([[1e154, 1e154], [1.0, 0.5]])
     lam = np.array([[1.0, 2.0], [1.0, 2.0]])
-    for size in (c.size, c.size - 1):  # the float route, then the array route
+    alone, _ = _group_magnitude(lam[1:], c[1:], 1.0)
+    overflow = r"^group magnitude: no root .*\|\|c\|\|\^2 overflows \(max \|c_i\| = 1\.000e\+154\)"
+    for size in (c.size, 1):  # the finite row by the float route, then the array route
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
             mp.setattr(group_lasso, "_FLOAT_NEWTON_SIZE", size)
             t, errors = _group_magnitude(lam, c, 1.0)
         assert list(errors) == [0] and math.isnan(t[0]) and t[1] > 0.0
+        assert re.match(overflow, str(errors[0])) and t[1] == alone[0]
     rng = np.random.default_rng(0)
     Xs = [rng.standard_normal((5, 2)) for _ in range(3)]
     ys = [1e150 * rng.standard_normal(5) for _ in range(3)]
     data = RegressionData(ys, Xs)
-    for sigma2 in (3.4e-5, 1e-4):
+    for sigma2 in (3.4e-5, 1e-4, 1e-6):  # at 1e-6 some c_i^2 is itself inf
         config = ModelConfig(
             nu=3.0, delta=0.0, gamma=1.0, alpha=0.5, sigma=math.sqrt(sigma2), p=2, d=2
         )
         with np.errstate(all="ignore"):
-            with pytest.raises(NumericalError, match="^group magnitude: no root"):
+            with pytest.raises(NumericalError, match="^group magnitude: no root") as info:
                 solve_window(data, 0.5, 1.0, sigma2)
+            assert "overflows" in str(info.value)
             with pytest.raises(NumericalError, match="^at time step t=3: group magnitude"):
                 run_sliding_window(data, config)
 
