@@ -9,7 +9,9 @@ Configuration is a flat ``key=value`` text file (``--config``) plus
 ``key=value`` arguments on the command line, which win.  Identical
 (config, seed) pairs produce byte-identical outputs.  Exit status: 0 on
 success, 1 for numerical/model errors during the run, 2 for usage or
-configuration errors.
+configuration errors.  A run checks its settings and computes before it
+creates ``out_dir`` and writes its tables and the manifest there, so a
+failed run leaves at most an ``error.json``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -59,9 +61,9 @@ def _read_config_file(path: str) -> dict[str, str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq or not key.strip():
             raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
         cfg[key.strip()] = value.strip()
     return cfg
 
@@ -71,9 +73,9 @@ def _resolve(args: argparse.Namespace) -> dict[str, str]:
     if args.config:
         cfg.update(_read_config_file(args.config))
     for item in args.overrides:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq or not key.strip():
             raise ConfigError(f"override {item!r} is not key=value")
-        key, _, value = item.partition("=")
         cfg[key.strip()] = value.strip()
     unknown = set(cfg) - _KNOWN_KEYS
     if unknown:
@@ -109,12 +111,6 @@ def _typed(cfg: dict[str, str]) -> dict:
     return out
 
 
-def _require(cfg: dict, keys: tuple[str, ...], command: str) -> None:
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"{command} requires config keys: {', '.join(missing)}")
-
-
 def _model_config(cfg: dict) -> ModelConfig:
     kwargs = {k: cfg[k] for k in _MODEL_KEYS if k in cfg}
     try:
@@ -140,106 +136,71 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _estimate_rows(beta_hat, support, lower=None, upper=None) -> list[list[str]]:
+def _estimate_rows(beta_hat, support, lower=None, upper=None) -> Iterator[list[str]]:
     p, T = beta_hat.shape
-    rows = []
     for t in range(T):
         for j in range(p):
             lo = _fmt(lower[j, t]) if lower is not None else ""
             hi = _fmt(upper[j, t]) if upper is not None else ""
-            rows.append(
-                [str(t + 1), str(j + 1), _fmt(beta_hat[j, t]), lo, hi,
-                 str(int(support[j, t]))]
-            )
-    return rows
+            yield [str(t + 1), str(j + 1), _fmt(beta_hat[j, t]), lo, hi, str(int(support[j, t]))]
 
 
 _ESTIMATE_HEADER = ["t", "j", "estimate", "lower", "upper", "support"]
 
 
-def _cmd_simulate(cfg: dict, run_id: str) -> list[Path]:
-    _require(cfg, ("T", "seed", "out_dir"), "simulate")
+def _cmd_simulate(cfg: dict) -> dict:
     model = _model_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    out = _out_dir(cfg)
     T = cfg["T"]
     d_path = None if model.fixed_d else simulate_d_chain(model.rho, T, rng)
     beta = simulate_path(model, T, rng, d_path=d_path)
-    rows = [
-        [str(t + 1), str(j + 1), _fmt(beta[j, t])]
-        for t in range(T)
-        for j in range(beta.shape[0])
-    ]
-    files = [out / "path.csv"]
-    write_table(files[0], run_id, ["t", "j", "value"], rows)
+    tables = {
+        "path.csv": (["t", "j", "value"], (
+            [str(t + 1), str(j + 1), _fmt(beta[j, t])]
+            for t in range(T)
+            for j in range(beta.shape[0])
+        )),
+    }
     if d_path is not None:
-        files.append(out / "d_path.csv")
-        write_table(
-            files[1], run_id, ["t", "d"],
-            [[str(t + 1), str(int(d_path[t]))] for t in range(T)],
-        )
-    return files
+        tables["d_path.csv"] = (["t", "d"], ([str(t + 1), str(int(d_path[t]))] for t in range(T)))
+    return tables
 
 
-def _cmd_acf(cfg: dict, run_id: str) -> list[Path]:
-    _require(cfg, ("T", "seed", "out_dir"), "acf")
+def _cmd_acf(cfg: dict) -> dict:
     if cfg["max_lag"] >= cfg["T"]:
         raise ConfigError(f"acf needs max_lag < T, got max_lag={cfg['max_lag']}, T={cfg['T']}")
     model = _model_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    out = _out_dir(cfg)
     beta = simulate_path(model, cfg["T"], rng)
     acf = autocorrelation(beta[0] ** 2, cfg["max_lag"])
-    rows = [[str(lag + 1), _fmt(acf[lag])] for lag in range(acf.shape[0])]
-    path = out / "acf.csv"
-    write_table(path, run_id, ["lag", "acf"], rows)
-    return [path]
+    return {"acf.csv": (["lag", "acf"], ([str(lag + 1), _fmt(a)] for lag, a in enumerate(acf)))}
 
 
-def _fit_point(cfg: dict, run_id: str, command: str, fitter, diag_header: list[str]) -> list[Path]:
-    """Run a point-estimate fitter and write its estimates and objective traces."""
-    _require(cfg, ("data_path", "out_dir", "max_iter"), command)
+def _fit_point(cfg: dict, command: str) -> dict:
+    """Run ``fit-map`` or ``fit-glasso``: estimates and objective traces."""
     model = _model_config(cfg)
     if not model.fixed_d:
         raise ConfigError(f"{command} needs a fixed window length d, not rho")
-    if command == "fit-glasso" and model.gamma == 0.0:
+    glasso = command == "fit-glasso"
+    if glasso and model.gamma == 0.0:
         raise ConfigError("fit-glasso needs gamma > 0, the group-lasso penalty weight")
     data = _load_fit_data(cfg)
-    out = _out_dir(cfg)
     # without the key, the fitter's own eps_sparse default applies
     eps = {"eps_sparse": cfg["eps_sparse"]} if "eps_sparse" in cfg else {}
+    fitter = run_sliding_window if glasso else run_online_map
     fit = fitter(data, model, tol=cfg["tol"], max_iter=cfg["max_iter"], **eps)
-    est = out / "estimates.csv"
-    write_table(est, run_id, _ESTIMATE_HEADER, _estimate_rows(fit.beta_hat, fit.support))
-    diag = out / "diagnostics.csv"
-    rows = [
-        [str(k + 1), str(i), _fmt(v)]
-        for k, trace in enumerate(fit.objective_trace)
-        for i, v in enumerate(trace)
-    ]
-    write_table(diag, run_id, diag_header, rows)
-    return [est, diag]
+    header = ["window", "sweep", "objective"] if glasso else ["t", "iter", "objective"]
+    return {
+        "estimates.csv": (_ESTIMATE_HEADER, _estimate_rows(fit.beta_hat, fit.support)),
+        "diagnostics.csv": (header, (
+            [str(k + 1), str(i), _fmt(v)]
+            for k, trace in enumerate(fit.objective_trace)
+            for i, v in enumerate(trace)
+        )),
+    }
 
 
-def _cmd_fit_map(cfg: dict, run_id: str) -> list[Path]:
-    return _fit_point(cfg, run_id, "fit-map", run_online_map, ["t", "iter", "objective"])
-
-
-def _cmd_fit_glasso(cfg: dict, run_id: str) -> list[Path]:
-    header = ["window", "sweep", "objective"]
-    return _fit_point(cfg, run_id, "fit-glasso", run_sliding_window, header)
-
-
-def _cmd_fit_smc(cfg: dict, run_id: str) -> list[Path]:
-    _require(
-        cfg, ("data_path", "out_dir", "seed", "n_particles", "n_iters"), "fit-smc"
-    )
+def _cmd_fit_smc(cfg: dict) -> dict:
     model = _model_config(cfg)
     probs = cfg["probs"]
     # the first and last probs bound the credible interval
@@ -253,42 +214,38 @@ def _cmd_fit_smc(cfg: dict, run_id: str) -> list[Path]:
             f"strictly increasing, got probs={','.join(map(str, probs))}"
         )
     data = _load_fit_data(cfg)
-    out = _out_dir(cfg)
     rng = np.random.default_rng(cfg["seed"])
     chain = pimh_run(data, model, cfg["n_particles"], cfg["n_iters"], rng)
     summ = posterior_summary(chain, np.asarray(probs))
     lower, upper = summ.quantiles[0], summ.quantiles[-1]
     support = (lower > 0) | (upper < 0)
-    est = out / "estimates.csv"
-    write_table(
-        est, run_id, _ESTIMATE_HEADER,
-        _estimate_rows(summ.mean, support, lower, upper),
-    )
-    diag = out / "diagnostics.csv"
-    write_table(
-        diag, run_id, ["iteration", "log_evidence", "accepted"],
-        [
+    n_d, T = summ.d_posterior.shape
+    return {
+        "estimates.csv": (_ESTIMATE_HEADER, _estimate_rows(summ.mean, support, lower, upper)),
+        "diagnostics.csv": (["iteration", "log_evidence", "accepted"], (
             [str(m + 1), _fmt(chain.log_evidence[m]), str(int(chain.accepted[m]))]
             for m in range(chain.log_evidence.shape[0])
-        ],
-    )
-    dpost = out / "d_posterior.csv"
-    rows = [
-        [str(t + 1), str(d), _fmt(summ.d_posterior[d, t])]
-        for t in range(summ.d_posterior.shape[1])
-        for d in range(summ.d_posterior.shape[0])
-        if summ.d_posterior[d, t] > 0
-    ]
-    write_table(dpost, run_id, ["t", "d", "probability"], rows)
-    return [est, diag, dpost]
+        )),
+        "d_posterior.csv": (["t", "d", "probability"], (
+            [str(t + 1), str(d), _fmt(summ.d_posterior[d, t])]
+            for t in range(T)
+            for d in range(n_d)
+            if summ.d_posterior[d, t] > 0
+        )),
+    }
 
 
+# subcommand -> (handler, required config keys).  A handler checks its
+# settings, runs, and returns its tables as {file name: (header, lazy
+# rows)} in print order; run_command alone writes them.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "acf": _cmd_acf,
-    "fit-map": _cmd_fit_map,
-    "fit-glasso": _cmd_fit_glasso,
-    "fit-smc": _cmd_fit_smc,
+    "simulate": (_cmd_simulate, ("T", "seed", "out_dir")),
+    "acf": (_cmd_acf, ("T", "seed", "out_dir")),
+    "fit-map": (lambda cfg: _fit_point(cfg, "fit-map"), ("data_path", "out_dir", "max_iter")),
+    "fit-glasso": (
+        lambda cfg: _fit_point(cfg, "fit-glasso"), ("data_path", "out_dir", "max_iter")
+    ),
+    "fit-smc": (_cmd_fit_smc, ("data_path", "out_dir", "seed", "n_particles", "n_iters")),
 }
 
 
@@ -321,34 +278,42 @@ def run_command(argv: list[str]) -> int:
 
     try:
         cfg = _typed(_resolve(args))
-        run_id = _run_id(args.command, {k: str(v) for k, v in sorted(cfg.items())})
-        handler = _COMMANDS[args.command]
-        _clear_run_records(cfg.get("out_dir"))
-        # required-key validation happens inside the handler before work starts
-        files = handler(cfg, run_id)
+        handler, required = _COMMANDS[args.command]
+        missing = [k for k in required if k not in cfg]
+        if missing:
+            raise ConfigError(f"{args.command} requires config keys: {', '.join(missing)}")
+        _clear_run_records(cfg["out_dir"])
+        tables = handler(cfg)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DynsparseError as exc:
-        _write_error_record(cfg.get("out_dir"), args.command, exc)
+        _write_error_record(cfg["out_dir"], args.command, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_manifest(Path(cfg["out_dir"]), run_id, {k: str(v) for k, v in sorted(cfg.items())}, files)
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    config = {k: str(v) for k, v in sorted(cfg.items())}
+    run_id = _run_id(args.command, config)
+    files = [out / name for name in tables]
+    for path, (header, rows) in zip(files, tables.values()):
+        write_table(path, run_id, header, rows)
+    write_manifest(out, run_id, config, files)
     for f in files:
         print(f.as_posix())
     return 0
 
 
-def _clear_run_records(out_dir: Optional[str]) -> None:
+def _clear_run_records(out_dir: str) -> None:
     """Drop a previous run's manifest and error record before a rerun."""
-    if out_dir:
+    try:
         for name in ("manifest.json", "error.json"):
             Path(out_dir, name).unlink(missing_ok=True)
+    except NotADirectoryError:
+        raise ConfigError(f"out_dir={out_dir} is a file or lies under one") from None
 
 
-def _write_error_record(out_dir: Optional[str], command: str, exc: Exception) -> None:
-    if not out_dir:
-        return
+def _write_error_record(out_dir: str, command: str, exc: Exception) -> None:
     try:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def write_table(
-    path: Path, run_id: str, header: list[str], rows: list[list[str]]
+    path: Path, run_id: str, header: list[str], rows: Iterable[list[str]]
 ) -> None:
     """Write a CSV with the run-hash comment line first."""
     lines = [f"# run {run_id}", ",".join(header)]

@@ -324,6 +324,39 @@ def test_fit_glasso_and_smc_artifacts(tmp_path):
     assert run_command(["verify", str(out_s)]) == 0
 
 
+_MODEL = ["nu=2.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "sigma=0.5"]
+OUTPUTS = [
+    ("simulate", ["d=2", "T=20", "seed=1"], ["path.csv"]),
+    ("simulate", ["rho=0.8", "T=20", "seed=1"], ["path.csv", "d_path.csv"]),
+    ("acf", ["d=2", "T=200", "max_lag=10", "seed=1"], ["acf.csv"]),
+    ("fit-map", ["d=2", "max_iter=200"], ["estimates.csv", "diagnostics.csv"]),
+    ("fit-glasso", ["d=2", "max_iter=10000"], ["estimates.csv", "diagnostics.csv"]),
+    ("fit-smc", ["d=1", "n_particles=20", "n_iters=5", "seed=1"],
+     ["estimates.csv", "diagnostics.csv", "d_posterior.csv"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, settings, names", OUTPUTS, ids=[f"{c}-{s[0]}" for c, s, _ in OUTPUTS]
+)
+def test_printed_paths_are_the_manifest_outputs_and_all_the_files(
+    tmp_path, capsys, command, settings, names
+):
+    # stdout lists the tables in a fixed order, one path a line; out_dir
+    # holds those tables and the manifest and nothing else
+    dpath = tmp_path / "data.csv"
+    write_data(dpath, synthetic_regression(15, 0.5, np.random.default_rng(8))[0])
+    out = tmp_path / "out"
+    assert run_command(
+        [command, *_MODEL, *settings, f"data_path={dpath}", f"out_dir={out}"]
+    ) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [(out / name).as_posix() for name in names]
+    assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == sorted(names)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+    assert run_command(["verify", str(out)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # exit statuses
 # ---------------------------------------------------------------------------
@@ -402,6 +435,11 @@ RANGE_ERRORS = [
     ),
     ("fit-map", "eps_sparse=inf", "eps_sparse must be nonnegative and finite, got eps_sparse=inf"),
     ("acf", "max_lag=10", "acf needs max_lag < T, got max_lag=10, T=10"),
+    ("simulate", "out_dir={data}", "out_dir={data} is a file or lies under one"),
+    ("acf", "out_dir={data}/sub", "out_dir={data}/sub is a file or lies under one"),
+    ("fit-map", "out_dir={data}/sub", "out_dir={data}/sub is a file or lies under one"),
+    ("fit-glasso", "out_dir={data}", "out_dir={data} is a file or lies under one"),
+    ("fit-smc", "out_dir={data}", "out_dir={data} is a file or lies under one"),
 ]
 
 
@@ -422,11 +460,13 @@ def test_out_of_range_settings_are_config_errors_before_any_work(
     code = run_command([
         command, "nu=2.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "d=1", "sigma=0.5",
         "T=10", "max_lag=5", "n_particles=10", "n_iters=2", "max_iter=50", "seed=1",
-        f"data_path={dpath}", f"out_dir={out}", setting,
+        f"data_path={dpath}", f"out_dir={out}", setting.format(data=dpath),
     ])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(data=dpath)}\n"
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+    assert dpath.read_text() == "t,y,x1\n1,0.5,1\n2,0.2,1\n"
 
 
 FIT_CONFIG_ERRORS = [
@@ -486,10 +526,14 @@ def test_unknown_key_and_bad_type_are_config_errors(tmp_path, capsys):
     assert run_command([a if not a.startswith("T=") else "T=ten" for a in base]) == 2
     no_equals = tmp_path / "no_equals.cfg"
     no_equals.write_text("# comment\nnu 0.5\n")
+    empty_key = tmp_path / "empty_key.cfg"
+    empty_key.write_text("# comment\nnu=0.5\n=3\n")
     for argv, message in [
         (base + ["--config", str(tmp_path / "missing.cfg")], "cannot read config file"),
         (base + ["--config", str(no_equals)], "line 2: expected key=value"),
         (base + ["T10"], "override 'T10' is not key=value"),
+        (base + ["--config", str(empty_key)], "line 3: expected key=value, got '=3'"),
+        (base + ["=5"], "override '=5' is not key=value"),
         (base + ["alpha=1.5"], "invalid model configuration: alpha"),
     ]:
         capsys.readouterr()
@@ -510,6 +554,7 @@ def test_model_error_exit_one_with_record(tmp_path, capsys):
     assert code == 1
     record = json.loads((out / "error.json").read_text())
     assert "t=2" in record["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 def test_model_error_exit_one_without_numpy_warning(tmp_path, capsys):
