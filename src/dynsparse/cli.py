@@ -17,6 +17,7 @@ failed run leaves at most an ``error.json``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,10 +36,15 @@ from .smc import pimh_run, posterior_summary
 
 __all__ = ["main", "run_command"]
 
-_MODEL_KEYS = ("nu", "delta", "gamma", "alpha", "d", "rho", "sigma", "p")
-_FLOAT_KEYS = ("nu", "delta", "gamma", "alpha", "rho", "sigma", "tol", "eps_sparse")
-_INT_KEYS = ("d", "n_particles", "n_iters", "max_iter", "seed", "T", "max_lag", "p")
-_KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"probs", "data_path", "out_dir"}
+# config key -> the parser of its text
+_KEYS = {
+    **dict.fromkeys(("nu", "delta", "gamma", "alpha", "rho", "sigma", "tol"), float),
+    **dict.fromkeys(("d", "n_particles", "n_iters", "max_iter", "seed", "T", "max_lag", "p"), int),
+    "eps_sparse": float,
+    "probs": lambda raw: [float(v) for v in raw.split(",") if v.strip()],
+    "data_path": str,
+    "out_dir": str,
+}
 
 _DEFAULTS = {
     "tol": "1e-8",
@@ -77,7 +83,7 @@ def _resolve(args: argparse.Namespace) -> dict[str, str]:
         if not eq or not key.strip():
             raise ConfigError(f"override {item!r} is not key=value")
         cfg[key.strip()] = value.strip()
-    unknown = set(cfg) - _KNOWN_KEYS
+    unknown = cfg.keys() - _KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return cfg
@@ -87,14 +93,7 @@ def _typed(cfg: dict[str, str]) -> dict:
     out: dict = {}
     for key, raw in cfg.items():
         try:
-            if key in _FLOAT_KEYS:
-                out[key] = float(raw)
-            elif key in _INT_KEYS:
-                out[key] = int(raw)
-            elif key == "probs":
-                out[key] = [float(v) for v in raw.split(",") if v.strip()]
-            else:
-                out[key] = raw
+            out[key] = _KEYS[key](raw)
         except ValueError:
             raise ConfigError(f"config key {key}={raw!r} has the wrong type") from None
     if out.get("seed", 0) < 0:
@@ -112,7 +111,7 @@ def _typed(cfg: dict[str, str]) -> dict:
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    kwargs = {k: cfg[k] for k in _MODEL_KEYS if k in cfg}
+    kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(ModelConfig) if f.name in cfg}
     try:
         return ModelConfig(**kwargs)
     except (DomainError, TypeError) as exc:
@@ -284,6 +283,9 @@ def run_command(argv: list[str]) -> int:
             raise ConfigError(f"{args.command} requires config keys: {', '.join(missing)}")
         _clear_run_records(cfg["out_dir"])
         tables = handler(cfg)
+        out = Path(cfg["out_dir"])
+        files = [out / name for name in tables]
+        _check_not_directories(files)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -291,11 +293,9 @@ def run_command(argv: list[str]) -> int:
         _write_error_record(cfg["out_dir"], args.command, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     config = {k: str(v) for k, v in sorted(cfg.items())}
     run_id = _run_id(args.command, config)
-    files = [out / name for name in tables]
     for path, (header, rows) in zip(files, tables.values()):
         write_table(path, run_id, header, rows)
     write_manifest(out, run_id, config, files)
@@ -304,11 +304,20 @@ def run_command(argv: list[str]) -> int:
     return 0
 
 
+def _check_not_directories(entries: list[Path]) -> None:
+    """The entries of out_dir that a run writes must not be directories."""
+    for path in entries:
+        if path.is_dir():
+            raise ConfigError(f"out_dir entry {path.as_posix()} is a directory, not a file")
+
+
 def _clear_run_records(out_dir: str) -> None:
     """Drop a previous run's manifest and error record before a rerun."""
+    records = [Path(out_dir, name) for name in ("manifest.json", "error.json")]
+    _check_not_directories(records)
     try:
-        for name in ("manifest.json", "error.json"):
-            Path(out_dir, name).unlink(missing_ok=True)
+        for path in records:
+            path.unlink(missing_ok=True)
     except NotADirectoryError:
         raise ConfigError(f"out_dir={out_dir} is a file or lies under one") from None
 

@@ -17,7 +17,9 @@ p x width residual U[:, s] = b_s - G_s beta_s, kept current after every
 group step.  Each group is stored in the eigenbasis of its curvature
 L' diag(G_s[j, j]) L / sigma^2, where the group magnitude is the root of
 a scalar secular equation, solved by Newton's method (Qin, Scheinberg &
-Goldfarb 2013, Math. Prog. Comp. 5:143).
+Goldfarb 2013, Math. Prog. Comp. 5:143).  Where ||c||^2 is not finite
+the Newton start is NaN, and the group step fails before any Newton step
+with the typed "no root" ``NumericalError`` that names the overflow.
 
 The windows of a fit are independent, so they are solved together.  The
 per-step Gram data are built and checked once per fit, and the windows
@@ -77,31 +79,21 @@ def _group_magnitude(
     Up to ``_FLOAT_NEWTON_SIZE`` elements the rows are solved one by one in
     Python floats, else all at once in arrays.  Both routes run the same
     operations in the same order from the same start, so they agree bit
-    for bit, errors included.  A row whose ||c||^2 overflows has no start:
-    it fails before any Newton step, and the other rows are solved alone.
+    for bit, errors included.  A row whose ||c||^2 is not finite (it
+    overflows, or c holds a NaN or an inf) gets a NaN start: both routes
+    mark it "no root" before any Newton step.
     """
     c2 = c * c
     norm2 = [_fsum(row) for row in c2.tolist()]
-    if not all(map(math.isfinite, norm2)):  # on Python floats: cheaper than numpy for few rows
-        finite = np.isfinite(norm2)
-        rows = finite.nonzero()[0]
-        t = np.full(len(c), np.nan)
-        t[rows], errors = _group_magnitude(lam[rows], c[rows], gamma)
-        errors = {int(rows[i]): exc for i, exc in errors.items()}
-        for i in (~finite).nonzero()[0].tolist():
-            errors[i] = NumericalError(
-                "group magnitude: no root of the secular equation, since ||c||^2 overflows "
-                f"(max |c_i| = {np.abs(c[i]).max():.3e})"
-            )
-        return t, errors
     t = (np.sqrt(norm2) - gamma) / lam.max(axis=1)
     newton = _newton_floats if c.size <= _FLOAT_NEWTON_SIZE else _newton_arrays
     t, f, bad = newton(lam, c2, t, gamma)
     # a stopped row keeps its t, so f and t are those it stopped at
     errors = {
-        i: NumericalError(
-            f"group magnitude: no root of the secular equation (f = {f[i]:.3e} at t = {t[i]:.3e})"
-        )
+        i: NumericalError("group magnitude: no root of the secular equation" + (
+            f", since ||c||^2 overflows (max |c_i| = {np.abs(c[i]).max():.3e})"
+            if math.isnan(norm2[i]) else f" (f = {f[i]:.3e} at t = {t[i]:.3e})"
+        ))
         for i in bad
     }
     t[bad] = np.nan
@@ -109,11 +101,12 @@ def _group_magnitude(
 
 
 def _fsum(row: list[float]) -> float:
-    """``math.fsum``, or NaN where finite terms overflow it."""
+    """``math.fsum``, or NaN where the sum is not finite."""
     try:
-        return math.fsum(row)
-    except OverflowError:
+        total = math.fsum(row)
+    except OverflowError:  # finite terms whose sum is not
         return math.nan
+    return total if math.isfinite(total) else math.nan
 
 
 def _newton_floats(
@@ -128,8 +121,9 @@ def _newton_floats(
     """
     ts, fs, bad = [], [], []
     for i, (lam_i, c2_i, t) in enumerate(zip(lam.tolist(), c2.tolist(), t0.tolist())):
-        f_prev = math.inf
-        for _ in range(_NEWTON_MAX_ITER):
+        f, f_prev = math.nan, math.inf
+        # a NaN start takes no step and so runs out of iterations: no root
+        for _ in range(0 if math.isnan(t) else _NEWTON_MAX_ITER):
             f = -1.0
             df = 0.0
             for lk, c2k in zip(lam_i, c2_i):
@@ -163,8 +157,8 @@ def _newton_arrays(
     """
     n = len(t)
     f_prev = np.full(n, np.inf)
-    live = np.ones(n, dtype=bool)
-    bad = np.zeros(n, dtype=bool)
+    bad = np.isnan(t)  # no start: no root
+    live = ~bad
     for _ in range(_NEWTON_MAX_ITER):
         r = 1.0 / (lam * t[:, None] + gamma)
         q = c2 * r * r
@@ -389,10 +383,8 @@ def run_sliding_window(
             beta_hat[:, :d] = sol[0, :, :d]
         iters[k0 + d : k0 + d + len(sol)] = [len(trace) - 1 for trace in block_traces]
         traces += block_traces
-    support = np.abs(beta_hat) > eps_sparse
     return MapFit(
         beta_hat=beta_hat,
-        support=support,
         em_iters=iters,
         objective_trace=traces,
         eps_sparse=eps_sparse,

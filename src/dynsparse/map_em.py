@@ -96,15 +96,19 @@ class MapFit:
     """Per-time MAP estimates plus solver diagnostics.
 
     ``converged[t]`` is False where step t ran all ``max_iter`` sweeps
-    without meeting its stopping rule.
+    without meeting its stopping rule.  ``support`` (p x T) is computed
+    from ``beta_hat`` on each access: ``|beta_hat| > eps_sparse``.
     """
 
     beta_hat: NDArray[np.float64]  # p x T
-    support: NDArray[np.bool_]  # p x T
     em_iters: NDArray[np.int64]
     objective_trace: list[NDArray[np.float64]]
     eps_sparse: float
     converged: NDArray[np.bool_]
+
+    @property
+    def support(self) -> NDArray[np.bool_]:
+        return np.abs(self.beta_hat) > self.eps_sparse
 
 
 def _solve_spd(A: NDArray[np.float64], b: list[float]) -> NDArray[np.float64]:
@@ -346,5 +350,4 @@ def run_online_map(
         )
     if eps_sparse is None:
         eps_sparse = 1e-3 * float(np.max(np.abs(beta_hat)))
-    support = np.abs(beta_hat) > eps_sparse
-    return MapFit(beta_hat, support, iters, traces, eps_sparse, converged)
+    return MapFit(beta_hat, iters, traces, eps_sparse, converged)

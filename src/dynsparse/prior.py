@@ -164,8 +164,10 @@ def simulate_path(
     Fixed-d mode: the first min(d, T) values are one joint mGH block, the
     rest follow the one-step conditional.  Time-varying mode: the window
     length follows the binomial chain (d_1 = 0), shared across rows; pass
-    ``d_path`` to reuse a pre-simulated chain.  Each later step draws
-    tau ~ GIG(nu - d_t/2, sqrt(delta^2 + msq), gamma), msq the AR(1) norm
+    ``d_path`` to reuse a pre-simulated chain.  Its entry d_path[i] (step
+    t = i + 1) must lie in 0..i, the steps before it, as on every chain
+    path; any other entry is a ``DomainError`` naming i.  Each later step
+    draws tau ~ GIG(nu - d_t/2, sqrt(delta^2 + msq), gamma), msq the AR(1) norm
     of its window, and moves from alpha * beta_{t-1} with variance
     (1 - alpha^2) tau; for d_t >= 1, (1 - alpha^2) tau follows the mixing
     law of :func:`conditional_gh`.
@@ -196,10 +198,11 @@ def simulate_path(
         d_path = np.asarray(d_path, dtype=int)
         if d_path.shape != (T,):
             raise DomainError(f"d_path has shape {d_path.shape}, expected ({T},)")
-        over = np.flatnonzero(d_path[1:] > np.arange(1, T))
-        if over.size:
-            t = int(over[0]) + 1
-            raise DomainError(f"d_path[{t}]={d_path[t]} exceeds the available history {t}")
+        bad = np.flatnonzero((d_path < 0) | (d_path > np.arange(T)))
+        if bad.size:
+            t = int(bad[0])
+            rule = "is negative" if d_path[t] < 0 else f"exceeds the available history {t}"
+            raise DomainError(f"d_path[{t}]={d_path[t]} {rule}")
         for j in range(p):
             beta[j, 0] = gh_sample(GhParams(0.0, config.nu, config.delta, config.gamma), rng)
         start = 1

@@ -469,6 +469,30 @@ def test_out_of_range_settings_are_config_errors_before_any_work(
     assert dpath.read_text() == "t,y,x1\n1,0.5,1\n2,0.2,1\n"
 
 
+@pytest.mark.parametrize("entry", ["manifest.json", "error.json", "path.csv"])
+def test_out_dir_entry_that_is_a_directory_is_a_config_error(
+    tmp_path, monkeypatch, capsys, entry
+):
+    # a run record that is a directory stops the run before any work; a
+    # table's entry is known once the handler returns, before any write
+    if entry != "path.csv":
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"simulate started work with {entry} a directory")
+
+        monkeypatch.setattr(dynsparse.cli, "simulate_path", no_work)
+    out = tmp_path / "out"
+    (out / entry).mkdir(parents=True)
+    code = run_command([
+        "simulate", "nu=0.5", "delta=0.5", "gamma=1.0", "alpha=0.5", "d=2", "sigma=1.0",
+        "T=20", "seed=3", f"out_dir={out}",
+    ])
+    assert code == 2
+    message = f"out_dir entry {(out / entry).as_posix()} is a directory, not a file"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in out.iterdir()] == [entry]  # no table, manifest or .tmp file
+    assert not any((out / entry).iterdir())
+
+
 FIT_CONFIG_ERRORS = [
     ("fit-map", "rho=0.8", "fit-map needs a fixed window length d, not rho"),
     ("fit-glasso", "rho=0.8", "fit-glasso needs a fixed window length d, not rho"),
@@ -647,6 +671,36 @@ def test_failed_rerun_drops_the_stale_manifest(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["verify", str(out)]) == 1
     assert "missing manifest.json" in capsys.readouterr().err
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# each shipped config file -> the subcommand it is written for
+SHIPPED_CONFIGS = {
+    "fit_glasso_demo.cfg": "fit-glasso",
+    "fit_smc_demo.cfg": "fit-smc",
+    "portfolio.cfg": "fit-glasso",
+    "simulate_sparse_path.cfg": "simulate",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_every_shipped_config_runs(tmp_path, name):
+    # only data_path (a small CSV with the config's p) and out_dir are overridden
+    command = SHIPPED_CONFIGS[name]  # a config without an entry fails here
+    path = CONFIG_DIR / name
+    cfg = dynsparse.cli._read_config_file(str(path))
+    out = tmp_path / "out"
+    overrides = [f"out_dir={out}"]
+    if "data_path" in cfg:
+        rng = np.random.default_rng(0)
+        p = int(cfg.get("p", 1))
+        Xs = [rng.standard_normal((3, p)) for _ in range(12)]
+        ys = [X @ np.linspace(1.0, -1.0, p) + 0.5 * rng.standard_normal(3) for X in Xs]
+        dpath = tmp_path / "data.csv"
+        write_data(dpath, RegressionData(ys, Xs))
+        overrides.append(f"data_path={dpath}")
+    assert run_command([command, "--config", str(path), *overrides]) == 0
+    assert run_command(["verify", str(out)]) == 0
 
 
 def test_config_file_with_cli_override(tmp_path):

@@ -326,9 +326,16 @@ def test_simulate_path_matches_the_reference_loop(kw):
 
 
 def test_simulate_path_rejects_a_window_longer_than_the_history():
+    # every chain path has d_1 = 0 and 0 <= d_t <= t - 1
     c = cfg(d=None, rho=0.5)
-    with pytest.raises(DomainError, match=r"d_path\[2\]=3 exceeds the available history 2"):
-        simulate_path(c, 5, np.random.default_rng(0), d_path=np.array([0, 1, 3, 0, 9]))
+    for d_path, message in [
+        ([0, 1, 3, 0, 9], r"d_path\[2\]=3 exceeds the available history 2"),
+        ([0, -1, -3, 1, 0], r"d_path\[1\]=-1 is negative"),
+        ([5, 1, 2, 1, 0], r"d_path\[0\]=5 exceeds the available history 0"),
+        ([-2, 1, 2, 1, 0], r"d_path\[0\]=-2 is negative"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            simulate_path(c, 5, np.random.default_rng(0), d_path=np.array(d_path))
 
 
 def test_simulate_path_zero_window_steps_draw_with_delta(monkeypatch):
