@@ -19,7 +19,17 @@ arrays), and ``_devroye_gig_one`` is its setup-light scalar twin.
 before any draw: parameters outside it raise one ``DomainError`` and
 leave the generator as it was.  Only a one-element interior draw takes the
 scalar kernel, which serves ordinary parameters only; for one element
-both kernels give the same value and take the same uniforms.
+both kernels give the same value and take the same uniforms.  A larger
+batch that is all interior goes to the array kernel whole, with no
+boundary masks.
+
+At the SMC's batch sizes (about 10^3) the array kernel's cost is the
+fixed cost of its numpy calls, not the work per element, so it makes few
+of them: the terms of psi at +-1 come from constants formed at import,
+psi and psi' at the cut points share one expm1, the fifteen per-element
+constants of a round are written in place into one buffer, and a round
+evaluates each pair of like formulas (the two exponential pieces of the
+proposal, the two tails of the hat) as one product over two rows.
 
 The scalar kernel keeps its state in Python floats, which are cheaper per
 operation than numpy scalars: +, -, *, / and ``math.sqrt`` are correctly
@@ -72,7 +82,7 @@ _OMEGA_MAX = math.sqrt(sys.float_info.max)
 
 # The terms of psi at the probe points x = 1 and x = -1, cosh(x) - 1 and
 # expm1(x) - x, and cosh(1) for the left cut point, formed once with
-# numpy's own functions for the scalar kernel
+# numpy's own functions for both Devroye kernels
 _COSH1 = float(np.cosh(1.0))
 _COSH_P1, _EXPM1_P1 = _COSH1 - 1.0, float(np.expm1(1.0)) - 1.0
 _COSH_M1, _EXPM1_M1 = float(np.cosh(-1.0)) - 1.0, float(np.expm1(-1.0)) - -1.0
@@ -219,16 +229,6 @@ def gig_moment(params: GigParams, power: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _psi(x, alpha, lam):
-    """Log of the Devroye (2014) target in the log-scale variable, up to a constant."""
-    return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
-
-
-def _dpsi(x, alpha, lam):
-    """Derivative of :func:`_psi` in x."""
-    return -alpha * np.sinh(x) - lam * np.expm1(x)
-
-
 def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     """Draws from pdf prop. to z^(lam-1) exp(-omega (z + 1/z)/2), elementwise.
 
@@ -236,7 +236,9 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
     bounded, so the loop terminates in a handful of rounds.  Each round takes
     U, V, W for the elements still pending from one ``rng.random((3, n))``
     call; the first round runs on the full arrays, and each later one on the
-    per-element constants compacted to the rejected elements.
+    per-element constants compacted to the rejected elements.  After the
+    argument checks, one errstate silences divide, overflow and invalid:
+    an inf or NaN constant or proposal is left to the acceptance test.
     """
     lam, omega = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(omega, dtype=float))
     shape = lam.shape
@@ -250,8 +252,20 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
             f"got omega={float(top)!r}"
         )
 
+    # The per-element constants of a round, each row written in place once.
+    # With eta = -psi(t), zeta = -psi'(t), theta = -psi(-s) and xi = psi'(-s),
+    # r = 1 / zeta, p = 1 / xi, td = t - r eta, sd = s - p theta, q = td + sd:
+    # (tot, qr, q) = (q + p + r, q + r, q), then the pairs (td, -sd),
+    # (-r, p), (t, -s), (-eta, -theta) = psi(t, -s) and (-zeta, xi) = psi'(t, -s),
+    # then -alpha and |lam|.  Negating an operand or a result is exact, so
+    # each constant has the bits of its formula (-sd up to the sign of a
+    # zero, which only sums and comparisons see); a round evaluates each
+    # pair of formulas as one product.
+    consts = np.empty((15, lam.size))
+    tot, qr, q, td, msd, mr, p, t, ms = consts[:9]
+    malpha, lam_ = consts[13:]
     swap = lam < 0.0
-    lam = np.abs(lam)
+    lam = np.abs(lam, out=lam_)
     alpha = np.sqrt(omega**2 + lam**2) - lam
     # finite lam and omega leave alpha finite, or +inf where the sum overflows
     if alpha.max(initial=0.0) == math.inf:
@@ -262,57 +276,69 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
         )
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # right cut point t
-        x0 = -_psi(1.0, alpha, lam)
-        t = np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), 1.0)
-        t = np.where(x0 < 0.5, np.log(4.0 / (alpha + 2.0 * lam)), t)
-        # left cut point s
-        x1 = -_psi(-1.0, alpha, lam)
-        s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)), 1.0)
-        cand = np.minimum(
-            1.0 / lam,
-            np.log1p(1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha)),
-        )
-        s = np.where(x1 < 0.5, cand, s)
+        # right cut point t, from -psi(1) = -(-a - b) = a + b
+        x0 = alpha * _COSH_P1 + lam * _EXPM1_P1
+        t[:] = np.where(x0 > 2.0, np.sqrt(2.0 / (alpha + lam)), 1.0)
+        np.copyto(t, np.log(4.0 / (alpha + 2.0 * lam)), where=x0 < 0.5)
+        # left cut point s, from -psi(-1)
+        x1 = alpha * _COSH_M1 + lam * _EXPM1_M1
+        s = np.where(x1 > 2.0, np.sqrt(4.0 / (alpha * _COSH1 + lam)), 1.0)
+        cand = np.minimum(1.0 / lam, np.log1p(1.0 / alpha + np.sqrt(1.0 / alpha**2 + 2.0 / alpha)))
+        np.copyto(s, cand, where=x1 < 0.5)
+        np.negative(s, out=ms)
 
-    # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
-    cuts = np.stack([t, -s])
-    (eta, theta), (dt, xi) = -_psi(cuts, alpha, lam), _dpsi(cuts, alpha, lam)
-    zeta = -dt
-    p = 1.0 / xi
-    r = 1.0 / zeta
-    td = t - r * eta
-    sd = s - p * theta
-    q = td + sd
+        # psi and psi' at both cut points, sharing one expm1
+        np.negative(alpha, out=malpha)
+        cuts, psi, dpsi = consts[7:9], consts[9:11], consts[11:13]
+        e = np.expm1(cuts)
+        ch = np.cosh(cuts)
+        ch -= 1.0
+        np.multiply(malpha, ch, out=psi)
+        psi -= lam * (e - cuts)
+        np.multiply(malpha, np.sinh(cuts), out=dpsi)
+        e *= lam
+        dpsi -= e
+        # (-r, p) = 1 / psi'(t, -s), then (td, -sd) = (t, -s) - (-r, p) psi(t, -s)
+        recip, ends = consts[5:7], consts[3:5]
+        np.divide(1.0, dpsi, out=recip)
+        np.multiply(recip, psi, out=ends)
+        np.subtract(cuts, ends, out=ends)
+        np.subtract(td, msd, out=q)
+        np.subtract(q, mr, out=qr)
+        np.add(q, p, out=tot)
+        tot -= mr
+        ratio = lam / omega
+        mode = ratio + np.sqrt(1.0 + ratio**2)
 
-    mode = lam / omega + np.sqrt(1.0 + (lam / omega) ** 2)
-    out = np.empty_like(lam)
-    pending = np.arange(lam.size)
-    # the sums and negations each round needs, formed once
-    consts = np.stack(
-        [q + p + r, q + r, q, p, r, td, -sd, t, -eta, zeta, s, -theta, xi, alpha, lam]
-    )
-    with np.errstate(divide="ignore"):
+        out = np.empty_like(lam)
+        pending = np.arange(lam.size)
         for _ in range(1000):
             if pending.size == 0:
                 break
-            tot, qr, q, p, r, td, msd, t, meta, zeta, s, mtheta, xi, alpha, lam = consts
+            tot, qr, q, td, msd = consts[:5]
+            malpha, lam = consts[13:]
             U, V, W = uvw = rng.random((3, pending.size))
             u = U * tot
             logV, logW = np.log(uvw[1:])
-            x = np.where(u < q, msd + q * V, np.where(u < qr, td - r * logV, msd + p * logV))
-            logchi = np.where(
-                x > td, meta - zeta * (x - t), np.where(x < msd, mtheta + xi * (x + s), 0.0)
-            )
-            accept = logW + logchi <= _psi(x, alpha, lam)
-            out[pending[accept]] = x[accept]
-            reject = ~accept
-            pending, consts = pending[reject], consts[:, reject]
+            # the exponential pieces td - r log V and -sd + p log V
+            tails = consts[3:5] + consts[5:7] * logV
+            x = np.where(u < q, msd + q * V, np.where(u < qr, tails[0], tails[1]))
+            # the hat's tails -eta - zeta (x - t) and -theta + xi (x + s)
+            hats = consts[9:11] + consts[11:13] * (x - consts[7:9])
+            logchi = np.where(x > td, hats[0], np.where(x < msd, hats[1], 0.0))
+            psi = np.cosh(x)
+            psi -= 1.0
+            psi *= malpha
+            accept = logW + logchi <= psi - lam * (np.expm1(x) - x)
+            out[pending] = x  # a rejected element's x is overwritten in a later round
+            keep = np.flatnonzero(~accept)
+            pending, consts = pending[keep], consts.take(keep, axis=1)
         else:
             raise NumericalError("GIG rejection sampler exceeded its round budget")
 
-    z = np.exp(out) * mode
-    z = np.where(swap, 1.0 / z, z)
+        z = np.exp(out)
+        z *= mode
+        np.divide(1.0, z, out=z, where=swap)
     return z.reshape(shape)
 
 
@@ -412,6 +438,10 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
     exact gamma / inverse-gamma samplers elementwise.  A one-element batch
     with finite nu, delta and gamma > 0 takes the scalar kernel, which
     draws what the array kernel would; every other batch the array route.
+    A batch whose every element is interior (finite nu, 0 < delta, gamma
+    < inf) passes the region check by that test alone and is drawn whole;
+    a mixed batch draws its gamma = 0, then its delta = 0, then its
+    interior elements.
     """
     nu = np.asarray(nu, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -428,6 +458,12 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
         if 0.0 < d < math.inf and 0.0 < g < math.inf and math.isfinite(n):
             z = (d / g) * _devroye_gig_one(n, d * g, rng)
             return np.array(z, ndmin=len(shape)) if shape else z
+    # an all-interior batch is valid, and the array kernel draws it whole
+    interior = (
+        np.isfinite(nu) & (0.0 < delta) & (delta < math.inf) & (0.0 < gamma) & (gamma < math.inf)
+    )
+    if interior.all():
+        return (delta / gamma) * _devroye_gig(nu, np.broadcast_to(delta * gamma, shape), rng)
     nu = np.broadcast_to(nu, shape)
     delta = np.broadcast_to(delta, shape)
     gamma = np.broadcast_to(gamma, shape)

@@ -19,7 +19,9 @@ L' diag(G_s[j, j]) L / sigma^2, where the group magnitude is the root of
 a scalar secular equation, solved by Newton's method (Qin, Scheinberg &
 Goldfarb 2013, Math. Prog. Comp. 5:143).  Where ||c||^2 is not finite
 the Newton start is NaN, and the group step fails before any Newton step
-with the typed "no root" ``NumericalError`` that names the overflow.
+with the typed "no root" ``NumericalError`` that names the overflow; the
+solve runs with numpy's overflow warnings off, so that error is all a
+caller sees.
 
 The windows of a fit are independent, so they are solved together.  The
 per-step Gram data are built and checked once per fit, and the windows
@@ -199,6 +201,9 @@ def _kkt_residual(
     return np.maximum(viol.max(axis=1), 0.0)
 
 
+# a group norm that overflows is the typed "no root" error of its window, so
+# the overflow it passes through on the way (c'c, c * c, the norms) is silent
+@np.errstate(over="ignore")
 def _solve_windows(
     G: NDArray[np.float64], b: NDArray[np.float64], yy: NDArray[np.float64],
     L: NDArray[np.float64], gamma: float, sigma2: float, tol: float, max_iter: int,

@@ -107,7 +107,16 @@ def _hash_bytes(data: bytes) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to the sibling ``.NAME.tmp``, then rename it to ``path``.
+
+    Where a directory holds that name, the first ``.NAME.tmp<k>`` that no
+    directory holds serves instead, so a stray directory never fails a run.
+    """
     tmp = path.with_name(f".{path.name}.tmp")
+    k = 0
+    while tmp.is_dir():
+        k += 1
+        tmp = path.with_name(f".{path.name}.tmp{k}")
     tmp.write_text(text)
     os.replace(tmp, path)
 

@@ -16,8 +16,10 @@ exact for the posterior over trajectories.
 
 Particle histories are kept as per-generation states plus ancestor
 indices; the window of past beta values needed by the GIG conditional is
-read from a rolling lineage buffer that is re-gathered at every step's
-resample, so windows never mix values across particle lineages.
+read from a lineage buffer that is re-gathered at every step's resample,
+so windows never mix values across particle lineages.  The buffer is two
+arrays allocated once per pass: a step reads its window from the leading
+rows of one and gathers the next step's window into the other.
 The tau step serves every window length of a step at once: each
 particle's buffer reads as zero outside its own window, and one AR(1) norm
 call over the whole buffer gives all window norms.  A step draws tau from
@@ -25,6 +27,12 @@ call over the whole buffer gives all window norms.  A step draws tau from
 alpha * beta_{t-1}, or from the marginal GIG for the mean 0 (t = 1 and
 fixed d = 0).  The buffer is (L, N, p), window axis first, so the norm's
 sums run over the leading axis for all particles at once.
+
+At N = 1000 a step costs about as much per numpy call as per element, so
+the step makes few calls and keeps every generator call and output bit:
+the Cholesky pass skips its sums over empty ranges (subtracting their 0.0
+is exact), and the pass hoists log N and its zero prior mean out of the
+loop.
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ def _sample_tau(
     start = L - ds  # buffer index of each particle's window start
     inside = np.arange(L)[:, None] >= start
     # window axis moved last as a view: numpy reduces it slab by slab
-    windows = np.moveaxis(np.where(inside[:, :, None], hist, 0.0), 0, -1)
+    windows = np.where(inside[:, :, None], hist, 0.0).transpose(1, 2, 0)
     msq = mahal_sq_batch(windows, config.alpha)
     if L > 1:
         # outside the window the buffer reads as zero; for 1 <= d < L the
@@ -137,23 +145,33 @@ def _weight_and_propose(
     rhs = (r @ X / sigma2).T
     chol = np.zeros((p, p, N))
     u = np.empty((p, N))
+    # the sums over an empty range (column 0 of L, row p of L') are 0.0, and
+    # subtracting them is exact, so they are skipped
     for j in range(p):
         done = chol[j, :j]  # row j left of the diagonal
-        pivot = G[j, j] + 1.0 / tau[:, j] - (done * done).sum(axis=0)
+        pivot = G[j, j] + 1.0 / tau[:, j]
+        u[j] = rhs[j]
+        if j:
+            pivot -= (done * done).sum(axis=0)
+            u[j] -= np.einsum("kn,kn->n", done, u[:j])
         if not (pivot > 0.0).all():
             raise NumericalError(
                 f"posterior precision not positive definite: pivot {j + 1} is {pivot.min()}"
             )
         chol[j, j] = np.sqrt(pivot)
-        below = np.einsum("ikn,kn->in", chol[j + 1 :, :j], done)
-        chol[j + 1 :, j] = (G[j + 1 :, j, None] - below) / chol[j, j]
-        u[j] = (rhs[j] - np.einsum("kn,kn->n", done, u[:j])) / chol[j, j]
+        u[j] /= chol[j, j]
+        if j + 1 < p:
+            below = G[j + 1 :, j, None]
+            if j:
+                below = below - np.einsum("ikn,kn->in", chol[j + 1 :, :j], done)
+            chol[j + 1 :, j] = below / chol[j, j]
     # back substitution L' [b, w] = [u, z]
     bw = np.empty((2, p, N))
     bw[1] = rng.standard_normal((N, p)).T
     bw[0] = u
     for i in range(p - 1, -1, -1):
-        bw[:, i] -= np.einsum("kn,ckn->cn", chol[i + 1 :, i], bw[:, i + 1 :])
+        if i + 1 < p:
+            bw[:, i] -= np.einsum("kn,ckn->cn", chol[i + 1 :, i], bw[:, i + 1 :])
         bw[:, i] /= chol[i, i]
     b, w = bw[0].T, bw[1].T
     e = r - b @ X.T
@@ -170,7 +188,7 @@ def _systematic_resample(
     """Systematic resampling: one uniform, N evenly spaced points."""
     N = weights.shape[0]
     positions = (rng.random() + np.arange(N)) / N
-    return np.searchsorted(np.cumsum(weights), positions).clip(max=N - 1)
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), N - 1)
 
 
 def _next_d(
@@ -199,12 +217,19 @@ def smc_run(
     d_hist = np.empty((T, N), dtype=np.int64)
     ancestors = np.empty((T, N), dtype=np.int64)
 
-    hist = np.zeros((0, N, p))  # lineage window buffer, regathered on resample
+    # the lineage window, most recent last, is the first L rows of one of two
+    # buffers: a step reads it there and writes beta_t in row L, then gathers
+    # the next window into the first rows of the other by ancestor
+    lineage, spare = np.empty((T, N, p)), np.empty((T, N, p))
+    L = 0
+    zero_mean = np.zeros((N, p))
+    log_n = np.log(N)
     ds = np.zeros(N, dtype=np.int64)
     log_Z = 0.0
 
     for t in range(T):
         y, X = data.ys[t], data.Xs[t]
+        hist = lineage[:L]
         try:
             if t > 0:
                 ds = _next_d(ds, t + 1, config, rng)
@@ -212,15 +237,15 @@ def smc_run(
             # binomial chain steps from alpha * beta_{t-1} even at d_t = 0
             scaled = t > 0 and (not config.fixed_d or config.d > 0)
             tau = _sample_tau(hist, ds, config, rng, scaled)
-            m = alpha * hist[-1] if scaled else np.zeros((N, p))
+            m = alpha * hist[-1] if scaled else zero_mean
             lw, beta = _weight_and_propose(y, X, m, tau, s2, rng)
         except (NumericalError, DomainError) as exc:
             raise type(exc)(f"at time step t={t + 1}: {exc}") from exc
 
-        total = lw - np.log(N)  # each step starts from a resample
-        if np.isnan(total).any():
+        total = lw - log_n  # each step starts from a resample
+        top = total.max()  # NaN if any log-weight is
+        if np.isnan(top):
             raise NumericalError(f"NaN particle log-weight at t={t + 1}")
-        top = total.max()
         if top == -np.inf:
             raise DegeneracyError(f"all particle weights collapsed at t={t + 1}")
         if top == np.inf:
@@ -235,9 +260,12 @@ def smc_run(
         anc = _systematic_resample(w, rng)
         ancestors[t] = anc
 
-        hist = np.concatenate([hist, beta[None]])
-        keep = int(ds.max()) + 1  # deepest window next step can request, beta_{t-1} at least
-        hist = hist[max(0, hist.shape[0] - keep) :, anc]
+        lineage[L] = beta
+        # the deepest window next step can request, beta_{t-1} at least
+        keep = min(L + 1, int(ds.max()) + 1)
+        # anc lies in [0, N), so "clip" changes nothing and take writes out unbuffered
+        np.take(lineage[L + 1 - keep : L + 1], anc, axis=1, out=spare[:keep], mode="clip")
+        lineage, spare, L = spare, lineage, keep
         ds = ds[anc]
 
     # final draw proportional to the terminal (pre-resample) weights,

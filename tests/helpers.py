@@ -6,8 +6,8 @@ the package's own normalizers or samplers.  The package itself never
 imports scipy.integrate, so these oracles live here rather than in
 ``dynsparse.special``.  Other oracles are earlier forms of package code that
 later ones must reproduce exactly: the per-coefficient EM step, the
-masked-round and the np.float64 scalar Devroye GIG kernels and the
-per-window group-lasso solver.
+masked-round and the np.float64 scalar Devroye GIG kernels, the SMC step's
+weight and draw, and the per-window group-lasso solver.
 """
 
 import math
@@ -350,6 +350,47 @@ def _reference_gig_interior(nu, delta, gamma, rng):
         d, g = delta.flat[0], gamma.flat[0]
         return np.full(delta.shape, (d / g) * reference_devroye_gig_one(nu.flat[0], d * g, rng))
     return (delta / gamma) * reference_devroye_gig(nu, delta * gamma, rng)
+
+
+def reference_weight_and_propose(y, X, m, tau, sigma2, rng):
+    """The SMC step's weight and draw with every sum over an empty range kept,
+    as a stream oracle: the same arithmetic, plus subtractions of 0.0.
+
+    Its Cholesky factor of the p x p posterior precision is built column by
+    column over all particles (particle axis last), with the forward solve in
+    the same pass; U and the normal draws are taken as the library takes them.
+    """
+    N, p = tau.shape
+    n = y.shape[0]
+    r = y[None, :] - m @ X.T
+    G = X.T @ X / sigma2
+    rhs = (r @ X / sigma2).T
+    chol = np.zeros((p, p, N))
+    u = np.empty((p, N))
+    for j in range(p):
+        done = chol[j, :j]
+        pivot = G[j, j] + 1.0 / tau[:, j] - (done * done).sum(axis=0)
+        if not (pivot > 0.0).all():
+            raise NumericalError(
+                f"posterior precision not positive definite: pivot {j + 1} is {pivot.min()}"
+            )
+        chol[j, j] = np.sqrt(pivot)
+        below = np.einsum("ikn,kn->in", chol[j + 1 :, :j], done)
+        chol[j + 1 :, j] = (G[j + 1 :, j, None] - below) / chol[j, j]
+        u[j] = (rhs[j] - np.einsum("kn,kn->n", done, u[:j])) / chol[j, j]
+    bw = np.empty((2, p, N))
+    bw[1] = rng.standard_normal((N, p)).T
+    bw[0] = u
+    for i in range(p - 1, -1, -1):
+        bw[:, i] -= np.einsum("kn,ckn->cn", chol[i + 1 :, i], bw[:, i + 1 :])
+        bw[:, i] /= chol[i, i]
+    b, w = bw[0].T, bw[1].T
+    e = r - b @ X.T
+    with np.errstate(over="ignore"):
+        quad_form = (e * e).sum(axis=1) / sigma2 + (b * b / tau).sum(axis=1)
+    logdet = n * np.log(sigma2) + np.log(tau).sum(axis=1)
+    logdet += 2.0 * np.log(np.diagonal(chol)).sum(axis=1)
+    return -0.5 * (n * float(np.log(2.0 * np.pi)) + logdet + quad_form), m + b + w
 
 
 def reference_simulate_path(config, T, rng, d_path=None):

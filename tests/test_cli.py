@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import dynsparse.cli
 import dynsparse.smc
-from dynsparse import ParseError, RegressionData, load_data, synthetic_regression
+from dynsparse import ParseError, RegressionData, load_data, synthetic_regression, verify_dir
 from dynsparse.cli import run_command
 
 
@@ -491,6 +491,26 @@ def test_out_dir_entry_that_is_a_directory_is_a_config_error(
     assert capsys.readouterr().err == f"error: {message}\n"
     assert [p.name for p in out.iterdir()] == [entry]  # no table, manifest or .tmp file
     assert not any((out / entry).iterdir())
+
+
+def test_temporary_sibling_that_is_a_directory_does_not_fail_the_run(tmp_path, capsys):
+    # io writes each file to its .NAME.tmp sibling first; a directory there
+    # is passed over, and the run writes what it writes without one
+    argv = ["simulate", "nu=0.5", "delta=0.5", "gamma=1.0", "alpha=0.5", "d=2", "sigma=1.0",
+            "T=20", "seed=3"]
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert run_command([*argv, f"out_dir={clean}"]) == 0
+    (out / ".path.csv.tmp" / "inside").mkdir(parents=True)
+    capsys.readouterr()
+    assert run_command([*argv, f"out_dir={out}"]) == 0
+    assert capsys.readouterr().out == f"{(out / 'path.csv').as_posix()}\n"
+    assert sorted(p.name for p in out.iterdir()) == [".path.csv.tmp", "manifest.json", "path.csv"]
+    assert [p.name for p in (out / ".path.csv.tmp").iterdir()] == ["inside"]
+    rows = [(d / "path.csv").read_text().split("\n", 1)[1] for d in (out, clean)]
+    assert rows[0] == rows[1]  # below the run line, which names out_dir's run
+    for name in ("path.csv", "manifest.json"):
+        assert (out / name).stat().st_mode == (clean / name).stat().st_mode
+    assert verify_dir(out) == []
 
 
 FIT_CONFIG_ERRORS = [

@@ -366,6 +366,41 @@ def test_devroye_array_kernel_keeps_the_masked_round_stream():
     assert max(rounds) >= 5
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_gig_rvs_batches_keep_the_masked_round_stream(seed):
+    # an all-interior batch, with nu broadcast from (N, 1) as the SMC step
+    # passes it, draws (delta / gamma) * the masked-round kernel's draw at
+    # omega = delta * gamma and leaves the generator where that one does
+    pars = np.random.default_rng(100 + seed)
+    nu = pars.uniform(-3.0, 3.0, (40, 1))
+    delta = 10.0 ** pars.uniform(-3.0, 2.0, (40, 3))
+    gamma = 10.0 ** pars.uniform(-2.0, 1.0)
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    z = gig_rvs(nu, delta, gamma, rng)
+    assert np.array_equal(z, (delta / gamma) * reference_devroye_gig(nu, delta * gamma, oracle))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    # a mixed batch draws its inverse-gamma laws (gamma = 0), then its gamma
+    # laws (delta = 0), then its interior as above
+    nu = pars.uniform(0.1, 3.0, 60)
+    delta = 10.0 ** pars.uniform(-3.0, 2.0, 60)
+    gamma = 10.0 ** pars.uniform(-2.0, 1.0, 60)
+    delta[::6] = 0.0
+    gamma[3::6], nu[3::6] = 0.0, -nu[3::6]
+    nu[1::6] = -nu[1::6]
+    g0, d0 = gamma == 0.0, delta == 0.0
+    inner = ~(g0 | d0)
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    z = gig_rvs(nu, delta, gamma, rng)
+    expected = np.empty(60)
+    expected[g0] = (delta[g0] ** 2 / 2.0) / oracle.gamma(-nu[g0], 1.0)
+    expected[d0] = oracle.gamma(nu[d0], 2.0 / gamma[d0] ** 2)
+    expected[inner] = (delta[inner] / gamma[inner]) * reference_devroye_gig(
+        nu[inner], delta[inner] * gamma[inner], oracle
+    )
+    assert np.array_equal(z, expected)
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_gig_rvs_fails_fast_when_omega_squared_overflows(size):
     # omega = delta * gamma = 1e160: omega * omega overflows, so no rejection

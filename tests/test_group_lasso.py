@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -423,6 +424,21 @@ def test_overflowing_group_norm_is_a_numerical_error():
             assert "overflows" in str(info.value)
             with pytest.raises(NumericalError, match="^at time step t=3: group magnitude"):
                 run_sliding_window(data, config)
+
+
+def test_overflowing_group_norm_fails_without_a_warning():
+    # y ~ +-1e150 and sigma = 0.01: the group norms of the t = 3 window
+    # overflow in c'c, in c * c and in the norms; the fit raises the typed
+    # "no root" error, and no overflow warning leaks out on the way
+    ys, Xs = [], []
+    for t in (1, 2, 3):
+        ys.append([1e150 * (-1) ** (t + i) * (1.0 + 0.1 * i) for i in range(5)])
+        Xs.append([[1.0 + 0.3 * i - 0.2 * t, 0.5 - 0.1 * i * t] for i in range(5)])
+    config = ModelConfig(nu=2.0, delta=0.0, gamma=1.0, alpha=0.5, sigma=0.01, p=2, d=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^at time step t=3: group magnitude: no root"):
+            run_sliding_window(RegressionData(ys, Xs), config)
 
 
 def test_solve_window_names_the_step_with_non_finite_data():

@@ -29,7 +29,7 @@ from dynsparse import (
 )
 from dynsparse.smc import _sample_tau, _systematic_resample, _weight_and_propose
 
-from helpers import gh_pdf_by_mixture, normal_pdf
+from helpers import gh_pdf_by_mixture, normal_pdf, reference_weight_and_propose
 
 
 def cfg(**kw):
@@ -141,6 +141,24 @@ def test_weight_matches_high_precision_dense_oracle(n, p):
     lw, _ = _weight_and_propose(y, X, m, tau, s2, rng)
     exact = [dense_log_weight_oracle(y, X, tau[i], m[i], s2) for i in range(N)]
     np.testing.assert_allclose(lw, exact, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 3])
+def test_weight_and_propose_keeps_the_reference_stream(n, p):
+    # skipping the sums over empty ranges keeps every bit of the weights and
+    # draws, and the generator state, at n < p, n = p and n > p
+    rng = np.random.default_rng(100 * n + p)
+    X = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    m = rng.standard_normal((60, p))
+    tau = np.exp(rng.uniform(-8.0, 8.0, (60, p)))
+    for seed in range(3):
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        lw, beta = _weight_and_propose(y, X, m, tau, 0.3, got)
+        lw_ref, beta_ref = reference_weight_and_propose(y, X, m, tau, 0.3, ref)
+        assert np.array_equal(lw, lw_ref) and np.array_equal(beta, beta_ref)
+        assert got.bit_generator.state == ref.bit_generator.state
 
 
 def test_proposal_matches_dense_posterior():
