@@ -8,6 +8,7 @@ from .distributions import (
     gh_sample,
     gig_log_pdf,
     gig_moment,
+    log_gig_normalizer,
     mgh_log_pdf,
     mgh_sample,
 )
@@ -36,7 +37,7 @@ from .smc import (
     posterior_summary,
     smc_run,
 )
-from .special import log_bessel_k, log_gig_normalizer
+from .special import log_bessel_k
 from .synthetic import CHANGE_POINTS, synthetic_regression
 
 __version__ = "0.1.0"

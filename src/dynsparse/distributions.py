@@ -1,5 +1,9 @@
 """GIG, univariate GH and multivariate GH laws.
 
+Every rule of the GIG law is stated here once: the region rule
+(``validate_gig_region``), the normalizing constant, the density, the
+moments and the sampler; ``special`` supplies only log K.
+
 The GH family arises as a scale mixture of normals: ``x | tau ~ N(mu, tau)``
 with ``tau ~ GIG(nu, delta, gamma)``.  The multivariate variant shares one
 GIG scale across a Gaussian vector, which is what induces group-level
@@ -30,18 +34,12 @@ psi and psi' at the cut points share one expm1, the fifteen per-element
 constants of a round are written in place into one buffer, and a round
 evaluates each pair of like formulas (the two exponential pieces of the
 proposal, the two tails of the hat) as one product over two rows.
-
-The scalar kernel keeps its state in Python floats, which are cheaper per
-operation than numpy scalars: +, -, *, / and ``math.sqrt`` are correctly
-rounded IEEE float64 operations either way.  Its cosh, sinh, expm1, exp,
-log and log1p stay numpy ufunc calls, because numpy's vectorised loops
-and the C library behind ``math`` do not round alike (``math.cosh`` and
-``np.cosh`` disagree in the last bit on a sizeable share of inputs).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -49,14 +47,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, NumericalError
-from .special import (
-    bind_on_first_call,
-    log_bessel_k,
-    log_gig_normalizer,
-    validate_gig_region,
-)
+from .special import bind_on_first_call, log_bessel_k
 
 __all__ = [
+    "validate_gig_region",
+    "log_gig_normalizer",
     "GigParams",
     "GhParams",
     "MghParams",
@@ -91,6 +86,20 @@ _COSH_M1, _EXPM1_M1 = float(np.cosh(-1.0)) - 1.0, float(np.expm1(-1.0)) - -1.0
 cholesky = bind_on_first_call(globals(), "scipy.linalg", "cholesky")
 cho_solve = bind_on_first_call(globals(), "scipy.linalg", "cho_solve")
 gammaln = bind_on_first_call(globals(), "scipy.special", "gammaln")
+
+
+def validate_gig_region(nu: float, delta: float, gamma: float) -> None:
+    """Raise DomainError unless (nu, delta, gamma) lies in the GIG region."""
+    if not (math.isfinite(nu) and math.isfinite(delta) and math.isfinite(gamma)):
+        raise DomainError(f"non-finite GIG parameters ({nu}, {delta}, {gamma})")
+    if delta < 0.0 or gamma < 0.0:
+        raise DomainError(f"delta and gamma must be nonnegative, got ({delta}, {gamma})")
+    if delta == 0.0 and gamma == 0.0:
+        raise DomainError("delta and gamma cannot both be zero")
+    if delta == 0.0 and nu <= 0.0:
+        raise DomainError(f"delta = 0 requires nu > 0, got nu={nu}")
+    if gamma == 0.0 and nu >= 0.0:
+        raise DomainError(f"gamma = 0 requires nu < 0, got nu={nu}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,27 @@ class MghParams:
 # ---------------------------------------------------------------------------
 
 
+def log_gig_normalizer(nu: float, delta: float, gamma: float) -> float:
+    """Log normalizing constant of the GIG(nu, delta, gamma) density.
+
+    The density is ``C * x^(nu-1) * exp(-(delta^2/x + gamma^2 x)/2)`` on
+    (0, inf); this returns log C.  The boundaries delta = 0 (gamma limit)
+    and gamma = 0 (inverse-gamma limit) are explicit branches.
+    """
+    validate_gig_region(nu, delta, gamma)
+    if delta == 0.0:
+        # gamma(shape=nu, rate=gamma^2/2)
+        return nu * math.log(gamma * gamma / 2.0) - gammaln(nu)
+    if gamma == 0.0:
+        # inverse-gamma(shape=-nu, scale=delta^2/2)
+        return -nu * math.log(delta * delta / 2.0) - gammaln(-nu)
+    return (
+        nu * (math.log(gamma) - math.log(delta))
+        - math.log(2.0)
+        - log_bessel_k(nu, delta * gamma)
+    )
+
+
 def gig_log_pdf(params: GigParams, x: float) -> float:
     """Log density of the GIG law at x > 0."""
     x = float(x)
@@ -198,7 +228,8 @@ def gig_moment(params: GigParams, power: int) -> float:
     For delta, gamma > 0 every integer moment exists and equals
     ``(delta/gamma)^power * K_{nu+power}(delta*gamma) / K_nu(delta*gamma)``.
     """
-    power = int(power)
+    if not isinstance(power, numbers.Integral):
+        raise DomainError(f"gig_moment needs an integer power, got {power!r}")
     nu, delta, gamma = params.nu, params.delta, params.gamma
     if power == 0:
         return 1.0
@@ -345,12 +376,14 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
 def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
     """One draw of :func:`_devroye_gig`, without its array bookkeeping.
 
-    The same operations in the same order, on Python floats: +, -, *, /
-    and ``math.sqrt`` round as numpy's float64 does, so they give the
-    array kernel's bits.  cosh, sinh, expm1, exp, log and log1p are numpy
-    ufunc calls on one float, because the ``math`` functions round
-    differently; the terms at the probe points +-1 are formed once at
-    import, and each cut point shares one expm1 between psi and psi'.
+    The same operations in the same order, on Python floats, which cost
+    less per operation than numpy scalars: +, -, *, / and ``math.sqrt``
+    round as numpy's float64 does, so they give the array kernel's bits.
+    cosh, sinh, expm1, exp, log and log1p are numpy ufunc calls on one
+    float, because the ``math`` functions round differently (``math.cosh``
+    and ``np.cosh`` disagree in the last bit on many inputs); the terms at
+    the probe points +-1 are formed once at import, and each cut point
+    shares one expm1 between psi and psi'.
     Only ordinary parameters are drawn here (0 < omega <= _OMEGA_MAX and
     alpha^2 > 0, so no division in the setup meets a zero); every other
     input goes to the array kernel before a uniform is taken.  Where
@@ -495,6 +528,11 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
 # ---------------------------------------------------------------------------
 
 
+def _in_delta_limit(nu: float, delta: float) -> bool:
+    """Whether the GH density takes delta as 0 (its small-delta limit), delta^2 included."""
+    return delta < _DELTA_LIMIT and nu > 0.0
+
+
 def _mgh_log_norm(
     nu: float, delta: float, gamma: float, p: int, logdet_sigma: float
 ) -> tuple[float, float]:
@@ -503,7 +541,7 @@ def _mgh_log_norm(
     Delta squared is 0 in the small-delta limit, so callers drop a
     negligible delta from the Mahalanobis term consistently.
     """
-    if delta < _DELTA_LIMIT and nu > 0.0:
+    if _in_delta_limit(nu, delta):
         head = math.log(2.0) - gammaln(nu) + nu * math.log(gamma * gamma / 2.0)
         d2 = 0.0
     else:
@@ -567,7 +605,7 @@ def gh_log_pdf_grad(params: GhParams, x: float) -> float:
     if gamma == 0.0:
         q2 = delta * delta + r * r
         return (2.0 * nu - 1.0) * r / q2
-    d2 = 0.0 if (delta < _DELTA_LIMIT and nu > 0.0) else delta * delta
+    d2 = 0.0 if _in_delta_limit(nu, delta) else delta * delta
     q2 = d2 + r * r
     if q2 == 0.0:
         return 0.0
@@ -607,7 +645,9 @@ def gh_sample(params: GhParams, rng: np.random.Generator, size=None):
     tau = gig_rvs(
         params.nu, params.delta, params.gamma, rng, size=(1,) if size is None else size
     )
-    x = params.mu + np.sqrt(tau) * rng.standard_normal(np.shape(tau))
+    x = np.sqrt(tau) * rng.standard_normal(np.shape(tau))
+    if params.mu:  # adding a zero mu would turn a draw of -0.0 into 0.0
+        x += params.mu
     if size is None:
         return float(x[0])
     return x

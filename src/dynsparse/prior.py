@@ -14,21 +14,15 @@ inverse is tridiagonal, giving O(d) Mahalanobis norms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .distributions import (
-    GhParams,
-    MghParams,
-    gh_sample,
-    gig_rvs,
-    mgh_sample,
-)
+from .distributions import GhParams, MghParams, gh_sample, gig_rvs, mgh_sample, validate_gig_region
 from .errors import DomainError
-from .special import validate_gig_region
 
 __all__ = [
     "window_correlation",
@@ -45,8 +39,8 @@ _ALPHA_MAX = 1.0 - 1e-9
 
 def window_correlation(dim: int, alpha: float) -> NDArray[np.float64]:
     """AR(1) correlation matrix of a coefficient window: entries alpha^|i-j|."""
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
+    if not isinstance(dim, numbers.Integral) or dim < 1:
+        raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1) (alpha = 1 is degenerate), got {alpha}")
     idx = np.arange(dim)
@@ -95,6 +89,10 @@ class ModelConfig:
             raise DomainError(f"alpha must lie in [0, {_ALPHA_MAX}], got {self.alpha}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
+        for name in ("p", "d"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.p < 1:
             raise DomainError(f"p must be >= 1, got {self.p}")
         if (self.d is None) == (self.rho is None):
@@ -178,12 +176,12 @@ def simulate_path(
     beta = np.empty((p, T))
     alpha = config.alpha
     sa = math.sqrt(1.0 - alpha**2)
+    marginal = GhParams(0.0, config.nu, config.delta, config.gamma)
 
     if config.fixed_d:
         d = int(config.d)
         if d == 0:
-            tau = gig_rvs(config.nu, config.delta, config.gamma, rng, size=(p, T))
-            return np.sqrt(tau) * rng.standard_normal((p, T))
+            return gh_sample(marginal, rng, size=(p, T))
         start = min(d, T)
         init = MghParams(
             np.zeros(start), config.nu, config.delta, config.gamma,
@@ -204,7 +202,7 @@ def simulate_path(
             rule = "is negative" if d_path[t] < 0 else f"exceeds the available history {t}"
             raise DomainError(f"d_path[{t}]={d_path[t]} {rule}")
         for j in range(p):
-            beta[j, 0] = gh_sample(GhParams(0.0, config.nu, config.delta, config.gamma), rng)
+            beta[j, 0] = gh_sample(marginal, rng)
         start = 1
         lengths = d_path.tolist()
 

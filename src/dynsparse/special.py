@@ -1,22 +1,23 @@
-"""Log-scale special functions.
+"""The log of the modified Bessel function of the second kind.
 
-Every density in the package is computed in log space; the central
-primitive is ``log K_a(z)``, the log of the modified Bessel function of
-the second kind.  ``scipy.special.kve`` covers the bulk of the domain in
-double precision; the extreme corner (tiny argument together with a large
-order, where ``K_a(z)`` overflows a double) falls back to arbitrary
-precision via mpmath, which is imported on that branch only.
-``log_bessel_k_rows`` evaluates rows of (order, args) pairs, each row
-with its own arguments, in one ``kve`` call and gives the scalar
-function's bits; it is the only caller of ``kve`` besides the scalar
-function.
+Every density in the package is computed in log space on the primitive
+``log K_a(z)``.  This module holds that function and nothing of the GIG
+law built on it: the region rule, normalizing constant, density, moments
+and sampler live in ``distributions``.  ``scipy.special.kve`` covers the
+bulk of the domain in double precision; the extreme corner (tiny
+argument together with a large order, where ``K_a(z)`` overflows a
+double) falls back to arbitrary precision via mpmath, which is imported
+on that branch only.  ``log_bessel_k_rows`` evaluates rows of (order,
+args) pairs, each row with its own arguments, in one ``kve`` call and
+gives the scalar function's bits; it is the only caller of ``kve``
+besides the scalar function.
 
 No module of the package imports scipy's submodules at load time: each
-of ``scipy.special`` (here) and ``scipy.linalg`` (``distributions``,
-``map_em``) takes about 0.3 s and 25 MB to import, and only ``fit-map``
-and fixed-d ``simulate`` call into them.  Their functions are bound
-through :func:`bind_on_first_call`, so ``scipy.special`` loads on the
-first ``kve`` or ``gammaln`` call of the process.
+of ``scipy.special`` and ``scipy.linalg`` takes about 0.3 s and 25 MB to
+import, and only ``fit-map`` and fixed-d ``simulate`` call into them.
+Their functions are bound through :func:`bind_on_first_call`, so
+``scipy.special`` loads on the first ``kve`` (here) or ``gammaln``
+(``distributions``) call of the process.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "log_bessel_k",
-    "log_bessel_k_rows",
-    "log_gig_normalizer",
-    "validate_gig_region",
-]
+__all__ = ["log_bessel_k", "log_bessel_k_rows"]
 
 
 def bind_on_first_call(namespace: dict, module: str, name: str) -> Callable:
@@ -54,7 +50,6 @@ def bind_on_first_call(namespace: dict, module: str, name: str) -> Callable:
 
 
 kve = bind_on_first_call(globals(), "scipy.special", "kve")
-gammaln = bind_on_first_call(globals(), "scipy.special", "gammaln")
 
 
 def log_bessel_k(order: float, arg: float) -> float:
@@ -108,38 +103,3 @@ def log_bessel_k_rows(rows: Sequence[tuple[float, Sequence[float]]]) -> list[lis
         start += len(zs)
         out.append(row if None not in row else [log_bessel_k(order, z) for z in zs])
     return out
-
-
-def log_gig_normalizer(nu: float, delta: float, gamma: float) -> float:
-    """Log normalizing constant of the GIG(nu, delta, gamma) density.
-
-    The density is ``C * x^(nu-1) * exp(-(delta^2/x + gamma^2 x)/2)`` on
-    (0, inf); this returns log C.  The boundaries delta = 0 (gamma limit)
-    and gamma = 0 (inverse-gamma limit) are explicit branches.
-    """
-    validate_gig_region(nu, delta, gamma)
-    if delta == 0.0:
-        # gamma(shape=nu, rate=gamma^2/2)
-        return nu * math.log(gamma * gamma / 2.0) - gammaln(nu)
-    if gamma == 0.0:
-        # inverse-gamma(shape=-nu, scale=delta^2/2)
-        return -nu * math.log(delta * delta / 2.0) - gammaln(-nu)
-    return (
-        nu * (math.log(gamma) - math.log(delta))
-        - math.log(2.0)
-        - log_bessel_k(nu, delta * gamma)
-    )
-
-
-def validate_gig_region(nu: float, delta: float, gamma: float) -> None:
-    """Raise DomainError unless (nu, delta, gamma) lies in the GIG region."""
-    if not (math.isfinite(nu) and math.isfinite(delta) and math.isfinite(gamma)):
-        raise DomainError(f"non-finite GIG parameters ({nu}, {delta}, {gamma})")
-    if delta < 0.0 or gamma < 0.0:
-        raise DomainError(f"delta and gamma must be nonnegative, got ({delta}, {gamma})")
-    if delta == 0.0 and gamma == 0.0:
-        raise DomainError("delta and gamma cannot both be zero")
-    if delta == 0.0 and nu <= 0.0:
-        raise DomainError(f"delta = 0 requires nu > 0, got nu={nu}")
-    if gamma == 0.0 and nu >= 0.0:
-        raise DomainError(f"gamma = 0 requires nu < 0, got nu={nu}")

@@ -23,7 +23,6 @@ from dynsparse import (
     mgh_log_pdf,
     mgh_sample,
 )
-from dynsparse.special import validate_gig_region
 from dynsparse.distributions import (
     _OMEGA_MAX,
     _devroye_gig,
@@ -31,6 +30,7 @@ from dynsparse.distributions import (
     gh_log_norm,
     gh_log_pdf_grad,
     gig_rvs,
+    validate_gig_region,
 )
 from helpers import (
     gh_cdf_grid,
@@ -122,6 +122,20 @@ def test_gig_moment_nonexistent():
     # inverse-gamma with shape 1: mean diverges
     with pytest.raises(DomainError):
         gig_moment(GigParams(-1.0, 2.0, 0.0), 1)
+
+
+@pytest.mark.parametrize("power", [0.5, -1.5, 2.0])
+def test_gig_moment_rejects_a_non_integer_power(power):
+    # int(power) used to truncate, so a power of 0.5 returned E[X^0] = 1
+    message = f"gig_moment needs an integer power, got {power!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        gig_moment(GigParams(1.0, 1.0, 1.0), power)
+
+
+def test_gig_moment_takes_numpy_integers():
+    params = GigParams(1.0, 1.0, 1.0)
+    for power in (-1, 0, 2):
+        assert gig_moment(params, np.int64(power)) == gig_moment(params, power)
 
 
 def test_gig_sampler_exponential_limit():

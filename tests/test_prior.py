@@ -25,6 +25,7 @@ from dynsparse import (
     simulate_path,
     window_correlation,
 )
+from dynsparse.distributions import gig_rvs
 from dynsparse.prior import mahal_sq_batch
 from helpers import gh_cdf_grid, ks_statistic, reference_simulate_path
 
@@ -100,6 +101,13 @@ def test_config_region_checks():
 INPUT_ERRORS = [
     ("config-p=0", lambda rng: cfg(p=0), "p must be >= 1, got 0"),
     ("config-d=-1", lambda rng: cfg(d=-1), "d must be nonnegative, got -1"),
+    ("config-p=1.5", lambda rng: cfg(p=1.5), "p must be an integer, got 1.5"),
+    ("config-d=2.5", lambda rng: cfg(d=2.5), "d must be an integer, got 2.5"),
+    (
+        "corr-dim=2.5",
+        lambda rng: window_correlation(2.5, 0.5),
+        "dim must be an integer >= 1, got 2.5",
+    ),
     ("config-rho=-0.1", lambda rng: cfg(d=None, rho=-0.1), "rho must lie in [0, 1], got -0.1"),
     ("config-rho=1.5", lambda rng: cfg(d=None, rho=1.5), "rho must lie in [0, 1], got 1.5"),
     ("path-T=0", lambda rng: simulate_path(cfg(), 0, rng), "T must be >= 1, got 0"),
@@ -323,6 +331,33 @@ def test_simulate_path_matches_the_reference_loop(kw):
     beta = simulate_path(c, 2000, rng, d_path=d_path)
     assert np.array_equal(beta, reference_simulate_path(c, 2000, oracle, d_path=d_path))
     assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "nu,delta,gamma",
+    [(1.0, 0.5, 1.0), (0.01, 0.0, 1.0), (-1.5, 0.7, 0.0)],
+    ids=["interior", "delta0", "gamma0"],
+)
+def test_fixed_d0_path_keeps_the_two_block_stream(nu, delta, gamma):
+    # d = 0 draws one (p, T) block of GIG scales, then one of standard normals
+    c = cfg(nu=nu, delta=delta, gamma=gamma, d=0, p=3)
+    rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+    beta = simulate_path(c, 2000, rng)
+    expected = np.sqrt(gig_rvs(nu, delta, gamma, twin, size=(3, 2000)))
+    expected *= twin.standard_normal((3, 2000))
+    assert np.array_equal(beta, expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    # shape-0.01 gamma scales underflow to exact zeros, and -0.0 stays -0.0
+    assert np.array_equal(np.signbit(beta), np.signbit(expected))
+    if delta == 0.0:
+        assert np.signbit(expected[expected == 0.0]).any()
+
+
+def test_numpy_integer_sizes_work_like_python_ints():
+    c = cfg(p=np.int64(2), d=np.int64(3))
+    beta = simulate_path(c, 40, np.random.default_rng(33))
+    assert np.array_equal(beta, simulate_path(cfg(p=2, d=3), 40, np.random.default_rng(33)))
+    assert np.array_equal(window_correlation(np.int32(3), 0.5), window_correlation(3, 0.5))
 
 
 def test_simulate_path_rejects_a_window_longer_than_the_history():

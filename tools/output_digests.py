@@ -7,8 +7,10 @@ Each job runs ``python -m dynsparse.cli`` with the package under ``SRC``
 (a checkout's ``src`` directory) on ``PYTHONPATH`` and BLAS on one
 thread, in a fresh temporary directory.  The jobs are those of
 ``bench/workloads.py`` at the benchmark's sizes for each seed, a rho-mode
-``simulate`` with p = 2 and an ``acf`` job for each seed, and a fixed
-list of CLI error cases.  For each job the script prints the exit code,
+``simulate`` with p = 2 and an ``acf`` job for each seed, small runs on
+the GIG limit laws for each seed (``fit-map`` at delta = 0 and at gamma
+= 0, a fixed-d ``fit-smc`` at delta = 0 and a fixed d = 0 ``simulate``
+with p = 3), and a fixed list of CLI error cases.  For each job the script prints the exit code,
 stdout, the stderr lines without their source locations (a warning's
 ``file:line:`` prefix and a traceback's frames are dropped), and the
 sha256 of every file under the job's ``out_dir``: of the bytes after the
@@ -31,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +73,32 @@ def sim_jobs(seeds: list[int]):
             "acf", "nu=0.1", "delta=0.01", "gamma=1.0", "alpha=0.0", "d=20", "sigma=1.0",
             "T=20000", "max_lag=30", f"seed={seed}", f"out_dir={out}",
         ], Path(out)
+
+
+def limit_jobs(workloads, seeds: list[int]):
+    """Runs whose priors sit on the delta = 0 (gamma) or gamma = 0 (Student) limit."""
+    for seed in seeds:
+        portfolio, signal = Path(f"limit-portfolio-{seed}.csv"), Path(f"limit-signal-{seed}.csv")
+        rng = np.random.default_rng(seed)
+        workloads.write_csv(portfolio, *workloads.portfolio_data(30, 5, rng))
+        workloads.write_csv(signal, *workloads.signal_data(40, rng))
+        fit = ["alpha=0.5", "d=2", "sigma=0.5", "max_iter=200", f"data_path={portfolio}"]
+        cases = {
+            "map-delta0": ["fit-map", "nu=2.0", "delta=0.0", "gamma=1.0", *fit],
+            "map-gamma0": ["fit-map", "nu=-2.0", "delta=0.5", "gamma=0.0", *fit],
+            "smc-delta0": [
+                "fit-smc", "nu=2.0", "delta=0.0", "gamma=1.0", "alpha=0.5", "d=2", "sigma=1.0",
+                "n_particles=50", "n_iters=5", f"seed={seed}", f"data_path={signal}",
+            ],
+            # shape-0.01 gamma draws underflow to exact zeros, so the path holds signed zeros
+            "simulate-d0": [
+                "simulate", "nu=0.01", "delta=0.0", "gamma=1.0", "alpha=0.5", "d=0",
+                "sigma=1.0", "p=3", "T=2000", f"seed={seed}",
+            ],
+        }
+        for label, argv in cases.items():
+            out = f"limit-{label}-{seed}"
+            yield f"limit {label} seed={seed}", [*argv, f"out_dir={out}"], Path(out)
 
 
 def error_jobs():
@@ -156,7 +186,11 @@ def main() -> None:
     workloads = load_workloads()
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
         os.chdir(work)
-        for job in (*bench_jobs(workloads, args.seeds), *sim_jobs(args.seeds), *error_jobs()):
+        jobs = (
+            *bench_jobs(workloads, args.seeds), *sim_jobs(args.seeds),
+            *limit_jobs(workloads, args.seeds), *error_jobs(),
+        )
+        for job in jobs:
             run_job(*job, env)
             sys.stdout.flush()
         os.chdir(ROOT)
