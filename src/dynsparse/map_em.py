@@ -10,14 +10,15 @@ The prior pieces come from :func:`dynsparse.prior.conditional_gh`; the
 first step (and a configured d = 0) use the i.i.d. GH marginal.
 
 Each sweep is batched over the p coefficients.  What stays fixed within
-a step (the GH log-normaliser head of each conditional, delta'^2, mu and
-the E-step Mahalanobis terms) is computed once per step, and each sweep
-makes one ``kve`` call over all p coefficients
-(:func:`dynsparse.special.log_bessel_k_rows`).  Once the M-step returns
-beta, every Bessel value the sweep needs next depends only on
-r = beta - mu, so the objective's call also holds the gradient check's
-rows and the next E-step's.  The E-step makes its own call only where
-the objective took the scalar route or where its own rows would raise.
+a step (the GH log-normaliser head of each conditional, delta'^2, mu,
+the E-step Mahalanobis terms and the 5p Bessel orders of a sweep) is
+computed once per step, and each sweep makes one flat ``kve`` call over
+all p coefficients (:func:`dynsparse.special.log_bessel_k_flat`).  Once
+the M-step returns beta, every Bessel value the sweep needs next depends
+only on r = beta - mu, so the objective's call also holds the gradient
+check's values and the next E-step's; each comes out as a p-long slice.
+The E-step makes its own call only where the objective took the scalar
+route or where its own arguments would raise.
 The M-step calls LAPACK ``dpotrf``/``dpotrs`` directly; ``scipy.linalg``
 loads on the first M-step solve of the process and ``scipy.special`` on
 the first ``kve`` call (see :mod:`dynsparse.special`), so importing this
@@ -48,7 +49,7 @@ from .distributions import (
 )
 from .errors import DomainError, NumericalError
 from .prior import ModelConfig, conditional_gh, mahal_sq_batch
-from .special import bind_on_first_call, log_bessel_k_rows
+from .special import bind_on_first_call, log_bessel_k_flat
 
 __all__ = ["RegressionData", "MapFit", "em_map_step", "run_online_map"]
 
@@ -178,6 +179,9 @@ def em_map_step(
         heads, d2s = zip(*(gh_log_norm(g) for g in priors))
         log_gamma = math.log(gamma)
         log_gamma_e = math.log(config.gamma)
+        # a sweep's Bessel orders, p of each: the prior terms' nu' - 1/2, the
+        # gradient check's nu' - 1/2 -+ 1 and the E-step's nu_e - 1 and nu_e
+        orders = np.array([order, order - 1.0, order + 1.0, nu_e - 1.0, nu_e]).repeat(p)
 
     def e_deltas(r: list[float]) -> list[float]:
         # the E-step GIG delta of every coefficient, with r_j = beta_j - mu_j
@@ -196,7 +200,8 @@ def em_map_step(
             if student:
                 return [gig_moment(GigParams(nu_e, dl, config.gamma), -1) for dl in dls]
             z = [dl * config.gamma for dl in dls]
-            lk_lo, lk = log_bessel_k_rows([(nu_e - 1.0, z), (nu_e, z)])
+            lk_e = log_bessel_k_flat(orders[3 * p :], z * 2)
+            lk_lo, lk = lk_e[:p], lk_e[p:]
         else:
             dls, lk_lo, lk = estep
         # gig_moment(GigParams(nu_e, dl, gamma), -1), operation for operation
@@ -208,8 +213,9 @@ def em_map_step(
     def objective(
         beta: NDArray[np.float64], r: list[float]
     ) -> tuple[float, Optional[tuple], Optional[tuple]]:
-        # also returns the gradient check's (r, q^2, q, log K rows) and the next
-        # E-step's (dl, log K rows), each None where its call took another route
+        # also returns the gradient check's (r, q^2, q, log K values) and the
+        # next E-step's (dl, log K values), each None where its call took
+        # another route
         resid = y - X @ beta
         ll = -0.5 * float(resid @ resid) / sig2  # an overflowing resid gives -inf
         if not ll > -math.inf:
@@ -224,20 +230,21 @@ def em_map_step(
         if student or 0.0 in q:
             value = ll + sum(gh_log_pdf(priors[j], beta[j]) for j in range(p))
         else:
-            # the sweep's one Bessel call: the prior terms at order nu' - 1/2,
-            # the gradient check's orders nu' - 1/2 -+ 1 at the same gamma' q,
-            # and the next E-step's rows at gamma dl (equal to gamma' q in
-            # value, not as floats)
+            # the sweep's one Bessel call: the prior terms and the gradient
+            # check's at gamma' q, and the next E-step's at gamma dl (equal to
+            # gamma' q in value, not as floats)
             z = [gamma * qj for qj in q]
-            rows = [(order, z), (order - 1.0, z), (order + 1.0, z)]
             dls = e_deltas(r)
             z_e = [dl * config.gamma for dl in dls]
-            # the E-step rows stay out where the E-step would raise (a NaN or
-            # inf makes the sum non-finite): it raises in the next sweep, if
-            # this sweep's convergence check lets that one run
+            # the E-step's arguments stay out where the E-step would raise (a
+            # NaN or inf makes the sum non-finite): it raises in the next
+            # sweep, if this sweep's convergence check lets that one run
             if 0.0 < min(z_e) and sum(z_e) < math.inf:
-                rows += [(nu_e - 1.0, z_e), (nu_e, z_e)]
-            lk, lk_lo, lk_hi, *lk_e = log_bessel_k_rows(rows)
+                lks = log_bessel_k_flat(orders, z * 3 + z_e * 2)
+                estep = (dls, lks[3 * p : 4 * p], lks[4 * p :])
+            else:
+                lks = log_bessel_k_flat(orders[: 3 * p], z * 3)
+            lk, lk_lo, lk_hi = lks[:p], lks[p : 2 * p], lks[2 * p : 3 * p]
             # gh_log_pdf(priors[j], beta[j]), operation for operation
             terms = [
                 head + order * (math.log(qj) - log_gamma) + lkj
@@ -245,8 +252,6 @@ def em_map_step(
             ]
             value = ll + sum(terms)
             parts = (r, q2, q, lk, lk_lo, lk_hi)
-            if lk_e:
-                estep = (dls, *lk_e)
         if not value > -math.inf:
             raise NumericalError(f"EM objective is not finite ({value})")
         return value, parts, estep

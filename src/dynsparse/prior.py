@@ -71,7 +71,9 @@ class ModelConfig:
 
     Exactly one of ``d`` (fixed window length) or ``rho`` (binomial chain on
     a time-varying window length) must be set.  ``sigma`` is the known
-    observation noise standard deviation; ``p`` the predictor count.
+    observation noise standard deviation, positive with sigma^2 and
+    1/sigma^2 finite floats (about 7.5e-155 to 1.3e154); ``p`` the
+    predictor count.
     """
 
     nu: float
@@ -87,8 +89,15 @@ class ModelConfig:
         validate_gig_region(self.nu, self.delta, self.gamma)
         if not (0.0 <= self.alpha <= _ALPHA_MAX):
             raise DomainError(f"alpha must lie in [0, {_ALPHA_MAX}], got {self.alpha}")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        # the fits use sigma^2 and 1/sigma^2 as floats; a float product gives
+        # inf where sigma**2 would raise an OverflowError
+        sigma = float(self.sigma) if math.isfinite(self.sigma) else math.nan
+        sigma2 = sigma * sigma
+        if not (sigma > 0.0 and 0.0 < sigma2 < math.inf and 1.0 / sigma2 < math.inf):
+            raise DomainError(
+                f"sigma must be positive with sigma^2 and 1/sigma^2 finite floats, "
+                f"got sigma={self.sigma}"
+            )
         for name in ("p", "d"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, numbers.Integral):

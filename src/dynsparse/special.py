@@ -7,10 +7,10 @@ and sampler live in ``distributions``.  ``scipy.special.kve`` covers the
 bulk of the domain in double precision; the extreme corner (tiny
 argument together with a large order, where ``K_a(z)`` overflows a
 double) falls back to arbitrary precision via mpmath, which is imported
-on that branch only.  ``log_bessel_k_rows`` evaluates rows of (order,
-args) pairs, each row with its own arguments, in one ``kve`` call and
-gives the scalar function's bits; it is the only caller of ``kve``
-besides the scalar function.
+on that branch only.  ``log_bessel_k_flat`` evaluates a flat batch of
+(order, arg) pairs, its orders an array the caller builds once, in one
+``kve`` call and gives the scalar function's bits; it is the only caller
+of ``kve`` besides the scalar function.
 
 No module of the package imports scipy's submodules at load time: each
 of ``scipy.special`` and ``scipy.linalg`` takes about 0.3 s and 25 MB to
@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import importlib
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import DomainError
 
-__all__ = ["log_bessel_k", "log_bessel_k_rows"]
+__all__ = ["log_bessel_k", "log_bessel_k_flat"]
 
 
 def bind_on_first_call(namespace: dict, module: str, name: str) -> Callable:
@@ -76,30 +77,31 @@ def log_bessel_k(order: float, arg: float) -> float:
         return float(mpmath.log(mpmath.besselk(v, mpmath.mpf(arg))))
 
 
-def log_bessel_k_rows(rows: Sequence[tuple[float, Sequence[float]]]) -> list[list[float]]:
-    """:func:`log_bessel_k` on rows of ``(order, args)`` pairs, as rows of floats.
+def log_bessel_k_flat(orders: NDArray[np.float64], args: list[float]) -> list[float]:
+    """:func:`log_bessel_k` elementwise: log K_{orders[i]}(args[i]) as a list of floats.
 
-    Row i holds log K_{order_i}(z) for every z in its own ``args``; rows
-    may differ in their arguments and their length.  One array ``kve``
-    call covers every row, and it gives the values scalar calls give.  The
-    log stays in ``math`` on Python floats, since ``np.log`` differs from
-    ``math.log`` in the last bit on some inputs.  A row holding a ``kve``
-    that is not finite and positive goes through the scalar function, in
-    element order: that is where a bad input raises its ``DomainError`` and
-    where an overflowing ``K`` falls back to mpmath.  Rows go in order, so
-    the error raised is the first one row-major scalar calls would raise.
+    ``orders`` is an array of signed orders (a caller that makes many calls
+    on one layout builds it once) and ``args`` a list as long.  One ``kve``
+    call covers every element (``kve`` is even in its order, as ``K`` is),
+    and it gives the values scalar calls give.  The log stays in ``math``
+    on Python floats, since ``np.log`` differs from ``math.log`` in the last
+    bit on some inputs.  An element whose ``kve`` is not finite and
+    positive goes through the scalar function with its own order, in element
+    order: that is where a bad input raises its ``DomainError`` and where an
+    overflowing ``K`` falls back to mpmath, so the error raised is the first
+    one scalar calls in element order would raise.
     """
-    orders, args = [], []
-    for order, zs in rows:
-        orders += [abs(order)] * len(zs)
-        args += zs
     scaled = kve(orders, args).tolist()
-    # None marks a kve value that is not finite and positive (NaN fails too)
-    logs = [math.log(s) - z if 0.0 < s < math.inf else None for s, z in zip(scaled, args)]
-    out = []
-    start = 0
-    for order, zs in rows:
-        row = logs[start : start + len(zs)]
-        start += len(zs)
-        out.append(row if None not in row else [log_bessel_k(order, z) for z in zs])
-    return out
+    # math.log raises on 0 or a negative kve, and a NaN or inf makes the sum
+    # non-finite; a sum of finite logs that overflows takes the elementwise
+    # path too, which gives the same values
+    try:
+        logs = [math.log(s) - z for s, z in zip(scaled, args)]
+        if math.isfinite(sum(logs)):
+            return logs
+    except ValueError:
+        pass
+    return [
+        math.log(s) - z if 0.0 < s < math.inf else log_bessel_k(order, z)
+        for order, s, z in zip(orders.tolist(), scaled, args)
+    ]

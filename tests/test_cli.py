@@ -469,6 +469,30 @@ def test_out_of_range_settings_are_config_errors_before_any_work(
     assert dpath.read_text() == "t,y,x1\n1,0.5,1\n2,0.2,1\n"
 
 
+@pytest.mark.parametrize("command", sorted(_FIT_ARGS))
+@pytest.mark.parametrize("sigma", ["1e200", "1e-200", "1e-155"])
+def test_sigma_outside_the_float_range_is_a_config_error_before_any_work(
+    tmp_path, monkeypatch, capsys, command, sigma
+):
+    # sigma^2 overflows (1e200), underflows to 0 (1e-200), or has an
+    # infinite reciprocal (1e-155): the fits would square it and divide by it
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work with sigma={sigma}")
+
+    monkeypatch.setattr(dynsparse.cli, "load_data", no_work)
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("t,y,x1\n1,0.5,1\n2,0.2,1\n")
+    out = tmp_path / "out"
+    args = [a for a in _FIT_ARGS[command] if not a.startswith("sigma=")]
+    code = run_command([command, *args, f"sigma={sigma}", f"data_path={dpath}", f"out_dir={out}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid model configuration: sigma must be positive with sigma^2 and "
+        f"1/sigma^2 finite floats, got sigma={float(sigma)}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["manifest.json", "error.json", "path.csv"])
 def test_out_dir_entry_that_is_a_directory_is_a_config_error(
     tmp_path, monkeypatch, capsys, entry

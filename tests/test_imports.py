@@ -189,7 +189,7 @@ def test_no_module_level_scipy_imports(path):
     "path", [p for p in MODULES if p.name != "special.py"], ids=lambda p: p.name
 )
 def test_only_special_names_kve(path):
-    # log_bessel_k and log_bessel_k_rows are the only routes to kve, so the
+    # log_bessel_k and log_bessel_k_flat are the only routes to kve, so the
     # scalar-fallback rule and the lazy scipy.special import live in one place
     assert kve_references(parse(path)) == []
 

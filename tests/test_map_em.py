@@ -274,7 +274,7 @@ def test_batched_step_matches_reference_on_the_mpmath_fallback():
 
 
 def record_bessel_fallbacks(monkeypatch):
-    """Orders of the rows ``log_bessel_k_rows`` hands to the scalar function."""
+    """Orders of the elements ``log_bessel_k_flat`` hands to the scalar function."""
     orders = []
     real = special.log_bessel_k
 

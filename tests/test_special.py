@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import kve
 
 from dynsparse import DomainError, log_bessel_k, log_gig_normalizer
-from dynsparse.special import bind_on_first_call, log_bessel_k_rows
+from dynsparse.special import bind_on_first_call, log_bessel_k_flat
 from helpers import gig_unnormalized, integrate_positive_halfline
 
 
@@ -32,6 +32,11 @@ def test_order_symmetry():
             assert abs(log_bessel_k(a, z) - log_bessel_k(-a, z)) < 1e-12
 
 
+def flat(pairs):
+    """The (orders array, args list) of a list of (order, arg) pairs."""
+    return np.array([order for order, _ in pairs]), [z for _, z in pairs]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     orders=st.lists(st.floats(-160.0, 160.0), min_size=1, max_size=4),
@@ -39,30 +44,36 @@ def test_order_symmetry():
 )
 @example(orders=[0.5, -0.5, 3.0], args=[1e-8, 1.0, 1e4])
 @example(orders=[150.0, 0.0], args=[0.05, 2.0])  # K_150(0.05) overflows: mpmath
-def test_log_bessel_k_rows_matches_scalar_calls(orders, args):
-    rows = log_bessel_k_rows([(order, args) for order in orders])
-    assert len(rows) == len(orders)
-    for order, row in zip(orders, rows):
-        assert row == [log_bessel_k(order, z) for z in args]
-        assert all(type(v) is float for v in row)
+def test_log_bessel_k_flat_matches_scalar_calls(orders, args):
+    pairs = [(order, z) for order in orders for z in args]
+    values = log_bessel_k_flat(*flat(pairs))
+    assert values == [log_bessel_k(order, z) for order, z in pairs]
+    assert all(type(v) is float for v in values)
 
 
-def test_log_bessel_k_rows_matches_scalar_calls_on_a_sweep():
+def test_log_bessel_k_flat_matches_scalar_calls_on_a_sweep():
     # dense grid: np.log in place of math.log changes ~18 of these 50 000
     # values in the last bit, which the hypothesis examples rarely reach
     rng = np.random.default_rng(31)
     orders = rng.uniform(-20.0, 20.0, 250).tolist()
     args = (10.0 ** rng.uniform(-3.0, 3.0, 200)).tolist()
-    rows = log_bessel_k_rows([(order, args) for order in orders])
-    assert rows == [[log_bessel_k(order, z) for z in args] for order in orders]
+    pairs = [(order, z) for order in orders for z in args]
+    assert log_bessel_k_flat(*flat(pairs)) == [log_bessel_k(order, z) for order, z in pairs]
 
 
-def first_scalar_error(rows):
-    """The DomainError row-major scalar calls raise first."""
+def test_kve_is_even_in_its_order_bit_for_bit():
+    # log_bessel_k_flat hands kve signed orders, log_bessel_k their absolute values
+    rng = np.random.default_rng(32)
+    v = rng.uniform(0.0, 200.0, 200_000)
+    z = 10.0 ** rng.uniform(-12.0, 4.0, 200_000)
+    assert np.array_equal(kve(-v, z), kve(v, z), equal_nan=True)
+
+
+def first_scalar_error(pairs):
+    """The DomainError scalar calls in element order raise first."""
     with pytest.raises(DomainError) as info:
-        for order, args in rows:
-            for z in args:
-                log_bessel_k(order, z)
+        for order, z in pairs:
+            log_bessel_k(order, z)
     return str(info.value)
 
 
@@ -75,31 +86,31 @@ def first_scalar_error(rows):
         ([150.0, 0.5], [0.05, 0.0]),
     ],
 )
-def test_log_bessel_k_rows_raises_the_first_scalar_error(orders, args):
-    rows = [(order, args) for order in orders]
-    with pytest.raises(DomainError) as rows_exc:
-        log_bessel_k_rows(rows)
-    assert str(rows_exc.value) == first_scalar_error(rows)
+def test_log_bessel_k_flat_raises_the_first_scalar_error(orders, args):
+    pairs = [(order, z) for order in orders for z in args]
+    with pytest.raises(DomainError) as flat_exc:
+        log_bessel_k_flat(*flat(pairs))
+    assert str(flat_exc.value) == first_scalar_error(pairs)
 
 
-def test_log_bessel_k_rows_with_ragged_rows():
-    # rows with their own arguments and lengths; K_150(0.05) overflows a
-    # double, so its row goes through the scalar function and mpmath
-    rows = [
-        (0.5, [1.0, 2.0, 3.0]),
-        (150.0, [2.0, 0.05]),
-        (-2.5, [1e-3]),
-        (3.0, [0.2, 10.0, 1e4, 7.0]),
+def test_log_bessel_k_flat_with_mixed_orders_and_args():
+    # each element with its own order and argument; K_150(0.05) overflows a
+    # double, so that element goes through the scalar function and mpmath
+    pairs = [
+        (0.5, 1.0), (0.5, 2.0), (0.5, 3.0),
+        (150.0, 2.0), (150.0, 0.05),
+        (-2.5, 1e-3),
+        (3.0, 0.2), (3.0, 10.0), (3.0, 1e4), (3.0, 7.0),
     ]
     assert not np.isfinite(kve(150.0, 0.05))
-    values = log_bessel_k_rows(rows)
-    assert values == [[log_bessel_k(order, z) for z in args] for order, args in rows]
-    assert all(type(v) is float for row in values for v in row)
-    # a row that raises, with a valid row after it and the mpmath row before
-    bad = rows + [(1.5, [4.0, -1.0, math.nan]), (0.5, [0.0])]
-    with pytest.raises(DomainError) as rows_exc:
-        log_bessel_k_rows(bad)
-    assert str(rows_exc.value) == first_scalar_error(bad)
+    values = log_bessel_k_flat(*flat(pairs))
+    assert values == [log_bessel_k(order, z) for order, z in pairs]
+    assert all(type(v) is float for v in values)
+    # elements that raise, with valid ones after them and the mpmath one before
+    bad = pairs + [(1.5, 4.0), (1.5, -1.0), (1.5, math.nan), (0.5, 0.0)]
+    with pytest.raises(DomainError) as flat_exc:
+        log_bessel_k_flat(*flat(bad))
+    assert str(flat_exc.value) == first_scalar_error(bad)
 
 
 def test_against_quadrature_of_integral_representation():

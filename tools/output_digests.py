@@ -10,11 +10,13 @@ thread, in a fresh temporary directory.  The jobs are those of
 ``simulate`` with p = 2 and an ``acf`` job for each seed, small runs on
 the GIG limit laws for each seed (``fit-map`` at delta = 0 and at gamma
 = 0, a fixed-d ``fit-smc`` at delta = 0 and a fixed d = 0 ``simulate``
-with p = 3), and a fixed list of CLI error cases.  For each job the script prints the exit code,
-stdout, the stderr lines without their source locations (a warning's
-``file:line:`` prefix and a traceback's frames are dropped), and the
-sha256 of every file under the job's ``out_dir``: of the bytes after the
-``# run <hash>`` line for a table, of the whole file otherwise.
+with p = 3), and a fixed list of CLI error cases, among them a sigma
+outside the float range for each fit command.  For each job the script
+prints the exit code, stdout, the stderr lines without their source
+locations (a warning's ``file:line:`` prefix and a traceback's frames
+are dropped), and the sha256 of every file under the job's ``out_dir``:
+of the bytes after the ``# run <hash>`` line for a table, of the whole
+file otherwise.
 
 Every path a job sees is relative to its temporary directory, so the
 outputs of two source trees compare with ``diff``: no difference means
@@ -138,6 +140,13 @@ def error_jobs():
         "map-overflow": ["fit-map", *_FIT, "d=0", "data_path=err-huge.csv"],
         "glasso-no-root": ["fit-glasso", *_FIT, "sigma=0.01", "data_path=err-overflow.csv"],
     }
+    # sigma^2 overflows, underflows to 0, or has an infinite reciprocal
+    smc = ["n_particles=10", "n_iters=2", "seed=1"]
+    for sigma in ("1e200", "1e-200", "1e-155"):
+        for command, extra in (("fit-map", []), ("fit-glasso", []), ("fit-smc", smc)):
+            cases[f"sigma-{sigma}-{command}"] = [
+                command, *_FIT, *extra, f"sigma={sigma}", "data_path=err-data.csv",
+            ]
     for label, argv in cases.items():
         out = dict(a.split("=", 1) for a in argv if "=" in a).get("out_dir")
         if out is None:
