@@ -25,13 +25,14 @@ time) to see how much of a run waited for a CPU.
 
 ``BENCH_<label>.json`` (in ``--out``, by default the root of this
 checkout) holds the machine (platform, CPU count and model, load
-averages, Python, numpy and scipy versions), each tree's path and git
-commit, every run, and per workload, seed and trace mode the median,
-quartiles and IQR of each metric per tree.  With two trees it also holds
-the per-pair ratios B / A of each metric, their median, and how many
-pairs B wins in the metric's direction (``BENCHMARK.json``; ``cpu_s`` is
-better lower).  The script writes nothing under either tree except what
-``run.py`` itself writes there (``.bench_out/``).
+averages, Python, numpy and scipy versions), each tree's directory name
+and git commit, the settings, every run, and per workload, seed and
+trace mode the median, quartiles and IQR of each metric per tree.  With
+two trees it also holds the per-pair ratios B / A of each metric, their
+median, and how many pairs B wins in the metric's direction
+(``BENCHMARK.json``; ``cpu_s`` is better lower).  The script writes
+nothing under either tree except what ``run.py`` itself writes there
+(``.bench_out/``).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def git_commit(tree: Path) -> dict:
 
     commit = git("rev-parse", "HEAD")
     status = git("status", "--porcelain", "--untracked-files=no") if commit else None
-    return {"path": str(tree), "commit": commit, "dirty": None if status is None else bool(status)}
+    return {"name": tree.name, "commit": commit, "dirty": None if status is None else bool(status)}
 
 
 def machine() -> dict:
@@ -235,7 +236,6 @@ def main() -> int:
                               file=sys.stderr, flush=True)
     report = {
         "label": args.label,
-        "argv": sys.argv[1:],
         "started_utc": started.isoformat(timespec="seconds"),
         "duration_s": (datetime.datetime.now(datetime.timezone.utc) - started).total_seconds(),
         "machine": {**machine(), "loadavg_before": load_before, "loadavg_after": os.getloadavg()},
