@@ -106,7 +106,7 @@ def test_log_bessel_k_flat_with_mixed_orders_and_args():
     values = log_bessel_k_flat(*flat(pairs))
     assert values == [log_bessel_k(order, z) for order, z in pairs]
     assert all(type(v) is float for v in values)
-    # elements that raise, with valid ones after them and the mpmath one before
+    # elements that raise after the mpmath one; the first of them names the error
     bad = pairs + [(1.5, 4.0), (1.5, -1.0), (1.5, math.nan), (0.5, 0.0)]
     with pytest.raises(DomainError) as flat_exc:
         log_bessel_k_flat(*flat(bad))
