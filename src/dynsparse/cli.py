@@ -136,12 +136,18 @@ def _fmt(value: float) -> str:
 
 
 def _estimate_rows(beta_hat, support, lower=None, upper=None) -> Iterator[list[str]]:
-    p, T = beta_hat.shape
-    for t in range(T):
-        for j in range(p):
-            lo = _fmt(lower[j, t]) if lower is not None else ""
-            hi = _fmt(upper[j, t]) if upper is not None else ""
-            yield [str(t + 1), str(j + 1), _fmt(beta_hat[j, t]), lo, hi, str(int(support[j, t]))]
+    # time-major lists: reading numpy elements one at a time costs more than their repr
+    est, sup = beta_hat.T.tolist(), support.T.tolist()
+    lo = lower.T.tolist() if lower is not None else None
+    hi = upper.T.tolist() if upper is not None else None
+    for t, row in enumerate(est):
+        for j, value in enumerate(row):
+            yield [
+                str(t + 1), str(j + 1), _fmt(value),
+                _fmt(lo[t][j]) if lo is not None else "",
+                _fmt(hi[t][j]) if hi is not None else "",
+                str(int(sup[t][j])),
+            ]
 
 
 _ESTIMATE_HEADER = ["t", "j", "estimate", "lower", "upper", "support"]
@@ -155,13 +161,15 @@ def _cmd_simulate(cfg: dict) -> dict:
     beta = simulate_path(model, T, rng, d_path=d_path)
     tables = {
         "path.csv": (["t", "j", "value"], (
-            [str(t + 1), str(j + 1), _fmt(beta[j, t])]
-            for t in range(T)
-            for j in range(beta.shape[0])
+            [str(t), str(j), _fmt(value)]
+            for t, step in enumerate(zip(*beta.tolist()), start=1)
+            for j, value in enumerate(step, start=1)
         )),
     }
     if d_path is not None:
-        tables["d_path.csv"] = (["t", "d"], ([str(t + 1), str(int(d_path[t]))] for t in range(T)))
+        tables["d_path.csv"] = (["t", "d"], (
+            [str(t), str(d)] for t, d in enumerate(d_path.tolist(), start=1)
+        ))
     return tables
 
 
@@ -194,7 +202,7 @@ def _fit_point(cfg: dict, command: str) -> dict:
         "diagnostics.csv": (header, (
             [str(k + 1), str(i), _fmt(v)]
             for k, trace in enumerate(fit.objective_trace)
-            for i, v in enumerate(trace)
+            for i, v in enumerate(trace.tolist())
         )),
     }
 
@@ -218,18 +226,19 @@ def _cmd_fit_smc(cfg: dict) -> dict:
     summ = posterior_summary(chain, np.asarray(probs))
     lower, upper = summ.quantiles[0], summ.quantiles[-1]
     support = (lower > 0) | (upper < 0)
-    n_d, T = summ.d_posterior.shape
     return {
         "estimates.csv": (_ESTIMATE_HEADER, _estimate_rows(summ.mean, support, lower, upper)),
         "diagnostics.csv": (["iteration", "log_evidence", "accepted"], (
-            [str(m + 1), _fmt(chain.log_evidence[m]), str(int(chain.accepted[m]))]
-            for m in range(chain.log_evidence.shape[0])
+            [str(m), _fmt(value), str(int(accepted))]
+            for m, (value, accepted) in enumerate(
+                zip(chain.log_evidence.tolist(), chain.accepted.tolist()), start=1
+            )
         )),
         "d_posterior.csv": (["t", "d", "probability"], (
-            [str(t + 1), str(d), _fmt(summ.d_posterior[d, t])]
-            for t in range(T)
-            for d in range(n_d)
-            if summ.d_posterior[d, t] > 0
+            [str(t), str(d), _fmt(prob)]
+            for t, column in enumerate(summ.d_posterior.T.tolist(), start=1)
+            for d, prob in enumerate(column)
+            if prob > 0
         )),
     }
 

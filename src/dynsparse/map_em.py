@@ -19,7 +19,7 @@ only on r = beta - mu, so the objective's call also holds the gradient
 check's values and the next E-step's; each comes out as a p-long slice.
 The E-step makes its own call only where the objective took the scalar
 route or where its own arguments would raise.
-The M-step calls LAPACK ``dpotrf``/``dpotrs`` directly; ``scipy.linalg``
+The M-step makes one LAPACK ``dposv`` call; ``scipy.linalg``
 loads on the first M-step solve of the process and ``scipy.special`` on
 the first ``kve`` call (see :mod:`dynsparse.special`), so importing this
 module loads neither.  Elementwise ``log``, ``exp`` and ``sqrt`` stay in
@@ -57,8 +57,7 @@ __all__ = ["RegressionData", "MapFit", "em_map_step", "run_online_map"]
 # and beta at the prior mean would otherwise make E[1/tau] diverge
 _ESTEP_DELTA_FLOOR = 1e-12
 
-dpotrf = bind_on_first_call(globals(), "scipy.linalg.lapack", "dpotrf")
-dpotrs = bind_on_first_call(globals(), "scipy.linalg.lapack", "dpotrs")
+dposv = bind_on_first_call(globals(), "scipy.linalg.lapack", "dposv")
 
 
 @dataclass
@@ -113,14 +112,14 @@ class MapFit:
 
 
 def _solve_spd(A: NDArray[np.float64], b: list[float]) -> NDArray[np.float64]:
-    """Solve A x = b by Cholesky, calling the LAPACK routines cho_factor/cho_solve wrap.
+    """Solve A x = b by its upper Cholesky factor: LAPACK ``dposv`` factors and solves.
 
-    The caller checks that A and b are finite.
+    The caller checks that A and b are finite.  Arguments are positional,
+    which the wrapper parses faster than keywords.
     """
-    c, info = dpotrf(A, lower=False, clean=False)
+    _, x, info = dposv(A, b)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
-    x, _ = dpotrs(c, b, lower=False)
     return x
 
 

@@ -9,6 +9,12 @@ sparsity-pattern persistence the window length d controls.
 
 Correlation within a window is AR(1): Sigma entries alpha^|i-j|, whose
 inverse is tridiagonal, giving O(d) Mahalanobis norms.
+
+A one-row path (p = 1) steps on Python floats: a step on one-element
+arrays spends most of its time in ufunc dispatch.  Its window norm sums
+in numpy's pairwise order (:func:`_add_reduce`), and Python's float
+arithmetic rounds as numpy's float64 does, so the path keeps the bits of
+the numpy route that rows p >= 2 take.
 """
 
 from __future__ import annotations
@@ -63,6 +69,60 @@ def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:
     cross = np.add.reduce(x[..., :-1] * x[..., 1:], axis=-1)
     a2 = alpha**2
     return (total + a2 * inner - 2.0 * alpha * cross) / (1.0 - a2)
+
+
+def _add_reduce(v: list[float], lo: int, hi: int) -> float:
+    """``np.add.reduce`` of the floats v[lo:hi], in numpy's pairwise order.
+
+    Fewer than 8 values sum left to right; up to 128 go to eight strided
+    accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    tail left to right; a longer run splits in half, the split rounded down
+    to a multiple of 8.  Each branch starts from numpy's identity +0.0, so
+    a sum of signed zeros is +0.0 as numpy's is.
+    """
+    n = hi - lo
+    if n < 8:
+        res = 0.0
+        for i in range(lo, hi):
+            res += v[i]
+        return res
+    if n <= 128:
+        end = hi - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = v[lo : lo + 8]
+        for i in range(lo + 8, end, 8):
+            r0 += v[i]
+            r1 += v[i + 1]
+            r2 += v[i + 2]
+            r3 += v[i + 3]
+            r4 += v[i + 4]
+            r5 += v[i + 5]
+            r6 += v[i + 6]
+            r7 += v[i + 7]
+        res = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for i in range(end, hi):
+            res += v[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _add_reduce(v, lo, lo + half) + _add_reduce(v, lo + half, hi)
+
+
+def _mahal_sq_row(w: list[float], alpha: float) -> float:
+    """:func:`mahal_sq_batch` of one window held as Python floats, with the same bits.
+
+    Products round as numpy's float64 ones do and :func:`_add_reduce` sums
+    in numpy's order; squares are products, so a huge value gives inf, not
+    an ``OverflowError``.
+    """
+    d = len(w)
+    if d == 1:
+        return w[0] * w[0]
+    sq = [x * x for x in w]
+    total = _add_reduce(sq, 0, d)
+    inner = _add_reduce(sq, 1, d - 1)
+    cross = [x * y for x, y in zip(w, w[1:])]
+    a2 = alpha * alpha
+    return (total + a2 * inner - 2.0 * alpha * _add_reduce(cross, 0, d - 1)) / (1.0 - a2)
 
 
 @dataclass(frozen=True)
@@ -178,6 +238,12 @@ def simulate_path(
     of its window, and moves from alpha * beta_{t-1} with variance
     (1 - alpha^2) tau; for d_t >= 1, (1 - alpha^2) tau follows the mixing
     law of :func:`conditional_gh`.
+
+    With p = 1 the steps run on Python floats (:func:`_mahal_sq_row`, a
+    scalar GIG draw, ``rng.standard_normal()``) and fill the array at the
+    end; with p >= 2 each step is a numpy row update whose GIG batch takes
+    the array kernel.  Both routes give the same bits, generator state and
+    errors.
     """
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
@@ -216,6 +282,18 @@ def simulate_path(
         lengths = d_path.tolist()
 
     nu, delta2, gamma = config.nu, config.delta**2, config.gamma
+    if p == 1:
+        row = beta[0, :start].tolist()
+        prev = row[-1]
+        for t in range(start, T):
+            dt = lengths[t]
+            s2 = delta2 + _mahal_sq_row(row[t - dt : t], alpha)
+            # np.sqrt's NaN where math.sqrt raises: gig_rvs then fails as on p >= 2
+            tau = gig_rvs(nu - dt / 2.0, math.sqrt(s2) if s2 >= 0.0 else math.nan, gamma, rng)
+            prev = alpha * prev + sa * math.sqrt(tau) * rng.standard_normal()
+            row.append(prev)
+        beta[0] = row
+        return beta
     prev = beta[:, start - 1]
     for t in range(start, T):
         dt = lengths[t]

@@ -371,7 +371,7 @@ def test_cli_commands_load_no_integrate_optimize_or_mpmath(tmp_path):
 
 
 # scipy.special and scipy.linalg each take ~0.3 s and ~25 MB to import.
-# Only fit-map (kve, dpotrf, dpotrs) calls both; fixed-d simulate and acf
+# Only fit-map (kve, dposv) calls both; fixed-d simulate and acf
 # call scipy.linalg's cholesky once.  Top-level scipy, which the manifest
 # reads its version from, is cheap and not watched.  Each stage gets a
 # fresh interpreter, so no stage sees what an earlier one loaded.

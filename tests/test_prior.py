@@ -26,7 +26,7 @@ from dynsparse import (
     window_correlation,
 )
 from dynsparse.distributions import gig_rvs
-from dynsparse.prior import mahal_sq_batch
+from dynsparse.prior import _ALPHA_MAX, _add_reduce, _mahal_sq_row, mahal_sq_batch
 from helpers import gh_cdf_grid, ks_statistic, reference_simulate_path
 
 
@@ -331,6 +331,77 @@ def test_simulate_path_matches_the_reference_loop(kw):
     beta = simulate_path(c, 2000, rng, d_path=d_path)
     assert np.array_equal(beta, reference_simulate_path(c, 2000, oracle, d_path=d_path))
     assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(nu=1.0, delta=0.3, gamma=1.0, alpha=0.6, d=None, rho=0.3),
+        dict(nu=0.5, delta=0.2, gamma=1.5, alpha=0.9, d=1),
+        dict(nu=0.1, delta=0.01, gamma=1.0, alpha=0.5, d=8),
+        dict(nu=1.0, delta=0.1, gamma=1.0, alpha=0.3, d=200),
+    ],
+    ids=["rho", "d1", "d8", "d200"],
+)
+def test_one_row_route_matches_the_reference_loop(kw):
+    # a p = 1 path steps on Python floats; its window norm must keep numpy's
+    # pairwise sums, past the 128-value block at d = 200
+    c = cfg(**kw)
+    T = 600
+    d_path = None if c.fixed_d else simulate_d_chain(c.rho, T, np.random.default_rng(34))
+    if d_path is not None:
+        assert np.count_nonzero(d_path[1:] == 0) > 50
+    rng, oracle = np.random.default_rng(35), np.random.default_rng(35)
+    beta = simulate_path(c, T, rng, d_path=d_path)
+    assert np.array_equal(beta, reference_simulate_path(c, T, oracle, d_path=d_path))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_float_window_norm_matches_mahal_sq_batch_bit_for_bit():
+    rng = np.random.default_rng(36)
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, math.inf, -math.inf, math.nan])
+    for n in range(301):
+        for alpha in (0.0, 0.5, _ALPHA_MAX):
+            wide = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+            mixed = wide.copy()
+            mixed[rng.integers(0, n, min(n, 3))] = rng.choice(specials, min(n, 3))
+            for w in (wide, mixed, rng.choice(specials, n), np.full(n, -0.0)):
+                with np.errstate(all="ignore"):
+                    expected = mahal_sq_batch(w[None, :], alpha)[0]
+                    total = np.add.reduce(w)
+                got = np.float64(_mahal_sq_row(w.tolist(), alpha))
+                assert got.tobytes() == expected.tobytes(), (n, alpha, w)
+                # numpy adds its pairwise sum to +0.0, so signed zeros sum to +0.0;
+                # the sign of a NaN sum follows the operand order of numpy's
+                # compiled loop, which the norm above never depends on
+                got = np.float64(_add_reduce(w.tolist(), 0, n))
+                if np.isnan(total):
+                    assert np.isnan(got), (n, w)
+                else:
+                    assert got.tobytes() == total.tobytes(), (n, w)
+
+
+@pytest.mark.parametrize(
+    "window,delta,scale",
+    [
+        # subnormal squares round the norm below zero, so delta^2 + msq < 0
+        ([2.2739233746429083e-162, 1.5395734275277407e-162], 0.0, "nan"),
+        ([math.inf, 1.0], 0.5, "nan"),
+        ([1.0, -math.inf], 0.5, "inf"),
+        ([math.nan, 1.0], 0.5, "nan"),
+    ],
+    ids=["negative", "inf", "minus-inf", "nan"],
+)
+def test_one_row_route_fails_as_the_array_route(monkeypatch, window, delta, scale):
+    # the p = 1 route takes math.sqrt, which raises where np.sqrt gives NaN
+    monkeypatch.setattr(dynsparse.prior, "mgh_sample", lambda init, rng: np.array(window))
+    errors = []
+    for p in (1, 2):
+        c = cfg(nu=2.0, delta=delta, gamma=1.0, alpha=_ALPHA_MAX, d=2, p=p)
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as info:
+            simulate_path(c, 3, np.random.default_rng(0))
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (DomainError, f"non-finite GIG parameters (1.0, {scale}, 1.0)")
 
 
 @pytest.mark.parametrize(
