@@ -111,8 +111,10 @@ def _mahal_sq_row(w: list[float], alpha: float) -> float:
     """:func:`mahal_sq_batch` of one window held as Python floats, with the same bits.
 
     Products round as numpy's float64 ones do and :func:`_add_reduce` sums
-    in numpy's order; squares are products, so a huge value gives inf, not
-    an ``OverflowError``.
+    in numpy's order; window squares are products, so a huge value gives
+    inf, not an ``OverflowError``.  ``alpha**2`` is libm's ``pow``, as in
+    :func:`mahal_sq_batch`: it can differ from ``alpha * alpha`` in the
+    last bit.
     """
     d = len(w)
     if d == 1:
@@ -121,7 +123,7 @@ def _mahal_sq_row(w: list[float], alpha: float) -> float:
     total = _add_reduce(sq, 0, d)
     inner = _add_reduce(sq, 1, d - 1)
     cross = [x * y for x, y in zip(w, w[1:])]
-    a2 = alpha * alpha
+    a2 = alpha**2
     return (total + a2 * inner - 2.0 * alpha * _add_reduce(cross, 0, d - 1)) / (1.0 - a2)
 
 
@@ -132,8 +134,9 @@ class ModelConfig:
     Exactly one of ``d`` (fixed window length) or ``rho`` (binomial chain on
     a time-varying window length) must be set.  ``sigma`` is the known
     observation noise standard deviation, positive with sigma^2 and
-    1/sigma^2 finite floats (about 7.5e-155 to 1.3e154); ``p`` the
-    predictor count.
+    1/sigma^2 finite floats (about 7.5e-155 to 1.3e154); ``delta`` must
+    have delta^2 a finite float (up to about 1.3e154); ``p`` the predictor
+    count.
     """
 
     nu: float
@@ -147,6 +150,10 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         validate_gig_region(self.nu, self.delta, self.gamma)
+        # the prior, EM and SMC steps take delta**2 as a Python float, which
+        # raises an OverflowError where the product below gives inf
+        if not float(self.delta) * float(self.delta) < math.inf:
+            raise DomainError(f"delta must have delta^2 a finite float, got delta={self.delta}")
         if not (0.0 <= self.alpha <= _ALPHA_MAX):
             raise DomainError(f"alpha must lie in [0, {_ALPHA_MAX}], got {self.alpha}")
         # the fits use sigma^2 and 1/sigma^2 as floats; a float product gives

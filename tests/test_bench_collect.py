@@ -27,9 +27,9 @@ def result_line(wall_s, work_per_s):
     })
 
 
-def run(tree, pair, line, cpu_s, exit=0, seed=1):
-    return {"tree": tree, "workload": "map_ingest", "seed": seed, "trace": 0, "pair": pair,
-            "exit": exit, "elapsed_s": 19.0, "cpu_s": cpu_s, "line": line}
+def run(tree, pair, line, exit=0, seed=1):
+    return {"tree": tree, "workload": "map_ingest", "seed": seed, "pair": pair,
+            "exit": exit, "elapsed_s": 19.0, "line": line}
 
 
 def test_last_line_is_the_result_line(collect):
@@ -38,26 +38,26 @@ def test_last_line_is_the_result_line(collect):
     assert collect.last_line("") == ""
 
 
-def test_metric_values_adds_cpu_s_and_drops_failed_runs(collect):
-    assert collect.metric_values(run("A", 0, result_line(0.9, 2000.0), 18.5)) == {
-        "wall_s": 0.9, "work_per_s": 2000.0, "cpu_s": 18.5,
+def test_metric_values_drops_failed_runs(collect):
+    assert collect.metric_values(run("A", 0, result_line(0.9, 2000.0))) == {
+        "wall_s": 0.9, "work_per_s": 2000.0,
     }
-    assert collect.metric_values(run("A", 0, result_line(0.9, 2000.0), 18.5, exit=1)) is None
-    assert collect.metric_values(run("A", 0, "Traceback (most recent call last):", 1.0)) is None
-    assert collect.metric_values(run("A", 0, "", 1.0)) is None
+    assert collect.metric_values(run("A", 0, result_line(0.9, 2000.0), exit=1)) is None
+    assert collect.metric_values(run("A", 0, "Traceback (most recent call last):")) is None
+    assert collect.metric_values(run("A", 0, "")) is None
 
 
 def test_summary_gives_quartiles_pair_ratios_and_wins(collect):
     runs = []
     for pair, (a, b) in enumerate([(1.0, 0.8), (1.2, 0.9), (0.9, 1.0), (1.1, 0.85)]):
-        runs.append(run("A", pair, result_line(a, 100.0 / a), 10.0 * a))
-        runs.append(run("B", pair, result_line(b, 100.0 / b), 10.0 * b))
+        runs.append(run("A", pair, result_line(a, 100.0 / a)))
+        runs.append(run("B", pair, result_line(b, 100.0 / b)))
     # a failed B run drops its pair from the ratios
-    runs.append(run("A", 4, result_line(1.0, 100.0), 10.0))
-    runs.append(run("B", 4, "", 3.0, exit=1))
-    better = {"wall_s": "lower", "work_per_s": "higher", "cpu_s": "lower"}
+    runs.append(run("A", 4, result_line(1.0, 100.0)))
+    runs.append(run("B", 4, "", exit=1))
+    better = {"wall_s": "lower", "work_per_s": "higher"}
     [group] = collect.summarize(runs, better)
-    assert (group["workload"], group["seed"], group["trace"]) == ("map_ingest", 1, 0)
+    assert (group["workload"], group["seed"]) == ("map_ingest", 1)
     assert group["failed_runs"] == {"A": 0, "B": 1}
     wall = group["metrics"]["wall_s"]
     assert wall["A"]["n"] == 5 and wall["B"]["n"] == 4
@@ -69,13 +69,10 @@ def test_summary_gives_quartiles_pair_ratios_and_wins(collect):
     assert ratios["B_wins"] == 3
     # higher is better for work_per_s: B wins the same three pairs
     assert group["metrics"]["work_per_s"]["ratio_B_over_A"]["B_wins"] == 3
-    assert group["metrics"]["cpu_s"]["ratio_B_over_A"]["median"] == pytest.approx(
-        ratios["median"]
-    )
 
 
 def test_summary_of_one_tree_has_no_ratios(collect):
-    runs = [run("A", i, result_line(w, 1.0 / w), w, seed=7) for i, w in enumerate([1.0, 2.0])]
+    runs = [run("A", i, result_line(w, 1.0 / w), seed=7) for i, w in enumerate([1.0, 2.0])]
     [group] = collect.summarize(runs, {"wall_s": "lower"})
     assert group["seed"] == 7
     assert group["metrics"]["wall_s"] == {
@@ -87,4 +84,3 @@ def test_directions_come_from_benchmark_json(collect):
     better = collect.directions()
     assert better["wall_s"] == "lower"
     assert better["work_per_s"] == "higher"
-    assert better["cpu_s"] == "lower"

@@ -440,6 +440,14 @@ RANGE_ERRORS = [
     ("fit-map", "out_dir={data}/sub", "out_dir={data}/sub is a file or lies under one"),
     ("fit-glasso", "out_dir={data}", "out_dir={data} is a file or lies under one"),
     ("fit-smc", "out_dir={data}", "out_dir={data} is a file or lies under one"),
+    (
+        "simulate", "delta=1e155",
+        "invalid model configuration: delta must have delta^2 a finite float, got delta=1e+155",
+    ),
+    (
+        "acf", "delta=1e155",
+        "invalid model configuration: delta must have delta^2 a finite float, got delta=1e+155",
+    ),
 ]
 
 
@@ -469,26 +477,39 @@ def test_out_of_range_settings_are_config_errors_before_any_work(
     assert dpath.read_text() == "t,y,x1\n1,0.5,1\n2,0.2,1\n"
 
 
+_FLOAT_RANGE_RULES = {
+    "sigma": "sigma must be positive with sigma^2 and 1/sigma^2 finite floats",
+    "delta": "delta must have delta^2 a finite float",
+}
+
+
 @pytest.mark.parametrize("command", sorted(_FIT_ARGS))
-@pytest.mark.parametrize("sigma", ["1e200", "1e-200", "1e-155"])
+@pytest.mark.parametrize("key,value", [
+    pytest.param("sigma", "1e200", id="1e200"),
+    pytest.param("sigma", "1e-200", id="1e-200"),
+    pytest.param("sigma", "1e-155", id="1e-155"),
+    pytest.param("delta", "1e155", id="delta-1e155"),
+    pytest.param("delta", "1.4e154", id="delta-1.4e154"),
+])
 def test_sigma_outside_the_float_range_is_a_config_error_before_any_work(
-    tmp_path, monkeypatch, capsys, command, sigma
+    tmp_path, monkeypatch, capsys, command, key, value
 ):
     # sigma^2 overflows (1e200), underflows to 0 (1e-200), or has an
-    # infinite reciprocal (1e-155): the fits would square it and divide by it
+    # infinite reciprocal (1e-155): the fits would square it and divide by
+    # it; they square delta too, which overflows above about 1.34e154
     def no_work(*args, **kwargs):
-        raise AssertionError(f"{command} started work with sigma={sigma}")
+        raise AssertionError(f"{command} started work with {key}={value}")
 
     monkeypatch.setattr(dynsparse.cli, "load_data", no_work)
     dpath = tmp_path / "data.csv"
     dpath.write_text("t,y,x1\n1,0.5,1\n2,0.2,1\n")
     out = tmp_path / "out"
-    args = [a for a in _FIT_ARGS[command] if not a.startswith("sigma=")]
-    code = run_command([command, *args, f"sigma={sigma}", f"data_path={dpath}", f"out_dir={out}"])
+    args = [a for a in _FIT_ARGS[command] if not a.startswith(f"{key}=")]
+    code = run_command([command, *args, f"{key}={value}", f"data_path={dpath}", f"out_dir={out}"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: invalid model configuration: sigma must be positive with sigma^2 and "
-        f"1/sigma^2 finite floats, got sigma={float(sigma)}\n"
+        f"error: invalid model configuration: {_FLOAT_RANGE_RULES[key]}, "
+        f"got {key}={float(value)}\n"
     )
     assert not out.exists()
 

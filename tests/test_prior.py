@@ -340,8 +340,10 @@ def test_simulate_path_matches_the_reference_loop(kw):
         dict(nu=0.5, delta=0.2, gamma=1.5, alpha=0.9, d=1),
         dict(nu=0.1, delta=0.01, gamma=1.0, alpha=0.5, d=8),
         dict(nu=1.0, delta=0.1, gamma=1.0, alpha=0.3, d=200),
+        # alpha**2 and alpha * alpha differ in the last bit at this alpha
+        dict(nu=0.1, delta=0.01, gamma=1.0, alpha=0.3578680612554048, d=20),
     ],
-    ids=["rho", "d1", "d8", "d200"],
+    ids=["rho", "d1", "d8", "d200", "d20-pow-square"],
 )
 def test_one_row_route_matches_the_reference_loop(kw):
     # a p = 1 path steps on Python floats; its window norm must keep numpy's
@@ -361,7 +363,7 @@ def test_float_window_norm_matches_mahal_sq_batch_bit_for_bit():
     rng = np.random.default_rng(36)
     specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, math.inf, -math.inf, math.nan])
     for n in range(301):
-        for alpha in (0.0, 0.5, _ALPHA_MAX):
+        for alpha in (0.0, 0.5, _ALPHA_MAX, 0.3578680612554048):
             wide = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
             mixed = wide.copy()
             mixed[rng.integers(0, n, min(n, 3))] = rng.choice(specials, min(n, 3))

@@ -1,36 +1,26 @@
 #!/usr/bin/env python3
 """Run bench/run.py on one or two checkouts in alternating runs; write BENCH_<label>.json.
 
-    python3 tools/bench_collect.py --tree A [--tree B] --label NAME \\
-        [--workloads map_ingest,...] [--seeds 1 7] [--seconds 15] [--trace 0 1] \\
-        [--pairs 10] [--out DIR]
+    python3 tools/bench_collect.py --tree A [--tree B] [--label NAME] \\
+        [--workloads map_ingest,...] [--seeds 1 7] [--pairs 10] [--out DIR]
 
 Each run is one child process ``python3 <tree>/bench/run.py --workload W
---seed S --seconds N --trace T`` started in the tree's root, so each tree
-measures its own ``src``.  For every workload, seed and trace mode the
-script makes ``--pairs`` pairs of runs, the trees alternating run by run
-(tree A first in even pairs, tree B first in odd ones), and keeps each
-child's last stdout line (the result line) as it is.
-
-Next to each result line it records ``cpu_s``: the difference of
-``resource.getrusage(RUSAGE_CHILDREN)`` user + system time before and
-after the child.  That covers the ``run.py`` process and every process it
-waited for: its warm-up, speed probes, timed rounds, set-up launches and
-peak-RSS child.  Unlike ``wall_s`` it does not count time the process
-spent waiting for a CPU.  But ``run.py`` repeats timed rounds, each with
-its output checks, until ``--seconds`` run out, so ``cpu_s`` mostly
-measures that budget, not the cost of one subcommand: compare trees on
-``wall_s``, and read ``cpu_s`` against ``elapsed_s`` (the child's wall
-time) to see how much of a run waited for a CPU.
+--seed S --seconds N`` started in the tree's root, so each tree measures
+its own ``src``; N is ``run_seconds`` of this checkout's
+``BENCHMARK.json``, so both trees run the benchmark's own length.  For
+every workload and seed the script makes ``--pairs`` pairs of runs, the
+trees alternating run by run (tree A first in even pairs, tree B first
+in odd ones), and keeps each child's last stdout line (the result line)
+as it is, next to the child's exit code and wall time (``elapsed_s``).
 
 ``BENCH_<label>.json`` (in ``--out``, by default the root of this
-checkout) holds the machine (platform, CPU count and model, load
-averages, Python, numpy and scipy versions), each tree's directory name
-and git commit, the settings, every run, and per workload, seed and
-trace mode the median, quartiles and IQR of each metric per tree.  With
-two trees it also holds the per-pair ratios B / A of each metric, their
-median, and how many pairs B wins in the metric's direction
-(``BENCHMARK.json``; ``cpu_s`` is better lower).  The script writes
+checkout; the label defaults to the workload names joined by ``_``)
+holds the machine (platform, CPU count and model, load averages, Python,
+numpy and scipy versions), each tree's directory name and git commit,
+the settings, every run, and per workload and seed the median, quartiles
+and IQR of each metric per tree.  With two trees it also holds the
+per-pair ratios B / A of each metric, their median, and how many pairs B
+wins in the metric's direction (``BENCHMARK.json``).  The script writes
 nothing under either tree except what ``run.py`` itself writes there
 (``.bench_out/``).
 """
@@ -42,7 +32,6 @@ import datetime
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -50,12 +39,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CPU_S_COVERS = (
-    "user + system CPU time of the run.py child and of every process it waited for "
-    "(warm-up, speed probes, timed rounds and their output checks, set-up launches, "
-    "peak-RSS child), from getrusage(RUSAGE_CHILDREN) before and after the child; "
-    "run.py runs rounds until --seconds run out, so it follows that budget"
-)
 
 
 def last_line(stdout: str) -> str:
@@ -65,16 +48,14 @@ def last_line(stdout: str) -> str:
 
 
 def metric_values(run: dict) -> dict[str, float] | None:
-    """Metric name -> value of one run, with its ``cpu_s``; None if the run failed."""
+    """Metric name -> value of one run; None if the run failed."""
     if run["exit"] != 0:
         return None
     try:
         result = json.loads(run["line"])
-        values = {name: float(m["value"]) for name, m in result["metrics"].items()}
+        return {name: float(m["value"]) for name, m in result["metrics"].items()}
     except (ValueError, KeyError, TypeError, AttributeError):
         return None
-    values["cpu_s"] = run["cpu_s"]
-    return values
 
 
 def quartiles(values: list[float]) -> dict:
@@ -89,12 +70,12 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
-    """Per workload, seed and trace mode: each metric's spread per tree and the B / A pairs."""
+    """Per workload and seed: each metric's spread per tree and the B / A pairs."""
     groups: dict[tuple, list[dict]] = {}
     for run in runs:
-        groups.setdefault((run["workload"], run["seed"], run["trace"]), []).append(run)
+        groups.setdefault((run["workload"], run["seed"]), []).append(run)
     summary = []
-    for (workload, seed, trace), group in groups.items():
+    for (workload, seed), group in groups.items():
         trees = sorted({run["tree"] for run in group})
         values = {tree: {} for tree in trees}  # tree -> pair -> metric -> value
         for run in group:
@@ -133,7 +114,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
             for tree in trees
         }
         summary.append({
-            "workload": workload, "seed": seed, "trace": trace,
+            "workload": workload, "seed": seed,
             "failed_runs": failed, "metrics": metrics,
         })
     return summary
@@ -142,9 +123,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
 def directions() -> dict[str, str]:
     """Metric name -> 'lower' or 'higher', from this checkout's BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    better["cpu_s"] = "lower"
-    return better
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def git_commit(tree: Path) -> dict:
@@ -176,23 +155,16 @@ def machine() -> dict:
     }
 
 
-def child_cpu_s() -> float:
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
-def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    before = child_cpu_s()
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True,
     )
     return {
         "exit": proc.returncode,
         "elapsed_s": time.perf_counter() - t0,
-        "cpu_s": child_cpu_s() - before,
         "line": last_line(proc.stdout),
     }
 
@@ -201,11 +173,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, action="append", required=True,
                         help="a checkout root; give it once or twice (A, then B)")
-    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--label", help="the file is BENCH_<label>.json")
     parser.add_argument("--workloads", default="map_ingest")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    parser.add_argument("--seconds", type=int, default=15)
-    parser.add_argument("--trace", type=int, nargs="+", choices=(0, 1), default=[0])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args()
@@ -217,36 +187,36 @@ def main() -> int:
             parser.error(f"{tree} has no bench/run.py")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = args.workloads.split(",")
+    label = args.label or "_".join(workloads)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     started = datetime.datetime.now(datetime.timezone.utc)
     load_before = os.getloadavg()
     runs = []
-    for workload in args.workloads.split(","):
+    for workload in workloads:
         for seed in args.seeds:
-            for trace in args.trace:
-                for pair in range(args.pairs):
-                    # the trees alternate run by run; odd pairs run B first
-                    order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
-                    for name in order:
-                        run = run_once(trees[name], workload, seed, args.seconds, trace)
-                        run = {"tree": name, "workload": workload, "seed": seed,
-                               "trace": trace, "pair": pair, **run}
-                        runs.append(run)
-                        print(json.dumps({k: v for k, v in run.items() if k != "line"}),
-                              file=sys.stderr, flush=True)
+            for pair in range(args.pairs):
+                # the trees alternate run by run; odd pairs run B first
+                order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
+                for name in order:
+                    run = run_once(trees[name], workload, seed, seconds)
+                    run = {"tree": name, "workload": workload, "seed": seed, "pair": pair, **run}
+                    runs.append(run)
+                    print(json.dumps({k: v for k, v in run.items() if k != "line"}),
+                          file=sys.stderr, flush=True)
     report = {
-        "label": args.label,
+        "label": label,
         "started_utc": started.isoformat(timespec="seconds"),
         "duration_s": (datetime.datetime.now(datetime.timezone.utc) - started).total_seconds(),
         "machine": {**machine(), "loadavg_before": load_before, "loadavg_after": os.getloadavg()},
         "trees": {name: git_commit(tree) for name, tree in trees.items()},
-        "settings": {"workloads": args.workloads.split(","), "seeds": args.seeds,
-                     "seconds": args.seconds, "trace": args.trace, "pairs": args.pairs},
-        "cpu_s_covers": CPU_S_COVERS,
+        "settings": {"workloads": workloads, "seeds": args.seeds,
+                     "run_seconds": seconds, "pairs": args.pairs},
         "runs": runs,
         "summary": summarize(runs, directions()),
     }
-    path = args.out / f"BENCH_{args.label}.json"
+    path = args.out / f"BENCH_{label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
     return 0

@@ -13,13 +13,15 @@ for each seed (rho mode with its empty windows, fixed d = 1, and fixed
 d = 200, longer than numpy's 128-value pairwise block), small runs on
 the GIG limit laws for each seed (``fit-map`` at delta = 0 and at gamma
 = 0, a fixed-d ``fit-smc`` at delta = 0 and a fixed d = 0 ``simulate``
-with p = 3), and a fixed list of CLI error cases, among them a sigma
-outside the float range for each fit command.  For each job the script
-prints the exit code, stdout, the stderr lines without their source
-locations (a warning's ``file:line:`` prefix and a traceback's frames
-are dropped), and the sha256 of every file under the job's ``out_dir``:
-of the bytes after the ``# run <hash>`` line for a table, of the whole
-file otherwise.
+with p = 3), two ``fit-smc`` jobs per seed on p = 4 predictors with two
+rows a step (n < p; rho mode and fixed d = 2, N = 200), and a fixed list
+of CLI error cases, among them a sigma outside the float range for each
+fit command and a delta whose square overflows for every command.  For
+each job the script prints the exit code, stdout, the stderr lines
+without their source locations (a warning's ``file:line:`` prefix and a
+traceback's frames are dropped), and the sha256 of every file under the
+job's ``out_dir``: of the bytes after the ``# run <hash>`` line for a
+table, of the whole file otherwise.
 
 Every path a job sees is relative to its temporary directory, so the
 outputs of two source trees compare with ``diff``: no difference means
@@ -112,6 +114,20 @@ def limit_jobs(workloads, seeds: list[int]):
             yield f"limit {label} seed={seed}", [*argv, f"out_dir={out}"], Path(out)
 
 
+def smc_jobs(workloads, seeds: list[int]):
+    """``fit-smc`` at p = 4 with two rows a step, in rho mode and at fixed d = 2."""
+    for seed in seeds:
+        data = Path(f"smc-portfolio-{seed}.csv")
+        workloads.write_csv(data, *workloads.portfolio_data(30, 2, np.random.default_rng(seed)))
+        for label, window in (("rho", "rho=0.8"), ("d2", "d=2")):
+            out = f"smc-p4-{label}-{seed}"
+            yield out, [
+                "fit-smc", "nu=0.5", "delta=0.3", "gamma=1.0", "alpha=0.5", "sigma=0.5",
+                window, "n_particles=200", "n_iters=3", f"seed={seed}", f"data_path={data}",
+                f"out_dir={out}",
+            ], Path(out)
+
+
 def error_jobs():
     """CLI runs that end in a usage, configuration, input or model error."""
     Path("err-data.csv").write_text("t,y,x1\n1,0.5,1\n2,0.2,1\n3,0.1,1\n")
@@ -156,12 +172,32 @@ def error_jobs():
             cases[f"sigma-{sigma}-{command}"] = [
                 command, *_FIT, *extra, f"sigma={sigma}", "data_path=err-data.csv",
             ]
+    # delta^2 overflows; gamma = 0.01 keeps delta * gamma inside the GIG kernels' range
+    huge = ["nu=1.0", "delta=1e155", "gamma=0.01", "alpha=0.5", "sigma=1.0"]
+    for label, argv in {
+        "simulate-d2": ["simulate", "d=2", "T=5", "seed=1"],
+        "simulate-d0": ["simulate", "d=0", "T=5", "seed=1"],
+        "simulate-rho": ["simulate", "rho=0.8", "T=5", "seed=1"],
+        "acf": ["acf", "d=2", "T=50", "max_lag=5", "seed=1"],
+        "fit-map": ["fit-map", "d=2", "max_iter=100"],
+        "fit-glasso": ["fit-glasso", "d=2", "max_iter=100"],
+        "fit-smc-d2": ["fit-smc", "d=2", *smc], "fit-smc-rho": ["fit-smc", "rho=0.8", *smc],
+    }.items():
+        cases[f"delta-1e155-{label}"] = [*argv, *huge, "data_path=err-data.csv"]
     for label, argv in cases.items():
         out = dict(a.split("=", 1) for a in argv if "=" in a).get("out_dir")
         if out is None:
             out = f"err-{label}"
             argv = [*argv, f"out_dir={out}"]
         yield f"error {label}", argv, Path(out)
+
+
+def all_jobs(workloads, seeds: list[int]) -> list[tuple[str, list[str], Path]]:
+    """(label, argv, out_dir) of every job, with its input files written to the cwd."""
+    return [
+        *bench_jobs(workloads, seeds), *sim_jobs(seeds), *limit_jobs(workloads, seeds),
+        *smc_jobs(workloads, seeds), *error_jobs(),
+    ]
 
 
 def _digest(path: Path) -> str:
@@ -204,11 +240,7 @@ def main() -> None:
     workloads = load_workloads()
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
         os.chdir(work)
-        jobs = (
-            *bench_jobs(workloads, args.seeds), *sim_jobs(args.seeds),
-            *limit_jobs(workloads, args.seeds), *error_jobs(),
-        )
-        for job in jobs:
+        for job in all_jobs(workloads, args.seeds):
             run_job(*job, env)
             sys.stdout.flush()
         os.chdir(ROOT)
