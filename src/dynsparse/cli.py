@@ -178,7 +178,8 @@ def _cmd_acf(cfg: dict) -> dict:
         raise ConfigError(f"acf needs max_lag < T, got max_lag={cfg['max_lag']}, T={cfg['T']}")
     model = _model_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    beta = simulate_path(model, cfg["T"], rng)
+    # the table reads one row; at d >= 1 and in rho mode it is row 0 at any p
+    beta = simulate_path(dataclasses.replace(model, p=1), cfg["T"], rng)
     acf = autocorrelation(beta[0] ** 2, cfg["max_lag"])
     return {"acf.csv": (["lag", "acf"], ([str(lag + 1), _fmt(a)] for lag, a in enumerate(acf)))}
 

@@ -10,11 +10,12 @@ sparsity-pattern persistence the window length d controls.
 Correlation within a window is AR(1): Sigma entries alpha^|i-j|, whose
 inverse is tridiagonal, giving O(d) Mahalanobis norms.
 
-A one-row path (p = 1) steps on Python floats: a step on one-element
-arrays spends most of its time in ufunc dispatch.  Its window norm sums
-in numpy's pairwise order (:func:`_add_reduce`), and Python's float
-arithmetic rounds as numpy's float64 does, so the path keeps the bits of
-the numpy route that rows p >= 2 take.
+Rows are independent given the window lengths, so a path is stepped one
+row after another, on Python floats: a step on one-element arrays spends
+most of its time in ufunc dispatch.  The window norm sums in numpy's
+pairwise order (:func:`_add_reduce`), and Python's float arithmetic
+rounds as numpy's float64 does, so it has the bits of
+:func:`mahal_sq_batch`, the norm of the conditional law, the EM and the SMC.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 _ALPHA_MAX = 1.0 - 1e-9
+
+
+def _check_integer(name: str, value: object) -> None:
+    """A ``DomainError`` naming ``name`` unless ``value`` is a Python or numpy integer."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def window_correlation(dim: int, alpha: float) -> NDArray[np.float64]:
@@ -165,10 +172,9 @@ class ModelConfig:
                 f"sigma must be positive with sigma^2 and 1/sigma^2 finite floats, "
                 f"got sigma={self.sigma}"
             )
-        for name in ("p", "d"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        _check_integer("p", self.p)
+        if self.d is not None:
+            _check_integer("d", self.d)
         if self.p < 1:
             raise DomainError(f"p must be >= 1, got {self.p}")
         if (self.d is None) == (self.rho is None):
@@ -246,16 +252,15 @@ def simulate_path(
     (1 - alpha^2) tau; for d_t >= 1, (1 - alpha^2) tau follows the mixing
     law of :func:`conditional_gh`.
 
-    With p = 1 the steps run on Python floats (:func:`_mahal_sq_row`, a
-    scalar GIG draw, ``rng.standard_normal()``) and fill the array at the
-    end; with p >= 2 each step is a numpy row update whose GIG batch takes
-    the array kernel.  Both routes give the same bits, generator state and
-    errors.
+    The rows are drawn in turn from ``rng``, each a whole one-row path: its
+    start block, then its steps on Python floats (:func:`_mahal_sq_row`, a
+    scalar GIG draw, ``rng.standard_normal()``).  So row 0 of a p-row path
+    is the p = 1 path from the same generator.  Fixed d = 0 is one GH draw
+    of shape (p, T).
     """
+    _check_integer("T", T)
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
-    p = config.p
-    beta = np.empty((p, T))
     alpha = config.alpha
     sa = math.sqrt(1.0 - alpha**2)
     marginal = GhParams(0.0, config.nu, config.delta, config.gamma)
@@ -263,14 +268,12 @@ def simulate_path(
     if config.fixed_d:
         d = int(config.d)
         if d == 0:
-            return gh_sample(marginal, rng, size=(p, T))
+            return gh_sample(marginal, rng, size=(config.p, T))
         start = min(d, T)
         init = MghParams(
             np.zeros(start), config.nu, config.delta, config.gamma,
             window_correlation(start, alpha),
         )
-        for j in range(p):
-            beta[j, :start] = mgh_sample(init, rng)
         lengths = [d] * T
     else:
         if d_path is None:
@@ -283,30 +286,20 @@ def simulate_path(
             t = int(bad[0])
             rule = "is negative" if d_path[t] < 0 else f"exceeds the available history {t}"
             raise DomainError(f"d_path[{t}]={d_path[t]} {rule}")
-        for j in range(p):
-            beta[j, 0] = gh_sample(marginal, rng)
         start = 1
         lengths = d_path.tolist()
 
     nu, delta2, gamma = config.nu, config.delta**2, config.gamma
-    if p == 1:
-        row = beta[0, :start].tolist()
-        prev = row[-1]
+    beta = np.empty((config.p, T))
+    for j in range(config.p):
+        row = mgh_sample(init, rng).tolist() if config.fixed_d else [gh_sample(marginal, rng)]
         for t in range(start, T):
             dt = lengths[t]
             s2 = delta2 + _mahal_sq_row(row[t - dt : t], alpha)
-            # np.sqrt's NaN where math.sqrt raises: gig_rvs then fails as on p >= 2
+            # np.sqrt's NaN where math.sqrt raises, so gig_rvs raises its typed DomainError
             tau = gig_rvs(nu - dt / 2.0, math.sqrt(s2) if s2 >= 0.0 else math.nan, gamma, rng)
-            prev = alpha * prev + sa * math.sqrt(tau) * rng.standard_normal()
-            row.append(prev)
-        beta[0] = row
-        return beta
-    prev = beta[:, start - 1]
-    for t in range(start, T):
-        dt = lengths[t]
-        s2 = delta2 + mahal_sq_batch(beta[:, t - dt : t], alpha)
-        tau = gig_rvs(nu - dt / 2.0, np.sqrt(s2), gamma, rng)
-        prev = beta[:, t] = alpha * prev + sa * np.sqrt(tau) * rng.standard_normal(p)
+            row.append(alpha * row[-1] + sa * math.sqrt(tau) * rng.standard_normal())
+        beta[j] = row
     return beta
 
 
@@ -314,6 +307,7 @@ def simulate_d_chain(rho: float, T: int, rng: np.random.Generator) -> NDArray[np
     """Binomial Markov chain d_t | d_{t-1} ~ Bin(d_{t-1} + 1, rho) from d_1 = 0."""
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"rho must lie in [0, 1], got {rho}")
+    _check_integer("T", T)
     if T < 1:
         raise DomainError(f"need T >= 1, got T={T}")
     out = np.zeros(T, dtype=np.int64)
@@ -329,6 +323,7 @@ def autocorrelation(series: NDArray[np.float64], max_lag: int) -> NDArray[np.flo
     whose blocking and so whose rounding depend on the BLAS thread count.
     """
     x = np.asarray(series, dtype=float).ravel()
+    _check_integer("max_lag", max_lag)
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     if x.shape[0] <= max_lag:

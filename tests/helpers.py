@@ -396,40 +396,41 @@ def reference_weight_and_propose(y, X, m, tau, sigma2, rng):
 def reference_simulate_path(config, T, rng, d_path=None):
     """``simulate_path`` as a plain loop over the reference kernels, kept as an oracle.
 
-    Interior mixing laws only (delta > 0 and gamma > 0).  The window norm
-    squares the interior values a second time and sums with ``.sum``; the
-    start block and the first rho-mode value mix their Gaussians as
-    ``mgh_sample`` and ``gh_sample`` do.
+    Interior mixing laws only (delta > 0 and gamma > 0).  The rows are
+    drawn one after another, each a whole path on one-row numpy arrays.
+    The window norm squares the interior values a second time and sums
+    with ``.sum``; the start block and the first rho-mode value mix their
+    Gaussians as ``mgh_sample`` and ``gh_sample`` do.
     """
-    p, alpha = config.p, config.alpha
-    beta = np.empty((p, T))
+    alpha = config.alpha
+    beta = np.empty((config.p, T))
     sa = math.sqrt(1.0 - alpha**2)
-    if config.fixed_d:
-        start = min(config.d, T)
-        chol = cholesky(window_correlation(start, alpha), lower=True)
-        for j in range(p):
+    for j in range(config.p):
+        row = beta[j : j + 1]
+        if config.fixed_d:
+            start = min(config.d, T)
+            chol = cholesky(window_correlation(start, alpha), lower=True)
             tau = _reference_gig_interior(config.nu, config.delta, config.gamma, rng)[()]
-            beta[j, :start] = np.zeros(start) + math.sqrt(tau) * (chol @ rng.standard_normal(start))
-        lengths = [config.d] * T
-    else:
-        for j in range(p):
-            tau = _reference_gig_interior(config.nu, config.delta, config.gamma, rng)
-            beta[j, 0] = float((0.0 + np.sqrt(tau) * rng.standard_normal((1,)))[0])
-        start = 1
-        lengths = list(d_path)
-    for t in range(start, T):
-        dt = lengths[t]
-        x = beta[:, t - dt : t]
-        if dt == 1:
-            msq = x[:, 0] ** 2
+            row[0, :start] = np.zeros(start) + math.sqrt(tau) * (chol @ rng.standard_normal(start))
+            lengths = [config.d] * T
         else:
-            total = (x * x).sum(axis=-1)
-            inner = (x[:, 1:-1] ** 2).sum(axis=-1)
-            cross = (x[:, :-1] * x[:, 1:]).sum(axis=-1)
-            msq = (total + alpha**2 * inner - 2.0 * alpha * cross) / (1.0 - alpha**2)
-        s2 = config.delta**2 + msq
-        tau = _reference_gig_interior(config.nu - dt / 2.0, np.sqrt(s2), config.gamma, rng)
-        beta[:, t] = alpha * beta[:, t - 1] + sa * np.sqrt(tau) * rng.standard_normal(p)
+            tau = _reference_gig_interior(config.nu, config.delta, config.gamma, rng)
+            row[0, 0] = float((0.0 + np.sqrt(tau) * rng.standard_normal((1,)))[0])
+            start = 1
+            lengths = list(d_path)
+        for t in range(start, T):
+            dt = lengths[t]
+            x = row[:, t - dt : t]
+            if dt == 1:
+                msq = x[:, 0] ** 2
+            else:
+                total = (x * x).sum(axis=-1)
+                inner = (x[:, 1:-1] ** 2).sum(axis=-1)
+                cross = (x[:, :-1] * x[:, 1:]).sum(axis=-1)
+                msq = (total + alpha**2 * inner - 2.0 * alpha * cross) / (1.0 - alpha**2)
+            s2 = config.delta**2 + msq
+            tau = _reference_gig_interior(config.nu - dt / 2.0, np.sqrt(s2), config.gamma, rng)
+            row[:, t] = alpha * row[:, t - 1] + sa * np.sqrt(tau) * rng.standard_normal(1)
     return beta
 
 

@@ -263,6 +263,20 @@ def test_acf_emits_lag_table(tmp_path):
     assert int(lines[2].split(",")[0]) == 1
 
 
+@pytest.mark.parametrize("window", ["d=0", "d=2", "rho=0.7"])
+def test_acf_does_not_depend_on_p(tmp_path, window):
+    # acf reads one row, so it simulates one: p only changes the run header
+    bodies = []
+    for p in (1, 3):
+        out = tmp_path / f"p{p}"
+        assert run_command([
+            "acf", "nu=1.0", "delta=0.5", "gamma=1.0", "alpha=0.5", window, "sigma=1.0",
+            "T=600", "seed=4", "max_lag=20", f"p={p}", f"out_dir={out}",
+        ]) == 0
+        bodies.append((out / "acf.csv").read_text().split("\n", 1)[1])
+    assert bodies[0] == bodies[1]
+
+
 def test_fit_map_estimates_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     data, _ = synthetic_regression(25, 0.5, rng)

@@ -111,6 +111,7 @@ INPUT_ERRORS = [
     ("config-rho=-0.1", lambda rng: cfg(d=None, rho=-0.1), "rho must lie in [0, 1], got -0.1"),
     ("config-rho=1.5", lambda rng: cfg(d=None, rho=1.5), "rho must lie in [0, 1], got 1.5"),
     ("path-T=0", lambda rng: simulate_path(cfg(), 0, rng), "T must be >= 1, got 0"),
+    ("path-T=2.5", lambda rng: simulate_path(cfg(), 2.5, rng), "T must be an integer, got 2.5"),
     (
         "path-d_path-shape",
         lambda rng: simulate_path(cfg(d=None, rho=0.5), 5, rng, d_path=np.zeros(3)),
@@ -118,7 +119,17 @@ INPUT_ERRORS = [
     ),
     ("chain-rho=2", lambda rng: simulate_d_chain(2.0, 5, rng), "rho must lie in [0, 1], got 2.0"),
     ("chain-T=0", lambda rng: simulate_d_chain(0.5, 0, rng), "need T >= 1, got T=0"),
+    (
+        "chain-T=2.5",
+        lambda rng: simulate_d_chain(0.5, 2.5, rng),
+        "T must be an integer, got 2.5",
+    ),
     ("acf-max_lag=0", lambda rng: autocorrelation(np.ones(5), 0), "max_lag must be >= 1, got 0"),
+    (
+        "acf-max_lag=2.5",
+        lambda rng: autocorrelation(np.ones(5), 2.5),
+        "max_lag must be an integer, got 2.5",
+    ),
     (
         "acf-short-series",
         lambda rng: autocorrelation(np.ones(5), 5),
@@ -359,6 +370,28 @@ def test_one_row_route_matches_the_reference_loop(kw):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(nu=1.0, delta=0.3, gamma=1.0, alpha=0.6, d=3),
+        dict(nu=1.0, delta=0.3, gamma=1.0, alpha=0.6, d=None, rho=0.5),
+    ],
+    ids=["d3", "rho"],
+)
+def test_rows_are_one_row_paths_drawn_in_turn(kw):
+    # rows share only the window lengths, so row j is the p = 1 path drawn
+    # from the generator the rows before it left
+    c = cfg(p=3, **kw)
+    one = cfg(p=1, **kw)
+    T = 400
+    d_path = None if c.fixed_d else simulate_d_chain(c.rho, T, np.random.default_rng(37))
+    rng, twin = np.random.default_rng(38), np.random.default_rng(38)
+    beta = simulate_path(c, T, rng, d_path=d_path)
+    rows = [simulate_path(one, T, twin, d_path=d_path)[0] for _ in range(3)]
+    assert np.array_equal(beta, np.array(rows))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_float_window_norm_matches_mahal_sq_batch_bit_for_bit():
     rng = np.random.default_rng(36)
     specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, math.inf, -math.inf, math.nan])
@@ -395,7 +428,8 @@ def test_float_window_norm_matches_mahal_sq_batch_bit_for_bit():
     ids=["negative", "inf", "minus-inf", "nan"],
 )
 def test_one_row_route_fails_as_the_array_route(monkeypatch, window, delta, scale):
-    # the p = 1 route takes math.sqrt, which raises where np.sqrt gives NaN
+    # a step takes math.sqrt, which raises where np.sqrt gives NaN; the typed
+    # error must be gig_rvs's, the same at every p
     monkeypatch.setattr(dynsparse.prior, "mgh_sample", lambda init, rng: np.array(window))
     errors = []
     for p in (1, 2):
@@ -431,6 +465,11 @@ def test_numpy_integer_sizes_work_like_python_ints():
     beta = simulate_path(c, 40, np.random.default_rng(33))
     assert np.array_equal(beta, simulate_path(cfg(p=2, d=3), 40, np.random.default_rng(33)))
     assert np.array_equal(window_correlation(np.int32(3), 0.5), window_correlation(3, 0.5))
+    beta = simulate_path(cfg(p=2, d=3), np.int64(40), np.random.default_rng(33))
+    assert np.array_equal(beta, simulate_path(cfg(p=2, d=3), 40, np.random.default_rng(33)))
+    chain = simulate_d_chain(0.5, np.int32(40), np.random.default_rng(34))
+    assert np.array_equal(chain, simulate_d_chain(0.5, 40, np.random.default_rng(34)))
+    assert np.array_equal(autocorrelation(beta[0], np.int64(5)), autocorrelation(beta[0], 5))
 
 
 def test_simulate_path_rejects_a_window_longer_than_the_history():
@@ -453,7 +492,7 @@ def test_simulate_path_zero_window_steps_draw_with_delta(monkeypatch):
     calls = []
 
     def recording(nu, delta, gamma, rng):
-        calls.append((nu, np.array(delta)))
+        calls.append((nu, delta))
         return real(nu, delta, gamma, rng)
 
     monkeypatch.setattr(dynsparse.prior, "gig_rvs", recording)
@@ -461,12 +500,14 @@ def test_simulate_path_zero_window_steps_draw_with_delta(monkeypatch):
     d_path = np.array([0, 0, 1, 0, 2, 0, 0, 1, 2, 0])
     beta = simulate_path(c, 10, np.random.default_rng(5), d_path=d_path)
     assert np.all(np.isfinite(beta))
-    assert len(calls) == 9
-    zero_steps = [call for call, dt in zip(calls, d_path[1:]) if dt == 0]
-    assert len(zero_steps) == 5
-    for nu, delta in zero_steps:
-        assert nu == c.nu
-        assert np.array_equal(delta, np.full(2, c.delta))
+    # one scalar draw per step and row, the rows one after another
+    assert len(calls) == 2 * 9
+    for row_calls in (calls[:9], calls[9:]):
+        zero_steps = [call for call, dt in zip(row_calls, d_path[1:]) if dt == 0]
+        assert len(zero_steps) == 5
+        for nu, delta in zero_steps:
+            assert nu == c.nu
+            assert type(delta) is float and delta == c.delta
 
 
 # ---------------------------------------------------------------------------

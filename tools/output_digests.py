@@ -7,9 +7,10 @@ Each job runs ``python -m dynsparse.cli`` with the package under ``SRC``
 (a checkout's ``src`` directory) on ``PYTHONPATH`` and BLAS on one
 thread, in a fresh temporary directory.  The jobs are those of
 ``bench/workloads.py`` at the benchmark's sizes for each seed, a rho-mode
-``simulate`` with p = 2 and an ``acf`` job for each seed, one-row
-(p = 1) ``simulate`` jobs on the edges of its Python-float window norm
-for each seed (rho mode with its empty windows, fixed d = 1, and fixed
+``simulate`` with p = 2, a fixed d = 3 ``simulate`` with p = 3 and
+``acf`` jobs at p = 1 and p = 3 for each seed, one-row (p = 1)
+``simulate`` jobs on the edges of the Python-float window norm for each
+seed (rho mode with its empty windows, fixed d = 1, and fixed
 d = 200, longer than numpy's 128-value pairwise block), small runs on
 the GIG limit laws for each seed (``fit-map`` at delta = 0 and at gamma
 = 0, a fixed-d ``fit-smc`` at delta = 0 and a fixed d = 0 ``simulate``
@@ -75,10 +76,15 @@ def sim_jobs(seeds: list[int]):
             "simulate", "nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.5", "rho=0.8",
             "sigma=1.0", "p=2", "T=2000", f"seed={seed}", f"out_dir={out}",
         ], Path(out)
-        out = f"acf-{seed}"
+        for out, rows in ((f"acf-{seed}", []), (f"acf-p3-{seed}", ["p=3"])):
+            yield out, [
+                "acf", "nu=0.1", "delta=0.01", "gamma=1.0", "alpha=0.0", "d=20", "sigma=1.0",
+                *rows, "T=20000", "max_lag=30", f"seed={seed}", f"out_dir={out}",
+            ], Path(out)
+        out = f"d3-p3-simulate-{seed}"
         yield out, [
-            "acf", "nu=0.1", "delta=0.01", "gamma=1.0", "alpha=0.0", "d=20", "sigma=1.0",
-            "T=20000", "max_lag=30", f"seed={seed}", f"out_dir={out}",
+            "simulate", "nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.7", "d=3",
+            "sigma=1.0", "p=3", "T=2000", f"seed={seed}", f"out_dir={out}",
         ], Path(out)
         for label, window in (("rho", ["rho=0.5"]), ("d1", ["d=1"]), ("d200", ["d=200"])):
             out = f"one-row-{label}-{seed}"
