@@ -19,13 +19,14 @@ parameter range; the boundaries use plain gamma / inverse-gamma draws.
 The scheme has two kernels: ``_devroye_gig`` works on arrays, each
 rejection round on the elements still pending (the first on the full
 arrays), and ``_devroye_gig_one`` is its setup-light scalar twin.
-``gig_rvs`` checks the whole batch by ``validate_gig_region``'s rule
+Only three Python floats in the interior (finite nu, 0 < delta, gamma
+< inf) take the scalar kernel, before any numpy call; it serves ordinary
+parameters only, and for one element both kernels give the same value
+and take the same uniforms.  Every other draw takes ``gig_rvs``'s array
+route, which checks the whole batch by ``validate_gig_region``'s rule
 before any draw: parameters outside it raise one ``DomainError`` and
-leave the generator as it was.  Only a one-element interior draw takes the
-scalar kernel, which serves ordinary parameters only; for one element
-both kernels give the same value and take the same uniforms.  A larger
-batch that is all interior goes to the array kernel whole, with no
-boundary masks.
+leave the generator as it was.  A batch that is all interior goes to
+the array kernel whole, with no boundary masks.
 
 At the SMC's batch sizes (about 10^3) the array kernel's cost is the
 fixed cost of its numpy calls, not the work per element, so it makes few
@@ -465,32 +466,30 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
 def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np.float64]:
     """Vectorized GIG draws with elementwise parameters.
 
-    Before any draw, the broadcast batch is checked against the GIG
-    region; its first bad element raises :func:`validate_gig_region`'s
-    ``DomainError``.  Boundary parameters (delta = 0 or gamma = 0) go to
-    exact gamma / inverse-gamma samplers elementwise.  A one-element batch
-    with finite nu, delta and gamma > 0 takes the scalar kernel, which
-    draws what the array kernel would; every other batch the array route.
-    A batch whose every element is interior (finite nu, 0 < delta, gamma
-    < inf) passes the region check by that test alone and is drawn whole;
-    a mixed batch draws its gamma = 0, then its delta = 0, then its
-    interior elements.
+    Three Python floats with finite nu and 0 < delta, gamma < inf, and no
+    ``size``, take the scalar kernel before any numpy call: one float,
+    the value and uniforms the array kernel would give.  Everything else
+    takes the array route.  There, before any draw, the broadcast batch
+    is checked against the GIG region; its first bad element raises
+    :func:`validate_gig_region`'s ``DomainError``.  Boundary parameters
+    (delta = 0 or gamma = 0) go to exact gamma / inverse-gamma samplers
+    elementwise.  A batch whose every element is interior (finite nu,
+    0 < delta, gamma < inf) passes the region check by that test alone
+    and is drawn whole; a mixed batch draws its gamma = 0, then its
+    delta = 0, then its interior elements.
     """
+    if (
+        size is None and isinstance(nu, float) and isinstance(delta, float)
+        and isinstance(gamma, float) and 0.0 < delta < math.inf and 0.0 < gamma < math.inf
+        and math.isfinite(nu)
+    ):
+        return (delta / gamma) * _devroye_gig_one(nu, delta * gamma, rng)
     nu = np.asarray(nu, dtype=float)
     delta = np.asarray(delta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if size is None and nu.size == delta.size == gamma.size == 1:
-        # size-one arrays broadcast to all ones, in as many dims as the most
-        shape = (1,) * max(nu.ndim, delta.ndim, gamma.ndim)
-    else:
-        shape = np.broadcast(nu, delta, gamma).shape
-        if size is not None:
-            shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)))
-    if math.prod(shape) == 1:
-        n, d, g = nu.item(), delta.item(), gamma.item()
-        if 0.0 < d < math.inf and 0.0 < g < math.inf and math.isfinite(n):
-            z = (d / g) * _devroye_gig_one(n, d * g, rng)
-            return np.array(z, ndmin=len(shape)) if shape else z
+    shape = np.broadcast(nu, delta, gamma).shape
+    if size is not None:
+        shape = np.broadcast_shapes(shape, tuple(np.atleast_1d(size)))
     # an all-interior batch is valid, and the array kernel draws it whole
     interior = (
         np.isfinite(nu) & (0.0 < delta) & (delta < math.inf) & (0.0 < gamma) & (gamma < math.inf)
@@ -642,15 +641,14 @@ def gh_sample(params: GhParams, rng: np.random.Generator, size=None):
     ``size=None`` gives one float; any other size, ``0`` and ``()``
     included, an array of that shape.
     """
-    tau = gig_rvs(
-        params.nu, params.delta, params.gamma, rng, size=(1,) if size is None else size
-    )
-    x = np.sqrt(tau) * rng.standard_normal(np.shape(tau))
+    tau = gig_rvs(params.nu, params.delta, params.gamma, rng, size=size)
+    if size is None:
+        x = math.sqrt(tau) * rng.standard_normal()
+    else:
+        x = np.sqrt(tau) * rng.standard_normal(np.shape(tau))
     if params.mu:  # adding a zero mu would turn a draw of -0.0 into 0.0
         x += params.mu
-    if size is None:
-        return float(x[0])
-    return x
+    return float(x) if size is None else x
 
 
 def mgh_sample(params: MghParams, rng: np.random.Generator) -> NDArray[np.float64]:

@@ -12,10 +12,12 @@ inverse is tridiagonal, giving O(d) Mahalanobis norms.
 
 Rows are independent given the window lengths, so a path is stepped one
 row after another, on Python floats: a step on one-element arrays spends
-most of its time in ufunc dispatch.  The window norm sums in numpy's
-pairwise order (:func:`_add_reduce`), and Python's float arithmetic
-rounds as numpy's float64 does, so it has the bits of
-:func:`mahal_sq_batch`, the norm of the conditional law, the EM and the SMC.
+most of its time in ufunc dispatch.  Each value's square and its product
+with the value before are made once, as the value joins the row; a
+step's window norm sums those products in numpy's pairwise order
+(:func:`_add_reduce`).  Python's float arithmetic rounds as numpy's
+float64 does, so the norm has the bits of :func:`mahal_sq_batch`, the
+norm of the conditional law, the EM and the SMC.
 """
 
 from __future__ import annotations
@@ -114,24 +116,23 @@ def _add_reduce(v: list[float], lo: int, hi: int) -> float:
     return _add_reduce(v, lo, lo + half) + _add_reduce(v, lo + half, hi)
 
 
-def _mahal_sq_row(w: list[float], alpha: float) -> float:
-    """:func:`mahal_sq_batch` of one window held as Python floats, with the same bits.
+def _mahal_sq_row(sq: list[float], cross: list[float], lo: int, hi: int, alpha: float) -> float:
+    """:func:`mahal_sq_batch` of the window row[lo:hi] of a Python-float row, with the same bits.
 
-    Products round as numpy's float64 ones do and :func:`_add_reduce` sums
-    in numpy's order; window squares are products, so a huge value gives
-    inf, not an ``OverflowError``.  ``alpha**2`` is libm's ``pow``, as in
-    :func:`mahal_sq_batch`: it can differ from ``alpha * alpha`` in the
-    last bit.
+    The row's products are made once per value and passed in:
+    ``sq[k] = row[k] * row[k]`` and ``cross[k] = row[k - 1] * row[k]``.
+    They round as numpy's float64 ones do and :func:`_add_reduce` sums
+    in numpy's order, relative to ``lo``; window squares are products, so
+    a huge value gives inf, not an ``OverflowError``.  ``alpha**2`` is
+    libm's ``pow``, as in :func:`mahal_sq_batch`: it can differ from
+    ``alpha * alpha`` in the last bit.
     """
-    d = len(w)
-    if d == 1:
-        return w[0] * w[0]
-    sq = [x * x for x in w]
-    total = _add_reduce(sq, 0, d)
-    inner = _add_reduce(sq, 1, d - 1)
-    cross = [x * y for x, y in zip(w, w[1:])]
+    if hi - lo == 1:
+        return sq[lo]
+    total = _add_reduce(sq, lo, hi)
+    inner = _add_reduce(sq, lo + 1, hi - 1)
     a2 = alpha**2
-    return (total + a2 * inner - 2.0 * alpha * _add_reduce(cross, 0, d - 1)) / (1.0 - a2)
+    return (total + a2 * inner - 2.0 * alpha * _add_reduce(cross, lo + 1, hi)) / (1.0 - a2)
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,11 @@ def simulate_path(
 
     The rows are drawn in turn from ``rng``, each a whole one-row path: its
     start block, then its steps on Python floats (:func:`_mahal_sq_row`, a
-    scalar GIG draw, ``rng.standard_normal()``).  So row 0 of a p-row path
-    is the p = 1 path from the same generator.  Fixed d = 0 is one GH draw
-    of shape (p, T).
+    scalar GIG draw, ``rng.standard_normal()``).  A row keeps each value's
+    square and its product with the value before next to the row, made
+    once as the value is appended, so a step's window norm only sums.
+    Row 0 of a p-row path is the p = 1 path from the same generator.
+    Fixed d = 0 is one GH draw of shape (p, T).
     """
     _check_integer("T", T)
     if T < 1:
@@ -289,16 +292,22 @@ def simulate_path(
         start = 1
         lengths = d_path.tolist()
 
-    nu, delta2, gamma = config.nu, config.delta**2, config.gamma
+    # a float gamma keeps every step on gig_rvs's route for three Python floats
+    nu, delta2, gamma = config.nu, config.delta**2, float(config.gamma)
     beta = np.empty((config.p, T))
     for j in range(config.p):
         row = mgh_sample(init, rng).tolist() if config.fixed_d else [gh_sample(marginal, rng)]
+        sq = [x * x for x in row]
+        cross = [0.0, *(x * y for x, y in zip(row, row[1:]))]
         for t in range(start, T):
             dt = lengths[t]
-            s2 = delta2 + _mahal_sq_row(row[t - dt : t], alpha)
+            s2 = delta2 + _mahal_sq_row(sq, cross, t - dt, t, alpha)
             # np.sqrt's NaN where math.sqrt raises, so gig_rvs raises its typed DomainError
             tau = gig_rvs(nu - dt / 2.0, math.sqrt(s2) if s2 >= 0.0 else math.nan, gamma, rng)
-            row.append(alpha * row[-1] + sa * math.sqrt(tau) * rng.standard_normal())
+            x = alpha * row[-1] + sa * math.sqrt(tau) * rng.standard_normal()
+            sq.append(x * x)
+            cross.append(row[-1] * x)
+            row.append(x)
         beta[j] = row
     return beta
 
@@ -310,10 +319,12 @@ def simulate_d_chain(rho: float, T: int, rng: np.random.Generator) -> NDArray[np
     _check_integer("T", T)
     if T < 1:
         raise DomainError(f"need T >= 1, got T={T}")
-    out = np.zeros(T, dtype=np.int64)
-    for t in range(1, T):
-        out[t] = rng.binomial(out[t - 1] + 1, rho)
-    return out
+    d = 0
+    out = [d]
+    for _ in range(1, T):
+        d = rng.binomial(d + 1, rho)
+        out.append(d)
+    return np.array(out, dtype=np.int64)
 
 
 def autocorrelation(series: NDArray[np.float64], max_lag: int) -> NDArray[np.float64]:

@@ -452,10 +452,55 @@ def test_gig_rvs_size_one_shapes():
     assert gig_rvs(0.5, 1.0, 1.0, rng, size=0).shape == (0,)
 
 
+def _counting_kernels(monkeypatch):
+    """Record each call of the scalar and array Devroye kernels, in order."""
+    calls = []
+    for name in ("_devroye_gig", "_devroye_gig_one"):
+        kernel = getattr(dynsparse.distributions, name)
+
+        def counted(lam, omega, rng, kernel=kernel, name=name):
+            calls.append(name)
+            return kernel(lam, omega, rng)
+
+        monkeypatch.setattr(dynsparse.distributions, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args,kernel",
+    [
+        ((-0.7, 1.5, 0.4), "_devroye_gig_one"),
+        ((0.1, 0.0105, 1.0), "_devroye_gig_one"),
+        ((1, 2, 3), "_devroye_gig"),
+        ((1.0, 2, 3.0), "_devroye_gig"),
+        ((np.array(1.0), 2.0, 3.0), "_devroye_gig"),
+        ((1.0, np.array([2.0]), 3.0), "_devroye_gig"),
+        ((np.array([[1.0]]), np.array(2.0), np.array([3.0])), "_devroye_gig"),
+    ],
+    ids=["floats", "floats-small", "ints", "int-delta", "0d-nu", "1-element-delta", "arrays"],
+)
+def test_gig_rvs_single_interior_draw_routes(monkeypatch, args, kernel):
+    # only three Python floats take the scalar kernel; ints and arrays take
+    # the array route; each draws (delta / gamma) * the array kernel's
+    # n = 1 draw at omega = delta * gamma and leaves the generator as it does
+    nu, delta, gamma = (float(np.asarray(a).item()) for a in args)
+    oracle = np.random.default_rng(8)
+    expected = [(delta / gamma) * _devroye_gig(np.array([nu]), delta * gamma, oracle)[0]
+                for _ in range(3)]
+    calls = _counting_kernels(monkeypatch)
+    rng = np.random.default_rng(8)
+    got = [gig_rvs(*args, rng) for _ in range(3)]
+    assert all(np.shape(z) == np.broadcast(*args).shape for z in got)
+    assert np.float64(got).tobytes() == np.float64(expected).reshape(np.shape(got)).tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert calls == [kernel] * 3
+
+
 @pytest.mark.parametrize("nu,delta,gamma", [(1.5, 0.0, 2.0), (-2.0, 1.5, 0.0)])
-def test_gig_rvs_size_one_boundary_routes(nu, delta, gamma):
+def test_gig_rvs_size_one_boundary_routes(monkeypatch, nu, delta, gamma):
     # a gamma / inverse-gamma draw is one generator call per element, so
-    # k size-1 draws equal one batch of k
+    # k size-1 draws equal one batch of k; no Devroye kernel runs
+    calls = _counting_kernels(monkeypatch)
     rng_one = np.random.default_rng(5)
     rng_batch = np.random.default_rng(5)
     singles = [gig_rvs(nu, delta, gamma, rng_one) for _ in range(6)]
@@ -463,6 +508,7 @@ def test_gig_rvs_size_one_boundary_routes(nu, delta, gamma):
     assert all(isinstance(z, float) for z in singles)
     assert np.array_equal(singles, batch)
     assert rng_one.bit_generator.state == rng_batch.bit_generator.state
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -473,10 +519,14 @@ def test_gig_rvs_size_one_boundary_routes(nu, delta, gamma):
         (0.5, -1.0, 1.0, "delta and gamma must be nonnegative"),
         (-3.0, -1.0, -1.0, "delta and gamma must be nonnegative"),
         (np.nan, 1.0, 1.0, "non-finite GIG parameters"),
+        (0.5, math.nan, 1.0, "non-finite GIG parameters"),
+        (0.5, 1.0, math.inf, "non-finite GIG parameters"),
     ],
 )
-def test_gig_rvs_size_one_errors_match_batch(nu, delta, gamma, match):
+def test_gig_rvs_size_one_errors_match_batch(monkeypatch, nu, delta, gamma, match):
     # every size raises the region rule's message before taking a uniform
+    # or calling a Devroye kernel
+    calls = _counting_kernels(monkeypatch)
     with pytest.raises(DomainError, match=match) as rule:
         validate_gig_region(nu, delta, gamma)
     for size in (None, (1,), 3):
@@ -485,6 +535,7 @@ def test_gig_rvs_size_one_errors_match_batch(nu, delta, gamma, match):
         with pytest.raises(DomainError, match=f"^{re.escape(str(rule.value))}$"):
             gig_rvs(nu, delta, gamma, rng, size=size)
         assert rng.bit_generator.state == untouched
+    assert calls == []
 
 
 @pytest.mark.parametrize(

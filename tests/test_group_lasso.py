@@ -1,5 +1,6 @@
 """Sliding-window group lasso: oracle agreement, KKT, and solver behavior."""
 
+import functools
 import math
 import re
 import warnings
@@ -101,6 +102,15 @@ def random_problem(seed, p=3, d=2, n=5, gamma=1.0, alpha=0.5):
     Xs = [rng.standard_normal((n, p)) for _ in range(w)]
     ys = [rng.standard_normal(n) * 2.0 for _ in range(w)]
     return Window(RegressionData(ys, Xs), alpha, gamma, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def seed_oracle_objective(seed):
+    """``fista_oracle``'s objective on ``random_problem(seed)``, solved once per session.
+
+    The parametrized oracle test and criterion 7 check the same problems.
+    """
+    return fista_oracle(random_problem(seed))[1]
 
 
 def assert_kkt(problem, beta, tol):
@@ -274,8 +284,7 @@ def test_null_solution_threshold(seed):
 def test_objective_matches_prox_gradient_oracle(seed):
     problem = random_problem(seed)
     beta, _ = solve_window(*problem, tol=1e-10)
-    _, obj_oracle = fista_oracle(problem)
-    assert objective(problem, beta) == pytest.approx(obj_oracle, abs=1e-5)
+    assert objective(problem, beta) == pytest.approx(seed_oracle_objective(seed), abs=1e-5)
 
 
 @pytest.mark.parametrize("seed", range(8))

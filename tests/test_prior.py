@@ -393,7 +393,11 @@ def test_rows_are_one_row_paths_drawn_in_turn(kw):
 
 
 def test_float_window_norm_matches_mahal_sq_batch_bit_for_bit():
-    rng = np.random.default_rng(36)
+    # the window is read from a row's per-value products, as simulate_path
+    # keeps them: squares, and lag-1 products after an unused cross[0]; it
+    # sits at the row's start and after a lead of 1-5 values; a second
+    # generator draws the leads, so rng draws only the windows
+    rng, leads = np.random.default_rng(36), np.random.default_rng(37)
     specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, math.inf, -math.inf, math.nan])
     for n in range(301):
         for alpha in (0.0, 0.5, _ALPHA_MAX, 0.3578680612554048):
@@ -404,8 +408,13 @@ def test_float_window_norm_matches_mahal_sq_batch_bit_for_bit():
                 with np.errstate(all="ignore"):
                     expected = mahal_sq_batch(w[None, :], alpha)[0]
                     total = np.add.reduce(w)
-                got = np.float64(_mahal_sq_row(w.tolist(), alpha))
-                assert got.tobytes() == expected.tobytes(), (n, alpha, w)
+                for lead in ([], leads.standard_normal(n % 5 + 1).tolist()):
+                    row = [*lead, *w.tolist()]
+                    sq = [x * x for x in row]
+                    cross = [0.0, *(x * y for x, y in zip(row, row[1:]))]
+                    lo = len(lead)
+                    got = np.float64(_mahal_sq_row(sq, cross, lo, lo + n, alpha))
+                    assert got.tobytes() == expected.tobytes(), (n, alpha, lo, w)
                 # numpy adds its pairwise sum to +0.0, so signed zeros sum to +0.0;
                 # the sign of a NaN sum follows the operand order of numpy's
                 # compiled loop, which the norm above never depends on
@@ -508,6 +517,33 @@ def test_simulate_path_zero_window_steps_draw_with_delta(monkeypatch):
         for nu, delta in zero_steps:
             assert nu == c.nu
             assert type(delta) is float and delta == c.delta
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(nu=0.1, delta=0.01, gamma=1.0, alpha=0.0, d=20),
+        dict(nu=1.0, delta=0.3, gamma=1.0, alpha=0.6, d=None, rho=0.8, p=2),
+        dict(nu=1.0, delta=0.3, gamma=2, alpha=0.6, d=3, p=2),
+    ],
+    ids=["d20", "rho", "int-gamma"],
+)
+def test_path_steps_never_reach_the_array_gig_kernel(monkeypatch, kw):
+    # every step draws its GIG scale as three Python floats, an integer
+    # gamma included, so only the scalar kernel runs; a start block takes
+    # the config's own values, and an integer among them the array route
+    calls = []
+    real = dynsparse.distributions._devroye_gig
+
+    def counted(lam, omega, rng):
+        calls.append(lam)
+        return real(lam, omega, rng)
+
+    monkeypatch.setattr(dynsparse.distributions, "_devroye_gig", counted)
+    c = cfg(**kw)
+    beta = simulate_path(c, 500, np.random.default_rng(39))
+    assert np.all(np.isfinite(beta))
+    assert len(calls) == (0 if isinstance(c.gamma, float) else c.p)
 
 
 # ---------------------------------------------------------------------------

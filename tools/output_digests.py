@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print what fixed dynsparse CLI runs return and write, for byte-identity checks.
 
-    python3 tools/output_digests.py --src SRC [--seeds 1 7] > digests.txt
+    python3 tools/output_digests.py --src SRC [--seeds 1 7] > tools/digests.txt
+    python3 tools/output_digests.py --src SRC --check tools/digests.txt
 
 Each job runs ``python -m dynsparse.cli`` with the package under ``SRC``
 (a checkout's ``src`` directory) on ``PYTHONPATH`` and BLAS on one
@@ -24,18 +25,30 @@ traceback's frames are dropped), and the sha256 of every file under the
 job's ``out_dir``: of the bytes after the ``# run <hash>`` line for a
 table, of the whole file otherwise.
 
+The output starts with a header of ``#`` lines: the python, numpy and
+scipy versions and the dispatch target numpy picked on this host for
+each float64 ufunc the GIG kernels call (``numpy.lib.introspect.
+opt_func_info``).  The bytes of the ``simulate``, ``acf`` and
+``fit-smc`` jobs depend on that dispatch.
+
 Every path a job sees is relative to its temporary directory, so the
 outputs of two source trees compare with ``diff``: no difference means
-the same exit codes, messages and output bytes.  The script writes
+the same exit codes, messages and output bytes.  ``--check FILE`` makes
+that comparison against a saved output (``tools/digests.txt`` is the
+committed one): it reports a header difference first, then each job
+whose lines moved, and exits 1 on any difference.  The script writes
 nothing under ``bench/`` or ``SRC``.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
+import importlib.metadata
 import importlib.util
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -43,11 +56,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 ROOT = Path(__file__).resolve().parents[1]
 
 _BASE = ["nu=0.5", "delta=0.5", "gamma=1.0", "alpha=0.5", "d=2", "sigma=1.0", "T=20", "seed=3"]
 _FIT = ["nu=2.0", "delta=0.0", "gamma=1.0", "alpha=0.5", "d=2", "sigma=0.5", "max_iter=100"]
+# the float64 ufuncs the GIG kernels call, whose loops numpy picks per host
+_UFUNCS = ("cosh", "exp", "expm1", "log", "log1p", "sinh", "sqrt")
 
 
 def load_workloads():
@@ -213,44 +229,101 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_job(label: str, argv: list[str], out: Path, env: dict) -> None:
+def header() -> list[str]:
+    """The versions and numpy dispatch targets the job bytes depend on."""
+    lines = [
+        f"# python {platform.python_version()}",
+        f"# numpy {np.__version__}",
+        f"# scipy {importlib.metadata.version('scipy')}",
+    ]
+    info = opt_func_info(func_name=f"^({'|'.join(_UFUNCS)})$", signature="float64")
+    for name in _UFUNCS:
+        lines.append(f"# dispatch {name}: {info[name]['dd']['current']}")
+    return lines
+
+
+def read_digests(path: Path) -> tuple[list[str], dict[str, list[str]]]:
+    """A saved output's header lines and, per job label, the job's lines."""
+    head, jobs, block = [], {}, None
+    for line in path.read_text().splitlines():
+        if line.startswith("== "):
+            block = jobs[line[3:]] = [line]
+        elif block is None:
+            head.append(line)
+        else:
+            block.append(line)
+    return head, jobs
+
+
+def run_job(label: str, argv: list[str], out: Path, env: dict) -> list[str]:
+    """The lines that describe one job's run: exit code, messages and file digests."""
     proc = subprocess.run(
         [sys.executable, "-m", "dynsparse.cli", *argv],
         env=env, capture_output=True, text=True, timeout=600,
     )
-    print(f"== {label}")
-    print(f"argv: {' '.join(argv)}")
-    print(f"exit: {proc.returncode}")
-    for line in proc.stdout.splitlines():
-        print(f"stdout: {line}")
+    lines = [f"== {label}", f"argv: {' '.join(argv)}", f"exit: {proc.returncode}"]
+    lines += [f"stdout: {line}" for line in proc.stdout.splitlines()]
     for line in proc.stderr.splitlines():
         if line[:1].isspace() or line.startswith("Traceback "):
             continue
-        print(f"stderr: {re.sub(r'^[^ ]+:[0-9]+: ', '', line)}")
+        lines.append(f"stderr: {re.sub(r'^[^ ]+:[0-9]+: ', '', line)}")
     files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
-    for path in files:
-        print(f"sha256 {path.as_posix()}: {_digest(path)}")
+    lines += [f"sha256 {path.as_posix()}: {_digest(path)}" for path in files]
+    return lines
 
 
-def main() -> None:
+def _diff(old: list[str], new: list[str], name: str) -> None:
+    for line in difflib.unified_diff(old, new, name, "this run", lineterm="", n=0):
+        print(f"  {line}")
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the src directory to run")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
+    parser.add_argument(
+        "--check", type=Path, metavar="FILE",
+        help="compare with a saved output instead of printing; exit 1 on any difference",
+    )
     args = parser.parse_args()
     src = Path(args.src).resolve()
     if not (src / "dynsparse" / "cli.py").is_file():
         parser.error(f"{src} holds no dynsparse package")
+    saved = read_digests(args.check.resolve()) if args.check else None
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    head = header()
+    if saved is None:
+        print("\n".join(head))
+    elif head != saved[0]:
+        print(f"header differs from {args.check}: versions or numpy dispatch changed, "
+              "and the jobs below may move with them rather than with the code")
+        _diff(saved[0], head, str(args.check))
+    moved = 0
     workloads = load_workloads()
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
         os.chdir(work)
-        for job in all_jobs(workloads, args.seeds):
-            run_job(*job, env)
+        jobs = all_jobs(workloads, args.seeds)
+        for label, argv, out in jobs:
+            lines = run_job(label, argv, out, env)
+            if saved is None:
+                print("\n".join(lines))
+            elif lines != saved[1].get(label):
+                moved += 1
+                print(f"moved: {label}")
+                _diff(saved[1].get(label, []), lines, str(args.check))
             sys.stdout.flush()
         os.chdir(ROOT)
+    if saved is None:
+        return 0
+    missing = saved[1].keys() - {label for label, _, _ in jobs}
+    for label in sorted(missing):
+        print(f"not run: {label}")
+    print(f"{len(jobs) - moved} of {len(jobs)} jobs match {args.check}; {moved} moved, "
+          f"{len(missing)} not run")
+    return int(head != saved[0] or moved > 0 or bool(missing))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
