@@ -21,12 +21,17 @@ rejection round on the elements still pending (the first on the full
 arrays), and ``_devroye_gig_one`` is its setup-light scalar twin.
 Only three Python floats in the interior (finite nu, 0 < delta, gamma
 < inf) take the scalar kernel, before any numpy call; it serves ordinary
-parameters only, and for one element both kernels give the same value
-and take the same uniforms.  Every other draw takes ``gig_rvs``'s array
-route, which checks the whole batch by ``validate_gig_region``'s rule
-before any draw: parameters outside it raise one ``DomainError`` and
-leave the generator as it was.  A batch that is all interior goes to
-the array kernel whole, with no boundary masks.
+parameters only, and for one element both kernels take the same
+uniforms.  The scalar kernel evaluates its functions with ``math``, so
+the prior paths that draw through it (every ``simulate`` and ``acf``
+path but a fixed d = 0 one, drawn as one batch) do not depend on numpy's
+CPU dispatch; it has the array kernel's bits where numpy's loops round
+as ``math`` does, which its AVX-512 loops do not.  Every other draw
+takes ``gig_rvs``'s array route, which checks the whole batch by
+``validate_gig_region``'s rule before any draw: parameters outside it
+raise one ``DomainError`` and leave the generator as it was.  A batch
+that is all interior goes to the array kernel whole, with no boundary
+masks.
 
 At the SMC's batch sizes (about 10^3) the array kernel's cost is the
 fixed cost of its numpy calls, not the work per element, so it makes few
@@ -76,12 +81,24 @@ _DELTA_LIMIT = 1e-12
 # omega * omega overflows and no rejection round can accept.
 _OMEGA_MAX = math.sqrt(sys.float_info.max)
 
-# The terms of psi at the probe points x = 1 and x = -1, cosh(x) - 1 and
-# expm1(x) - x, and cosh(1) for the left cut point, formed once with
-# numpy's own functions for both Devroye kernels
-_COSH1 = float(np.cosh(1.0))
-_COSH_P1, _EXPM1_P1 = _COSH1 - 1.0, float(np.expm1(1.0)) - 1.0
-_COSH_M1, _EXPM1_M1 = float(np.cosh(-1.0)) - 1.0, float(np.expm1(-1.0)) - -1.0
+
+def _probe_terms(cosh, expm1) -> tuple[float, ...]:
+    """cosh(1), then the terms of psi at the probe points x = 1 and x = -1:
+    cosh(x) - 1 and expm1(x) - x."""
+    cosh1 = float(cosh(1.0))
+    return (
+        cosh1, cosh1 - 1.0, float(expm1(1.0)) - 1.0,
+        float(cosh(-1.0)) - 1.0, float(expm1(-1.0)) - -1.0,
+    )
+
+
+# Each Devroye kernel forms its probe-point constants once, with the
+# functions it evaluates psi with: the array kernel with numpy's (whose
+# loops, and so whose last bits, numpy picks per host) and the scalar
+# kernel with math's, so the two agree bit for bit wherever numpy's loops
+# round as math does.
+_COSH1, _COSH_P1, _EXPM1_P1, _COSH_M1, _EXPM1_M1 = _probe_terms(np.cosh, np.expm1)
+_PROBE_ONE = _probe_terms(math.cosh, math.expm1)
 
 # scipy loads on the first call of each (see dynsparse.special)
 cholesky = bind_on_first_call(globals(), "scipy.linalg", "cholesky")
@@ -377,56 +394,60 @@ def _devroye_gig(lam, omega, rng: np.random.Generator) -> NDArray[np.float64]:
 def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
     """One draw of :func:`_devroye_gig`, without its array bookkeeping.
 
-    The same operations in the same order, on Python floats, which cost
-    less per operation than numpy scalars: +, -, *, / and ``math.sqrt``
-    round as numpy's float64 does, so they give the array kernel's bits.
-    cosh, sinh, expm1, exp, log and log1p are numpy ufunc calls on one
-    float, because the ``math`` functions round differently (``math.cosh``
-    and ``np.cosh`` disagree in the last bit on many inputs); the terms at
-    the probe points +-1 are formed once at import, and each cut point
-    shares one expm1 between psi and psi'.
+    The same formulas in the same order, on Python floats, with ``math``'s
+    cosh, sinh, expm1, exp, log and log1p, so a draw does not depend on
+    numpy's CPU dispatch.  +, -, *, / and the square root round as
+    numpy's float64 does; where numpy's loops for the others round as
+    ``math`` does (its baseline and AVX2 loops on x86), the draw has the
+    array kernel's bits and leaves the generator where it does.  numpy's
+    AVX-512 loops differ from ``math`` in the last bit on many inputs, so
+    on such hosts the two kernels agree in law.  The probe-point terms are
+    formed once with ``math`` (``_PROBE_ONE``), and each cut point shares
+    one expm1 between psi and psi'.
     Only ordinary parameters are drawn here (0 < omega <= _OMEGA_MAX and
-    alpha^2 > 0, so no division in the setup meets a zero); every other
-    input goes to the array kernel before a uniform is taken.  Where
-    float64 gives inf and Python raises (1/lam at lam = 0, log 0, the
-    final 1/z at z = 0), the inf is written out.  Each round takes U, V, W
-    as the array kernel does at n = 1, so value, state and errors match.
+    alpha^2 > 0, so no division in the setup meets a zero and the cut
+    points stay below 374); every other input goes to the array kernel
+    before a uniform is taken.  Where float64 gives inf and Python raises
+    (1/lam at lam = 0, log 0, cosh, expm1 and exp past ~710, the final
+    1/z at z = 0), the inf is written out.  Each round takes U, V, W as
+    the array kernel does at n = 1.
     """
     lam = float(lam)
     omega = float(omega)
     alpha = math.sqrt(omega * omega + lam * lam) - abs(lam)
     if not (0.0 < omega <= _OMEGA_MAX and 0.0 < alpha * alpha < math.inf):
         return float(_devroye_gig(np.array([lam]), omega, rng)[0])
-    cosh, sinh, expm1, log = np.cosh, np.sinh, np.expm1, np.log
+    cosh, sinh, expm1, log = math.cosh, math.sinh, math.expm1, math.log
+    cosh1, cosh_p1, expm1_p1, cosh_m1, expm1_m1 = _PROBE_ONE
 
     swap = lam < 0.0
     lam = abs(lam)
 
     # right cut point t, from x0 = -psi(1)
-    x0 = -(-alpha * _COSH_P1 - lam * _EXPM1_P1)
+    x0 = -(-alpha * cosh_p1 - lam * expm1_p1)
     if x0 < 0.5:
-        t = float(log(4.0 / (alpha + 2.0 * lam)))
+        t = log(4.0 / (alpha + 2.0 * lam))
     elif x0 > 2.0:
         t = math.sqrt(2.0 / (alpha + lam))
     else:
         t = 1.0
     # left cut point s, from x1 = -psi(-1)
-    x1 = -(-alpha * _COSH_M1 - lam * _EXPM1_M1)
+    x1 = -(-alpha * cosh_m1 - lam * expm1_m1)
     if x1 < 0.5:
         w = 1.0 / alpha + math.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)
-        s = min(1.0 / lam if lam else math.inf, float(np.log1p(w)))
+        s = min(1.0 / lam if lam else math.inf, math.log1p(w))
     elif x1 > 2.0:
-        s = math.sqrt(4.0 / (alpha * _COSH1 + lam))
+        s = math.sqrt(4.0 / (alpha * cosh1 + lam))
     else:
         s = 1.0
 
     # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s)
-    e = float(expm1(t))
-    eta = -(-alpha * (float(cosh(t)) - 1.0) - lam * (e - t))
-    zeta = -(-alpha * float(sinh(t)) - lam * e)
-    e = float(expm1(-s))
-    theta = -(-alpha * (float(cosh(-s)) - 1.0) - lam * (e - -s))
-    xi = -alpha * float(sinh(-s)) - lam * e
+    e = expm1(t)
+    eta = -(-alpha * (cosh(t) - 1.0) - lam * (e - t))
+    zeta = -(-alpha * sinh(t) - lam * e)
+    e = expm1(-s)
+    theta = -(-alpha * (cosh(-s) - 1.0) - lam * (e - -s))
+    xi = -alpha * sinh(-s) - lam * e
     p = 1.0 / xi
     r = 1.0 / zeta
     td = t - r * eta
@@ -441,23 +462,35 @@ def _devroye_gig_one(lam, omega, rng: np.random.Generator) -> float:
         if u < q:
             x = msd + q * V
         else:
-            logV = float(log(V)) if V > 0.0 else -math.inf
+            try:
+                logV = log(V)
+            except ValueError:  # V = 0
+                logV = -math.inf
             x = td - r * logV if u < qr else msd + p * logV
-        psix = -alpha * (float(cosh(x)) - 1.0) - lam * (float(expm1(x)) - x)
+        try:
+            psix = -alpha * (cosh(x) - 1.0) - lam * (expm1(x) - x)
+        except OverflowError:  # |x| > ~710: cosh(x) = inf, and expm1(x) = inf for x > 0
+            psix = -alpha * (math.inf - 1.0) - lam * ((math.inf if x > 0.0 else -1.0) - x)
         if x > td:
             logchi = -eta - zeta * (x - t)
         elif x < msd:
             logchi = -theta + xi * (x + s)
         else:
             logchi = 0.0
-        logW = float(log(W)) if W > 0.0 else -math.inf
+        try:
+            logW = log(W)
+        except ValueError:  # W = 0
+            logW = -math.inf
         if logW + logchi <= psix:
             break
     else:
         raise NumericalError("GIG rejection sampler exceeded its round budget")
 
     ratio = lam / omega
-    z = float(np.exp(x)) * (ratio + math.sqrt(1.0 + ratio * ratio))
+    try:
+        z = math.exp(x) * (ratio + math.sqrt(1.0 + ratio * ratio))
+    except OverflowError:  # x > ~710
+        z = math.inf
     if swap:
         return 1.0 / z if z else math.inf
     return z
@@ -468,7 +501,8 @@ def gig_rvs(nu, delta, gamma, rng: np.random.Generator, size=None) -> NDArray[np
 
     Three Python floats with finite nu and 0 < delta, gamma < inf, and no
     ``size``, take the scalar kernel before any numpy call: one float,
-    the value and uniforms the array kernel would give.  Everything else
+    from the uniforms the array kernel would take, with its value wherever
+    numpy's loops round as ``math`` does.  Everything else
     takes the array route.  There, before any draw, the broadcast batch
     is checked against the GIG region; its first bad element raises
     :func:`validate_gig_region`'s ``DomainError``.  Boundary parameters

@@ -53,13 +53,20 @@ def _check_integer(name: str, value: object) -> None:
 
 
 def window_correlation(dim: int, alpha: float) -> NDArray[np.float64]:
-    """AR(1) correlation matrix of a coefficient window: entries alpha^|i-j|."""
+    """AR(1) correlation matrix of a coefficient window: entries alpha^|i-j|.
+
+    The powers are Python's float powers (the C library's pow), which
+    numpy's baseline and AVX2 power loops match; its AVX-512 loop rounds
+    differently, so it is not used.
+    """
     if not isinstance(dim, numbers.Integral) or dim < 1:
         raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1) (alpha = 1 is degenerate), got {alpha}")
+    alpha = float(alpha)
+    powers = np.array([alpha**k for k in range(dim)])
     idx = np.arange(dim)
-    return alpha ** np.abs(idx[:, None] - idx[None, :])
+    return powers[np.abs(idx[:, None] - idx[None, :])]
 
 
 def mahal_sq_batch(x: NDArray[np.float64], alpha: float) -> NDArray[np.float64]:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 __all__ = ["log_bessel_k", "log_bessel_k_flat"]
 
@@ -70,11 +70,18 @@ def log_bessel_k(order: float, arg: float) -> float:
     scaled = kve(v, arg)
     if np.isfinite(scaled) and scaled > 0.0:
         return math.log(scaled) - arg
-    # K_v(z) itself overflows a double (small z, large v); mpmath is exact
+    # K_v(z) itself overflows a double (small z, large v); mpmath is exact,
+    # up to an order so large that 30 digits hold it as an integer
     import mpmath
 
-    with mpmath.workdps(30):
-        return float(mpmath.log(mpmath.besselk(v, mpmath.mpf(arg))))
+    try:
+        with mpmath.workdps(30):
+            return float(mpmath.log(mpmath.besselk(v, mpmath.mpf(arg))))
+    except ZeroDivisionError:
+        raise NumericalError(
+            f"log_bessel_k: no value at order={order!r}, arg={arg!r} "
+            "(mpmath's series has a pole there)"
+        ) from None
 
 
 def log_bessel_k_flat(orders: NDArray[np.float64], args: list[float]) -> list[float]:

@@ -6,17 +6,21 @@ the package's own normalizers or samplers.  The package itself never
 imports scipy.integrate, so these oracles live here rather than in
 ``dynsparse.special``.  Other oracles are earlier forms of package code that
 later ones must reproduce exactly: the per-coefficient EM step, the
-masked-round and the np.float64 scalar Devroye GIG kernels, the SMC step's
+masked-round array and the ``math`` scalar Devroye GIG kernels, the SMC step's
 weight and draw, and the per-window group-lasso solver.
 """
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
+import dynsparse
 from dynsparse import (
     ConvergenceError,
     DomainError,
@@ -29,6 +33,27 @@ from dynsparse import (
 )
 from dynsparse.distributions import gh_log_pdf_grad, gig_moment
 from dynsparse.prior import mahal_sq_batch
+
+
+# Set in a new process, this switches numpy's AVX-512 (X86_V4) loops off.
+# The x86 loops left round exp, expm1, log, log1p, cosh and sinh as
+# ``math`` does, so the array and scalar Devroye kernels agree in bits there.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def run_python(code, *args, env=None, cwd=None):
+    """The stdout of ``python -c code *args`` run in ``cwd`` by a fresh
+    interpreter, with the package and these helpers importable, BLAS on one
+    thread and the variables of ``env`` set."""
+    path = [str(Path(dynsparse.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    full.update(env or {})
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=full, cwd=cwd, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def gig_unnormalized(nu, delta, gamma):
@@ -259,52 +284,83 @@ def reference_devroye_gig(lam, omega, rng):
     return z.reshape(shape)
 
 
-def reference_devroye_gig_one(lam, omega, rng):
-    """The np.float64 scalar Devroye kernel, kept as a value and stream oracle.
+def _ieee(f, x):
+    """``math``'s f at x, or the value float64 gives where ``math`` raises:
+    an overflow gives inf (with x's sign for sinh), log of 0 and log1p of
+    -1 give -inf, any other domain error gives nan."""
+    try:
+        return f(x)
+    except OverflowError:
+        return math.copysign(math.inf, x) if f is math.sinh else math.inf
+    except ValueError:
+        pole = {math.log: 0.0, math.log1p: -1.0}.get(f)
+        return -math.inf if x == pole else math.nan
 
-    Every operation is a numpy scalar operation, in the order of the array
-    kernel; U, V and W come from three ``rng.random()`` calls per round.
-    Its errors carry the library's types and messages.
+
+def _div(a, b):
+    """a / b as float64 divides: a signed inf for a / 0, nan for 0 / 0."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0.0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a * math.copysign(1.0, b))
+
+
+def _psi_one(x, alpha, lam):
+    return -alpha * (_ieee(math.cosh, x) - 1.0) - lam * (_ieee(math.expm1, x) - x)
+
+
+def _dpsi_one(x, alpha, lam):
+    return -alpha * _ieee(math.sinh, x) - lam * _ieee(math.expm1, x)
+
+
+def reference_devroye_gig_one(lam, omega, rng):
+    """The scalar Devroye kernel on Python floats and ``math``, kept as a value and stream oracle.
+
+    Every formula is the array kernel's, in its order, each transcendental
+    function evaluated with ``math`` and every operation given float64's
+    outcome where Python raises (``_ieee``, ``_div``); the probe points
+    +-1 are evaluated in place.  U, V and W come from three
+    ``rng.random()`` calls per round.  Its errors carry the library's
+    types and messages.
     """
-    lam = np.float64(lam)
-    omega = np.float64(omega)
+    lam = float(lam)
+    omega = float(omega)
     if not (omega > 0.0 and math.isfinite(omega) and math.isfinite(lam)):
         raise DomainError("Devroye GIG sampler needs finite lam and omega > 0")
     omega_max = math.sqrt(sys.float_info.max)
     if omega > omega_max:
         raise DomainError(
             f"Devroye GIG sampler needs omega <= {omega_max!r} (omega * omega overflows), "
-            f"got omega={float(omega)!r}"
+            f"got omega={omega!r}"
         )
 
     swap = lam < 0.0
     lam = abs(lam)
-    alpha = np.sqrt(omega * omega + lam * lam) - lam
+    alpha = math.sqrt(omega * omega + lam * lam) - lam
     if alpha == math.inf:
         raise DomainError(
             f"Devroye GIG sampler needs omega * omega + lam * lam <= {sys.float_info.max!r} "
-            f"(it overflows), got |lam|={float(lam)!r}, omega={float(omega)!r}"
+            f"(it overflows), got |lam|={lam!r}, omega={omega!r}"
         )
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x0 = -_psi(1.0, alpha, lam)
-        t = np.sqrt(2.0 / (alpha + lam)) if x0 > 2.0 else 1.0
-        if x0 < 0.5:
-            t = np.log(4.0 / (alpha + 2.0 * lam))
-        x1 = -_psi(-1.0, alpha, lam)
-        s = np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)) if x1 > 2.0 else 1.0
-        if x1 < 0.5:
-            s = np.minimum(
-                1.0 / lam,
-                np.log1p(1.0 / alpha + np.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)),
-            )
+    x0 = -_psi_one(1.0, alpha, lam)
+    t = math.sqrt(_div(2.0, alpha + lam)) if x0 > 2.0 else 1.0
+    if x0 < 0.5:
+        t = _ieee(math.log, _div(4.0, alpha + 2.0 * lam))
+    x1 = -_psi_one(-1.0, alpha, lam)
+    s = math.sqrt(_div(4.0, alpha * math.cosh(1.0) + lam)) if x1 > 2.0 else 1.0
+    if x1 < 0.5:
+        w = _div(1.0, alpha) + math.sqrt(_div(1.0, alpha * alpha) + _div(2.0, alpha))
+        s = min(_div(1.0, lam), _ieee(math.log1p, w))
 
-    eta = -_psi(t, alpha, lam)
-    zeta = -_dpsi(t, alpha, lam)
-    theta = -_psi(-s, alpha, lam)
-    xi = _dpsi(-s, alpha, lam)
-    p = 1.0 / xi
-    r = 1.0 / zeta
+    eta = -_psi_one(t, alpha, lam)
+    zeta = -_dpsi_one(t, alpha, lam)
+    theta = -_psi_one(-s, alpha, lam)
+    xi = _dpsi_one(-s, alpha, lam)
+    p = _div(1.0, xi)
+    r = _div(1.0, zeta)
     td = t - r * eta
     sd = s - p * theta
     q = td + sd
@@ -314,29 +370,28 @@ def reference_devroye_gig_one(lam, omega, rng):
         V = rng.random()
         W = rng.random()
         u = U * (q + p + r)
-        logV = np.log(V) if V > 0.0 else -np.inf
+        logV = _ieee(math.log, V)
         if u < q:
             x = -sd + q * V
         elif u < q + r:
             x = td + r * (-logV)
         else:
             x = -sd + p * logV
-        psix = _psi(x, alpha, lam)
+        psix = _psi_one(x, alpha, lam)
         if x > td:
             logchi = -eta - zeta * (x - t)
         elif x < -sd:
             logchi = -theta + xi * (x + s)
         else:
             logchi = 0.0
-        logW = np.log(W) if W > 0.0 else -np.inf
-        if logW + logchi <= psix:
+        if _ieee(math.log, W) + logchi <= psix:
             break
     else:
         raise NumericalError("GIG rejection sampler exceeded its round budget")
 
     ratio = lam / omega
-    z = np.exp(x) * (ratio + np.sqrt(1.0 + ratio * ratio))
-    return 1.0 / z if swap else z
+    z = _ieee(math.exp, x) * (ratio + math.sqrt(1.0 + ratio * ratio))
+    return _div(1.0, z) if swap else z
 
 
 def _reference_gig_interior(nu, delta, gamma, rng):

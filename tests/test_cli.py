@@ -3,20 +3,23 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import dynsparse.cli
 import dynsparse.smc
 from dynsparse import ParseError, RegressionData, load_data, synthetic_regression, verify_dir
 from dynsparse.cli import run_command
+from helpers import NO_AVX512, run_python
 
 
 def write_data(path, data):
@@ -275,6 +278,44 @@ def test_acf_does_not_depend_on_p(tmp_path, window):
         ]) == 0
         bodies.append((out / "acf.csv").read_text().split("\n", 1)[1])
     assert bodies[0] == bodies[1]
+
+
+_DISPATCH_JOBS = {
+    "d20": ["simulate", "nu=0.1", "delta=0.01", "gamma=1.0", "alpha=0.3578680612554048",
+            "d=20", "sigma=1.0", "T=3000", "seed=1"],
+    "rho-p3": ["simulate", "nu=1.0", "delta=0.3", "gamma=1.0", "alpha=0.6", "rho=0.6",
+               "sigma=1.0", "p=3", "T=2000", "seed=7"],
+    "acf": ["acf", "nu=0.1", "delta=0.01", "gamma=1.0", "alpha=0.0", "d=20", "sigma=1.0",
+            "T=20000", "max_lag=30", "seed=1"],
+}
+
+_DISPATCH_SCRIPT = """
+import json, sys
+from dynsparse.cli import run_command
+for name, argv in json.loads(sys.argv[1]).items():
+    assert run_command([*argv, f"out_dir={name}"]) == 0
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 numpy loops only")
+def test_simulate_and_acf_bytes_do_not_depend_on_numpy_dispatch(tmp_path):
+    # these simulate and acf runs draw every value with the scalar GIG
+    # kernel on math and take the start block's correlation from Python's
+    # powers, so they write the same bytes with numpy's AVX-512 loops on
+    # (where the host has them) and off
+    files = []
+    for label, env in (("host", {}), ("no-avx512", NO_AVX512)):
+        root = tmp_path / label
+        root.mkdir()
+        run_python(_DISPATCH_SCRIPT, json.dumps(_DISPATCH_JOBS), env=env, cwd=root)
+        files.append({f.relative_to(root).as_posix(): f.read_bytes()
+                      for f in sorted(root.rglob("*")) if f.is_file()})
+    assert sorted(files[0]) == sorted(
+        f"{name}/{table}" for name, tables in
+        (("d20", ["path.csv"]), ("rho-p3", ["path.csv", "d_path.csv"]), ("acf", ["acf.csv"]))
+        for table in [*tables, "manifest.json"]
+    )
+    assert files[0] == files[1]
 
 
 def test_fit_map_estimates_round_trip(tmp_path):
@@ -795,3 +836,101 @@ def test_config_file_with_cli_override(tmp_path):
     a = (tmp_path / "a" / "path.csv").read_text().strip().splitlines()
     b = (tmp_path / "b" / "path.csv").read_text().strip().splitlines()
     assert len(b) - len(a) == 10
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input ends in exit 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+# one small valid run of every subcommand; each ignores the keys it does not use
+_FUZZ_BASE = {
+    "nu": "1.0", "delta": "0.3", "gamma": "1.0", "alpha": "0.5", "d": "1", "sigma": "0.5",
+    "seed": "1", "T": "20", "max_lag": "5", "max_iter": "20", "n_particles": "10",
+    "n_iters": "2", "data_path": "data.csv", "out_dir": "out",
+}
+_FUZZ_DATA = "t,y,x1\n1,0.5,1\n1,0.3,-0.5\n2,0.2,1\n2,-0.1,0.4\n3,0.1,1\n3,0.7,0.2\n"
+_ODD_VALUES = [
+    "0", "-1", "nan", "inf", "1e308", "1e-308", "5e-324", "", "abc", "2.5", "0.95,0.05",
+    "1e100", "1e-100", "0.999",
+]
+# CSV-like text: cells, separators, a quote, odd numbers, a NUL, a non-ASCII letter, a BOM
+_CSV_TOKENS = [
+    "t", "y", "x1", "x2", "1", "2", "3", "-0", "0.5", "nan", "inf", "1e308", "5e-324", "",
+    ",", ",", "\n", "\n", "\r\n", '"', " ", "\x00", "é", "﻿",
+]
+_BYTES = st.binary(max_size=200) | st.lists(st.sampled_from(_CSV_TOKENS), max_size=60).map(
+    lambda tokens: "".join(tokens).encode()
+)
+
+
+def _tree(root):
+    """Every file under root with its bytes, and every directory."""
+    paths = sorted(root.rglob("*"))
+    files = {p.relative_to(root): p.read_bytes() for p in paths if p.is_file()}
+    return files, {p.relative_to(root) for p in paths if p.is_dir()}
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["simulate", "acf", "fit-map", "fit-glasso", "fit-smc"]),
+    overrides=st.lists(
+        st.tuples(st.sampled_from(sorted(dynsparse.cli._KEYS)), st.sampled_from(_ODD_VALUES)),
+        max_size=4,
+    ),
+    data=st.none() | st.none() | _BYTES,  # None: the valid data file
+)
+@example(command="fit-map", overrides=[("sigma", "1e200")], data=None)
+@example(command="fit-glasso", overrides=[("sigma", "1e-200")], data=None)
+@example(command="fit-smc", overrides=[("sigma", "1e-155")], data=None)
+@example(command="simulate", overrides=[("delta", "1e155")], data=None)
+@example(command="fit-map", overrides=[("nu", "1e308")], data=None)  # an mpmath pole: exit 1
+@example(command="simulate", overrides=[("nu", "1e308")], data=None)
+@example(command="fit-glasso", overrides=[("tol", "1e-308")], data=None)
+def test_any_settings_and_data_end_in_exit_0_1_or_2(
+    tmp_path, monkeypatch, command, overrides, data
+):
+    # up to four settings from odd values, on the valid data file or on
+    # random bytes: exit 2 creates and changes nothing; exit 1 writes only
+    # its error.json into out_dir; exit 0 writes the tables and manifest
+    # there, and they verify.  T, max_iter, n_particles and n_iters stay
+    # small, since every odd value for them is a config error
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
+    Path("data.csv").write_bytes(_FUZZ_DATA.encode() if data is None else data)
+    cfg = {**_FUZZ_BASE, **dict(overrides)}
+    before, before_dirs = _tree(work)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        argv = [f"{k}={v}" for k, v in [*_FUZZ_BASE.items(), *overrides]]
+        code = run_command([command, *argv])
+    after, after_dirs = _tree(work)
+    out = Path(cfg["out_dir"])
+    changed = {p for p in after if before.get(p) != after[p]}
+    assert code in (0, 1, 2)
+    assert before.keys() <= after.keys() and before_dirs <= after_dirs
+    if code == 2:
+        assert (after, after_dirs) == (before, before_dirs)
+        return
+    assert after_dirs - before_dirs <= {out}
+    if code == 1:
+        assert changed == {out / "error.json"}
+        return
+    written = json.loads(after[out / "manifest.json"])["outputs"]
+    assert changed == {out / name for name in [*written, "manifest.json"]}
+    assert run_command(["verify", str(out)]) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=_BYTES)
+def test_load_data_on_any_bytes_gives_data_or_a_parse_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(body)
+    try:
+        data = load_data(path)
+    except ParseError:
+        return
+    assert data.T >= 1 and data.p >= 1
+    assert all(np.isfinite(y).all() and np.isfinite(X).all() for y, X in zip(data.ys, data.Xs))

@@ -1,11 +1,13 @@
+import json
 import math
+import platform
 import re
 import sys
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -37,9 +39,11 @@ from helpers import (
     gh_pdf_by_mixture,
     gig_unnormalized,
     integrate_positive_halfline,
+    NO_AVX512,
     ks_statistic,
     reference_devroye_gig,
     reference_devroye_gig_one,
+    run_python,
 )
 
 GIG_GRID = [
@@ -194,40 +198,86 @@ def test_gig_rvs_heterogeneous_parameters():
     assert np.allclose(draws, means, rtol=0.05)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    lam=st.floats(-15.0, 15.0),
-    omega=st.one_of(st.floats(1e-6, 1e3), st.floats(-6.0, 3.0).map(lambda e: 10.0**e)),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(lam=0.0, omega=1e-6, seed=0)
-@example(lam=0.0, omega=1.0, seed=1)
-@example(lam=-15.0, omega=1e3, seed=2)
-def test_devroye_scalar_kernel_matches_array_kernel(lam, omega, seed):
-    # the scalar kernel returns the array kernel's n = 1 draw and leaves the
-    # generator in the same state, over successive draws (lam < 0 swaps)
-    rng_arr = np.random.default_rng(seed)
-    rng_one = np.random.default_rng(seed)
-    for _ in range(4):
-        z_arr = _devroye_gig(np.array([lam]), omega, rng_arr)[0]
-        z_one = _devroye_gig_one(lam, omega, rng_one)
-        assert z_one == z_arr
-        assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+# (lam, omega) pairs over every cut-point branch: x0 = -psi(1) and x1 =
+# -psi(-1) below 0.5, between 0.5 and 2 and above 2, and lam < 0 (the swap)
+_LAW_PAIRS = [(-9.9, 0.05), (0.1, 0.01), (0.5, 1.0), (-0.4, 2.0), (3.0, 50.0)]
 
 
-def test_devroye_scalar_kernel_matches_array_kernel_on_a_sweep():
-    # dense random sweep: a last-bit difference in the setup (say scalar
-    # x ** 2 for x * x, ~1e-3 of inputs) changes the draw
+def test_devroye_scalar_kernel_matches_array_kernel():
+    # on the host's own numpy loops the two kernels may differ in the last
+    # bits (AVX-512), so here they must agree in law: a two-sample KS test
+    # of 20,000 scalar draws against one array batch at each pair
+    for k, (lam, omega) in enumerate(_LAW_PAIRS):
+        rng = np.random.default_rng(40 + k)
+        one = np.array([_devroye_gig_one(lam, omega, rng) for _ in range(20_000)])
+        batch = _devroye_gig(np.full(20_000, lam), omega, np.random.default_rng(50 + k))
+        assert scipy.stats.ks_2samp(one, batch).pvalue > 1e-3, (lam, omega)
+
+
+def scalar_array_mismatches():
+    """Where the scalar kernel's outcome (value bytes or error, and
+    generator state) differs from the array kernel's n = 1 outcome, per
+    sweep, with the number of draws compared.
+
+    The sweeps: 10,000 random pairs drawn in turn from one generator each;
+    303 pairs at their own seeds, four draws in turn (lam < 0 swaps); and
+    the router's bounds, ``_ROUTER_CASES``.  Run in a child process with
+    ``NO_AVX512``, where both kernels evaluate psi with loops that round
+    as ``math`` does.
+    """
+    def array_one(lam, omega, rng):
+        return _devroye_gig(np.array([lam]), omega, rng)[0]
+
+    found = {}
     pars = np.random.default_rng(21)
     lams = pars.uniform(-15.0, 15.0, 10_000)
     omegas = 10.0 ** pars.uniform(-6.0, 3.0, 10_000)
-    rng_arr = np.random.default_rng(22)
-    rng_one = np.random.default_rng(22)
-    for lam, omega in zip(lams, omegas):
-        assert _devroye_gig_one(lam, omega, rng_one) == _devroye_gig(
-            np.array([lam]), omega, rng_arr
-        )[0], (lam, omega)
-    assert rng_one.bit_generator.state == rng_arr.bit_generator.state
+    rng_arr, rng_one = np.random.default_rng(22), np.random.default_rng(22)
+    found["sweep"] = [
+        (lam, omega) for lam, omega in zip(lams.tolist(), omegas.tolist())
+        if _devroye_gig_one(lam, omega, rng_one) != array_one(lam, omega, rng_arr)
+    ]
+    if rng_one.bit_generator.state != rng_arr.bit_generator.state:
+        found["sweep"].append("final state")
+
+    pars = np.random.default_rng(23)
+    omegas = np.where(
+        np.arange(300) % 2, pars.uniform(1e-6, 1e3, 300), 10.0 ** pars.uniform(-6.0, 3.0, 300)
+    )
+    cases = [(0.0, 1e-6, 0), (0.0, 1.0, 1), (-15.0, 1e3, 2)] + list(zip(
+        pars.uniform(-15.0, 15.0, 300).tolist(), omegas.tolist(),
+        pars.integers(0, 2**32, 300).tolist(),
+    ))
+    found["successive"] = []
+    for lam, omega, seed in cases:
+        rng_arr, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            z_one, z_arr = _devroye_gig_one(lam, omega, rng_one), array_one(lam, omega, rng_arr)
+            if z_one != z_arr or rng_one.bit_generator.state != rng_arr.bit_generator.state:
+                found["successive"].append((lam, omega, seed))
+                break
+
+    found["router"] = [
+        (lam, omega) for seed, (lam, omega) in enumerate(_ROUTER_CASES)
+        if _draw_outcome(_devroye_gig_one, lam, omega, seed)
+        != _draw_outcome(array_one, lam, omega, seed)
+    ]
+    return {"checked": [10_000, 4 * len(cases), len(_ROUTER_CASES)], "found": found}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 numpy loops only")
+def test_devroye_scalar_kernel_matches_array_kernel_on_a_sweep():
+    # with numpy's AVX-512 loops off, the scalar kernel gives the array
+    # kernel's n = 1 draw and generator state: on a dense random sweep (a
+    # last-bit difference in the setup, say scalar x ** 2 for x * x, ~1e-3
+    # of inputs, changes the draw), over successive draws, and on both
+    # sides of the router's bounds
+    out = json.loads(run_python(
+        "import json, test_distributions as t; print(json.dumps(t.scalar_array_mismatches()))",
+        env=NO_AVX512,
+    ))
+    assert out["checked"] == [10_000, 1212, len(_ROUTER_CASES)]
+    assert out["found"] == {"sweep": [], "successive": [], "router": []}
 
 
 def _draw_outcome(kernel, lam, omega, seed):
@@ -258,8 +308,10 @@ _ONE_EDGES = [
 
 
 def test_devroye_scalar_kernel_matches_its_float64_reference():
-    # Python-float state gives the np.float64 kernel's value and generator
-    # state, or its exception type and message, on the sweep and the edges
+    # the kernel gives its reference's value and generator state, or its
+    # exception type and message, on the sweep and the edges: the same
+    # formulas on Python floats and math, with float64's outcome wherever
+    # Python raises
     pars = np.random.default_rng(21)
     lams = pars.uniform(-15.0, 15.0, 10_000)
     omegas = 10.0 ** pars.uniform(-6.0, 3.0, 10_000)
@@ -278,6 +330,72 @@ def test_devroye_scalar_kernel_edges_keep_the_reference_outcomes():
     assert _draw_outcome(_devroye_gig_one, 5e-4, 1e-12, 0)[:2] == (
         NumericalError, "GIG rejection sampler exceeded its round budget"
     )
+
+
+class _FixedUniforms:
+    """A generator that hands out fixed uniforms: ``random(3)`` the next
+    three, ``random()`` the next one."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+class _RaisingMath:
+    """``math``, recording each call that raises: (name, error, sign of the argument)."""
+
+    def __init__(self):
+        self.raised = set()
+
+    def __getattr__(self, name):
+        f = getattr(math, name)
+        if not callable(f):
+            return f
+
+        def recorded(x):
+            try:
+                return f(x)
+            except (OverflowError, ValueError) as exc:
+                self.raised.add((name, type(exc).__name__, math.copysign(1.0, x)))
+                raise
+
+        return recorded
+
+
+def test_devroye_scalar_kernel_writes_out_float64_infs(monkeypatch):
+    # where a math call raises and float64 gives inf, the kernel writes the
+    # inf out: log of a zero V or W, cosh of |x| > 710.5, expm1 of x in
+    # (709.8, 710.5), exp of an accepted x > 709.8, and then 1/z at z = 0
+    # and z = inf.  A generator's uniforms are 0 or at least 2^-53, which
+    # keeps a finite |x| below ~420 at any ordinary (lam, omega), so fixed
+    # uniforms reach these, at omega = 1e-150, where the cut points are
+    # ~346 and r = 1/2: U sweeps the three pieces; V is 0, 5e-324 or puts
+    # the right piece's x = td - r log V at 710.0 +- 0.15; W is 0.5 or 0;
+    # and a last round (0.5, 0.5, 0) accepts any finite x
+    spy = _RaisingMath()
+    monkeypatch.setattr(dynsparse.distributions, "math", spy)
+    values = set()
+    for lam in (1e-300, -1e-300):
+        for U in [0.5, *np.linspace(0.997, 1.0 - 2.0**-53, 60).tolist()]:
+            for V in (0.0, 5e-324, *(math.exp(-k) for k in (728.4, 728.7, 729.0))):
+                for W in (0.5, 0.0):
+                    rounds = [U, V, W, 0.5, 0.5, 0.0]
+                    z = _devroye_gig_one(lam, 1e-150, _FixedUniforms(rounds))
+                    assert np.float64(z).tobytes() == np.float64(
+                        reference_devroye_gig_one(lam, 1e-150, _FixedUniforms(rounds))
+                    ).tobytes(), (lam, U, V, W)
+                    values.add(z if z in (0.0, math.inf) else "finite")
+    assert spy.raised == {
+        ("log", "ValueError", 1.0), ("cosh", "OverflowError", 1.0),
+        ("cosh", "OverflowError", -1.0), ("expm1", "OverflowError", 1.0),
+        ("exp", "OverflowError", 1.0),
+    }
+    assert values == {0.0, math.inf, "finite"}
 
 
 _NEXT_OMEGA = float(np.nextafter(_OMEGA_MAX, np.inf))
@@ -299,8 +417,9 @@ _ROUTER_CASES = [
 
 
 def test_devroye_scalar_kernel_routes_edges_to_the_array_kernel(monkeypatch):
-    # on both sides of the router's bounds the scalar kernel gives the array
-    # kernel's n = 1 outcome: value bytes or error, and generator state
+    # on both sides of the router's bounds a routed draw is the array
+    # kernel's n = 1 outcome and any other the reference's: value bytes or
+    # error, and generator state
     def array_one(lam, omega, rng):
         return _devroye_gig(np.array([lam]), omega, rng)[0]
 
@@ -312,8 +431,10 @@ def test_devroye_scalar_kernel_routes_edges_to_the_array_kernel(monkeypatch):
 
     monkeypatch.setattr(dynsparse.distributions, "_devroye_gig", counted)
     for seed, (lam, omega) in enumerate(_ROUTER_CASES):
-        expected = _draw_outcome(array_one, lam, omega, seed)
-        assert _draw_outcome(_devroye_gig_one, lam, omega, seed) == expected, (lam, omega)
+        before = len(routed)
+        got = _draw_outcome(_devroye_gig_one, lam, omega, seed)
+        oracle = array_one if len(routed) > before else reference_devroye_gig_one
+        assert got == _draw_outcome(oracle, lam, omega, seed), (lam, omega)
     routed = {(float(lam), float(omega)) for lam, omega in routed}
     # ordinary parameters next to the bounds stay on the scalar path
     for case in [(0.5, _OMEGA_MAX), (-0.5, _OMEGA_MAX), (0.0, 1e-160)]:
@@ -427,7 +548,9 @@ def test_gig_rvs_fails_fast_when_omega_squared_overflows(size):
 
 
 def test_devroye_kernels_draw_at_the_largest_omega():
-    # the largest omega whose square is finite still draws, in both kernels
+    # the largest omega whose square is finite still draws, in both kernels;
+    # the cut points are ~1e-77, where cosh, sinh and expm1 are exact on
+    # any loops, so the two give the same bits
     omega = math.sqrt(sys.float_info.max)
     assert np.isfinite(omega * omega)
     z_one = _devroye_gig_one(0.5, omega, np.random.default_rng(3))
@@ -481,12 +604,17 @@ def _counting_kernels(monkeypatch):
 )
 def test_gig_rvs_single_interior_draw_routes(monkeypatch, args, kernel):
     # only three Python floats take the scalar kernel; ints and arrays take
-    # the array route; each draws (delta / gamma) * the array kernel's
-    # n = 1 draw at omega = delta * gamma and leaves the generator as it does
+    # the array route; each draws (delta / gamma) * its kernel's draw at
+    # omega = delta * gamma (the scalar reference's, or the array kernel's
+    # at n = 1) and leaves the generator as that does
     nu, delta, gamma = (float(np.asarray(a).item()) for a in args)
     oracle = np.random.default_rng(8)
-    expected = [(delta / gamma) * _devroye_gig(np.array([nu]), delta * gamma, oracle)[0]
-                for _ in range(3)]
+    if kernel == "_devroye_gig_one":
+        expected = [(delta / gamma) * reference_devroye_gig_one(nu, delta * gamma, oracle)
+                    for _ in range(3)]
+    else:
+        expected = [(delta / gamma) * _devroye_gig(np.array([nu]), delta * gamma, oracle)[0]
+                    for _ in range(3)]
     calls = _counting_kernels(monkeypatch)
     rng = np.random.default_rng(8)
     got = [gig_rvs(*args, rng) for _ in range(3)]

@@ -72,28 +72,42 @@ def objective(problem, beta):
     return fit + problem.gamma * np.sum(np.sqrt(mahal_sq_batch(beta, problem.alpha)))
 
 
-def fista_oracle(problem, n_iter=200_000):
-    """Accelerated proximal-gradient solve of the whitened problem."""
-    Y, designs = stacked_whitened(problem)
-    p, w = problem.p, problem.width
-    A = np.hstack(designs)
-    lip = np.linalg.norm(A, 2) ** 2 / problem.sigma2
-    step = 1.0 / lip
-    theta = np.zeros(p * w)
+def fista_oracle(problems, n_iter=200_000):
+    """Accelerated proximal-gradient solves of whitened problems, in one loop.
+
+    The problems share p and the window width.  Their stacked designs are
+    padded with zero rows to the largest row count, which adds exact zeros
+    to every residual, gradient and fit; each problem keeps its own step
+    size, 1 / its Lipschitz constant.  Returns each problem's objective.
+    """
+    stacked = [stacked_whitened(problem) for problem in problems]
+    rows = max(Y.shape[0] for Y, _ in stacked)
+    p, w = problems[0].p, problems[0].width
+    A = np.zeros((len(problems), rows, p * w))
+    Y = np.zeros((len(problems), rows, 1))
+    for k, (y, designs) in enumerate(stacked):
+        A[k, : y.shape[0]] = np.hstack(designs)
+        Y[k, : y.shape[0], 0] = y
+    At = A.transpose(0, 2, 1)
+    sigma2 = np.array([problem.sigma2 for problem in problems])[:, None, None]
+    step = 1.0 / (np.array([np.linalg.norm(a, 2) ** 2 for a in A])[:, None, None] / sigma2)
+    gamma = np.array([problem.gamma for problem in problems])[:, None, None]
+    theta = np.zeros((len(problems), p * w, 1))
     z = theta.copy()
     t_acc = 1.0
     for _ in range(n_iter):
-        grad = -(A.T @ (Y - A @ z)) / problem.sigma2
-        u = (z - step * grad).reshape(p, w)
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
-        shrink = np.maximum(1.0 - step * problem.gamma / np.maximum(norms, 1e-300), 0.0)
-        new = (u * shrink).ravel()
+        grad = -(At @ (Y - A @ z)) / sigma2
+        u = (z - step * grad).reshape(-1, p, w)
+        norms = np.linalg.norm(u, axis=2, keepdims=True)
+        shrink = np.maximum(1.0 - step * gamma / np.maximum(norms, 1e-300), 0.0)
+        new = (u * shrink).reshape(-1, p * w, 1)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
         z = new + (t_acc - 1.0) / t_next * (new - theta)
         theta, t_acc = new, t_next
-    fit = 0.5 * np.dot(Y - A @ theta, Y - A @ theta) / problem.sigma2
-    pen = problem.gamma * np.sum(np.linalg.norm(theta.reshape(p, w), axis=1))
-    return theta.reshape(p, w), fit + pen
+    resid = (Y - A @ theta)[:, :, 0]
+    fit = 0.5 * np.einsum("kr,kr->k", resid, resid) / sigma2[:, 0, 0]
+    pen = gamma[:, 0, 0] * np.linalg.norm(theta.reshape(-1, p, w), axis=2).sum(axis=1)
+    return (fit + pen).tolist()
 
 
 def random_problem(seed, p=3, d=2, n=5, gamma=1.0, alpha=0.5):
@@ -105,12 +119,28 @@ def random_problem(seed, p=3, d=2, n=5, gamma=1.0, alpha=0.5):
 
 
 @functools.lru_cache(maxsize=None)
-def seed_oracle_objective(seed):
-    """``fista_oracle``'s objective on ``random_problem(seed)``, solved once per session.
+def seed_oracle_objectives():
+    """``fista_oracle``'s objectives on ``random_problem(seed)``, seeds 0-7,
+    solved in one loop once per session.
 
     The parametrized oracle test and criterion 7 check the same problems.
     """
-    return fista_oracle(random_problem(seed))[1]
+    return fista_oracle([random_problem(seed) for seed in range(8)])
+
+
+def row_count_problem(seed):
+    """A window whose steps have 1, 3 and 7 rows, in a random order."""
+    rng = np.random.default_rng(100 + seed)
+    ns = rng.permutation([1, 3, 7])
+    Xs = [rng.standard_normal((n, 3)) for n in ns]
+    ys = [rng.standard_normal(n) * 2.0 for n in ns]
+    return Window(RegressionData(ys, Xs), alpha=0.5, gamma=0.8, sigma2=1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def row_count_oracle_objectives():
+    """``fista_oracle``'s objectives on ``row_count_problem(seed)``, seeds 0-2, in one loop."""
+    return fista_oracle([row_count_problem(seed) for seed in range(3)])
 
 
 def assert_kkt(problem, beta, tol):
@@ -284,7 +314,7 @@ def test_null_solution_threshold(seed):
 def test_objective_matches_prox_gradient_oracle(seed):
     problem = random_problem(seed)
     beta, _ = solve_window(*problem, tol=1e-10)
-    assert objective(problem, beta) == pytest.approx(seed_oracle_objective(seed), abs=1e-5)
+    assert objective(problem, beta) == pytest.approx(seed_oracle_objectives()[seed], abs=1e-5)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -308,13 +338,9 @@ def test_kkt_residual_via_direct_subgradient(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_steps_with_different_row_counts(seed):
     # n may vary with t; windows mix steps with 1, 3 and 7 rows
-    rng = np.random.default_rng(100 + seed)
-    ns = rng.permutation([1, 3, 7])
-    Xs = [rng.standard_normal((n, 3)) for n in ns]
-    ys = [rng.standard_normal(n) * 2.0 for n in ns]
-    problem = Window(RegressionData(ys, Xs), alpha=0.5, gamma=0.8, sigma2=1.0)
+    problem = row_count_problem(seed)
     beta, trace = solve_window(*problem, tol=1e-10)
-    _, obj_oracle = fista_oracle(problem)
+    obj_oracle = row_count_oracle_objectives()[seed]
     assert objective(problem, beta) == pytest.approx(obj_oracle, abs=1e-5)
     assert trace[-1] == pytest.approx(objective(problem, beta), rel=1e-12)
     assert_kkt(problem, beta, 1e-8)

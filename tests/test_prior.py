@@ -334,8 +334,8 @@ def test_simulate_path_time_varying_mode_runs():
     ],
 )
 def test_simulate_path_matches_the_reference_loop(kw):
-    # same bits and generator state as the loop over the np.float64 scalar
-    # and masked-round kernels with the twice-squared window norm
+    # same bits and generator state as the loop over the math scalar and
+    # masked-round kernels with the twice-squared window norm
     c = cfg(**kw)
     d_path = None if c.fixed_d else simulate_d_chain(c.rho, 2000, np.random.default_rng(30))
     rng, oracle = np.random.default_rng(31), np.random.default_rng(31)

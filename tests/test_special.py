@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kve
 
-from dynsparse import DomainError, log_bessel_k, log_gig_normalizer
+from dynsparse import DomainError, NumericalError, log_bessel_k, log_gig_normalizer
 from dynsparse.special import bind_on_first_call, log_bessel_k_flat
 from helpers import gig_unnormalized, integrate_positive_halfline
 
@@ -143,6 +144,14 @@ def test_extreme_corner_matches_mpmath():
     for a, z in [(50.0, 1e-8), (30.0, 1e-6), (50.0, 1e4)]:
         ref = float(mpmath.log(mpmath.besselk(a, mpmath.mpf(z))))
         assert log_bessel_k(a, z) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [1e100, -1e308])
+def test_an_order_mpmath_takes_for_a_pole_is_a_numerical_error(order):
+    # 30 digits hold these orders as integers, where mpmath's series has a
+    # pole: the error is typed and names the order, so a fit exits 1
+    with pytest.raises(NumericalError, match=re.escape(f"no value at order={order!r}, arg=0.5")):
+        log_bessel_k(order, 0.5)
 
 
 def test_bessel_domain_errors():

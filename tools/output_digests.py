@@ -28,8 +28,10 @@ table, of the whole file otherwise.
 The output starts with a header of ``#`` lines: the python, numpy and
 scipy versions and the dispatch target numpy picked on this host for
 each float64 ufunc the GIG kernels call (``numpy.lib.introspect.
-opt_func_info``).  The bytes of the ``simulate``, ``acf`` and
-``fit-smc`` jobs depend on that dispatch.
+opt_func_info``).  Of the jobs, only the ``fit-smc`` bytes depend on
+that dispatch: ``simulate`` and ``acf`` draw through the scalar GIG
+kernel, on ``math``, and the fixed d = 0 ``simulate`` job draws gamma
+laws (delta = 0), which take no Devroye kernel.
 
 Every path a job sees is relative to its temporary directory, so the
 outputs of two source trees compare with ``diff``: no difference means
